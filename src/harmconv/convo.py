@@ -24,12 +24,13 @@ import numpy as np
 from .cpoly import (
     CIRCLE_ATOL,
     ComplexPolynomial,
+    NumericFailure,
     ZeroCountReport,
     count_zeros_in_disk,
     reciprocal_adjoint,
 )
 from .hmap import FamilyParams, HarmonicMap, SlantParams
-from .series import PowerSeries
+from .series import PowerSeries, rational_series
 
 # Relative tolerance for structural coefficient matches (Blaschke shape,
 # self-inversive factors).  Constructions are exact arithmetic on exact
@@ -68,12 +69,7 @@ class RationalFunction:
 
     def series(self, N: int) -> PowerSeries:
         """Taylor expansion to order N; needs den(0) away from zero."""
-
-        def pad(p: ComplexPolynomial) -> PowerSeries:
-            cs = list(p.coeffs[: N + 1])
-            return PowerSeries(cs + [0j] * (N + 1 - len(cs)))
-
-        return pad(self.num).divide(pad(self.den))
+        return rational_series(self.num.coeffs, self.den.coeffs, N)
 
     def compose_power(self, m: int) -> "RationalFunction":
         """The function z -> self(z**m)."""
@@ -665,9 +661,10 @@ def certify_bounded(
     collapses to a rotation of z**k, bounded whenever k >= 1.  This covers
     the boundary cases where core's zeros sit exactly on the circle.
 
-    Otherwise the verdict rests on grid evaluation only: values above
-    1 + GRID_ATOL are a witnessed excursion ("exceeds"); anything else is
-    "indeterminate", never a certificate.
+    Otherwise, and also when the zero count itself fails, the verdict
+    rests on grid evaluation only: values above 1 + GRID_ATOL are a
+    witnessed excursion ("exceeds"); anything else is "indeterminate",
+    never a certificate.
     """
     if r.num.is_zero:
         return BoundednessReport(
@@ -685,8 +682,18 @@ def certify_bounded(
     boundary_tight = grid_max >= 1.0 - GRID_ATOL
     k, core = _strip_monomial(r.num)
     c = _proportionality(reciprocal_adjoint(core), r.den)
-    if c is not None and abs(abs(c) - 1.0) <= UNIMODULAR_ATOL:
-        zero_report = count_zeros_in_disk(core)
+    blaschke = c is not None and abs(abs(c) - 1.0) <= UNIMODULAR_ATOL
+    shape = "blaschke" if blaschke else "generic"
+    zero_report = None
+    detail = "numeric-only: no Blaschke shape detected"
+    if blaschke:
+        try:
+            zero_report = count_zeros_in_disk(core)
+        except NumericFailure as exc:
+            # The root oracle could not vouch for the zeros (clustered
+            # zeros defeat it), so no structural argument is left.
+            detail = f"zero count of the core failed: {exc}"
+    if zero_report is not None:
         if zero_report.all_inside and k + zero_report.total >= 1:
             return BoundednessReport(
                 verdict="certified",
@@ -715,16 +722,10 @@ def certify_bounded(
                     f"the quotient collapses to a rotation of z**{k}"
                 ),
             )
-        shape = "blaschke"
-        zr = zero_report
         detail = (
             f"{zero_report.on_circle} zero(s) on the circle, "
             f"{zero_report.outside} outside; no structural cancellation found"
         )
-    else:
-        shape = "generic"
-        zr = None
-        detail = "numeric-only: no Blaschke shape detected"
     if pole:
         return BoundednessReport(
             verdict="indeterminate",
@@ -732,7 +733,7 @@ def certify_bounded(
             shape=shape,
             monomial_power=k,
             shape_constant=c,
-            zero_report=zr,
+            zero_report=zero_report,
             grid_max=grid_max,
             boundary_tight=boundary_tight,
             note="denominator vanishes on the sample grid; certificate withheld",
@@ -744,7 +745,7 @@ def certify_bounded(
             shape=shape,
             monomial_power=k,
             shape_constant=c,
-            zero_report=zr,
+            zero_report=zero_report,
             grid_max=grid_max,
             boundary_tight=boundary_tight,
             note=f"grid maximum {grid_max:.6g} exceeds 1; {detail}",
@@ -755,7 +756,7 @@ def certify_bounded(
         shape=shape,
         monomial_power=k,
         shape_constant=c,
-        zero_report=zr,
+        zero_report=zero_report,
         grid_max=grid_max,
         boundary_tight=boundary_tight,
         note=f"grid maximum {grid_max:.6g} stays at or below 1 but proves nothing; {detail}",

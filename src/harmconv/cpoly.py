@@ -56,6 +56,14 @@ class IndeterminateCertificate(Exception):
     """Zeros sit on the unit circle within tolerance; neither bound holds."""
 
 
+def horner(coeffs, z):
+    """sum coeffs[k] * z**k by Horner's scheme, at a scalar or numpy array."""
+    acc = z * 0j
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return acc
+
+
 class ComplexPolynomial:
     """Immutable dense polynomial with complex coefficients, ascending."""
 
@@ -80,10 +88,7 @@ class ComplexPolynomial:
 
     def __call__(self, z):
         """Evaluate by Horner's scheme; accepts scalars or numpy arrays."""
-        acc = z * 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
+        return horner(self.coeffs, z)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ComplexPolynomial):

@@ -1,10 +1,16 @@
-"""Sampling-based geometry checks and per-case sweep drivers.
+"""Sampling-based geometry checks and the per-case sweeps.
 
 The algebraic certificates (Cohn chains, Blaschke shape detection) live in
 cpoly and convo.  This module adds the disk-sampling side: dilatation
 bounds on grids, the Hengartner-Schober positivity functional, directional
-convexity of image curves, and sweep_report, which runs one named
-construction across a parameter grid and returns verdict rows.
+convexity of image curves, and the CASES table.  Each entry defines one
+named construction: its parameter axes, its harmonic map (build) and what
+each parameter point certifies and asserts (point).  sweep_report runs an
+entry across its parameter grid and returns verdict rows.
+
+Adding a case takes one CASES entry, plus its build and point helpers when
+the existing ones (_halfplane, _strip, _combined; _quartic_point,
+_combination_point, ...) do not fit.
 
 Geometric verdicts here are numeric evidence at a declared sampling
 resolution, never proofs; the rows say which kind of evidence backs them.
@@ -54,20 +60,6 @@ LEVEL_TIE_ATOL = 1e-9
 LEVEL_TIE_NUDGE = 1e-8
 HP_VANISH_ATOL = 1e-12
 TIGHT_ATOL = 1e-9
-
-CASE_IDS = (
-    "t2.2",
-    "t2.3",
-    "t2.4",
-    "t2.5",
-    "t3.8",
-    "t3.9",
-    "t3.10",
-    "t3.11",
-    "oq1",
-    "oq2",
-    "oq3",
-)
 
 
 class LocalUnivalenceFailure(Exception):
@@ -330,7 +322,7 @@ def _curve_evidence(
 
 
 # ---------------------------------------------------------------------------
-# sweep drivers
+# case table
 
 
 def _frange(lo: float, hi: float, step: float) -> list[float]:
@@ -338,74 +330,542 @@ def _frange(lo: float, hi: float, step: float) -> list[float]:
     return [round(lo + k * step, 10) for k in range(n + 1)]
 
 
-_T_DEFAULT = (0.0, 0.25, 0.5, 0.75, 1.0)
-
-
-def _axis(params: Mapping, key: str, default: Sequence) -> list:
-    val = params.get(key, default)
+def _listed(val) -> list:
     if isinstance(val, (list, tuple, np.ndarray)):
         return list(val)
     return [val]
 
 
-def _check_keys(params: Mapping, allowed: Sequence[str]):
-    unknown = sorted(set(params) - set(allowed))
-    if unknown:
-        raise ValueError(
-            f"unknown parameter(s) {', '.join(unknown)}; "
-            f"this case accepts: {', '.join(sorted(allowed))}"
+def _real(name: str, v) -> float:
+    try:
+        if math.isfinite(float(v)):
+            return float(v)
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"{name} must be a finite number, got {v}")
+
+
+def _count(name: str, v) -> int:
+    try:
+        if float(v).is_integer() and float(v) >= 1:
+            return int(float(v))
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"{name} must be a positive integer, got {v}")
+
+
+@dataclass(frozen=True)
+class Axis:
+    """One swept parameter, or several swept together (paired, not crossed).
+
+    names is space-separated.  default lists the values (tuples when there
+    are several names), or is a function of the values already chosen on
+    the earlier axes.  kind(name, value) coerces each value a caller gives
+    and rejects what it cannot represent.  A fixed axis takes no values
+    from the caller, and its names are not parameters of the case.
+    """
+
+    names: str
+    default: Sequence | Callable[[dict], Sequence]
+    kind: Callable[[str, object], object] = _real
+    fixed: bool = False
+
+    @property
+    def keys(self) -> list[str]:
+        return self.names.split()
+
+    def values(self, params: Mapping, point: dict) -> list[dict]:
+        keys = self.keys
+        if self.fixed or not any(k in params for k in keys):
+            vals = self.default(point) if callable(self.default) else self.default
+            rows = [v if len(keys) > 1 else (v,) for v in vals]
+        else:
+            cols = [[self.kind(k, v) for v in _listed(params.get(k, []))] for k in keys]
+            size = max(len(c) for c in cols)
+            if any(len(c) not in (1, size) for c in cols):
+                raise ValueError(
+                    f"{' and '.join(keys)} must have matching lengths "
+                    "(they are paired, not crossed)"
+                )
+            rows = zip(*(c * size if len(c) == 1 else c for c in cols))
+        return [dict(zip(keys, row)) for row in rows]
+
+
+@dataclass(frozen=True)
+class Point:
+    """What one parameter point certifies, reports and asserts.
+
+    closed is the dilatation handed to certify_bounded, and roots_of the
+    polynomial whose zeros the row reports (in the substituted variable w
+    when roots_in_w).  note opens the row's note: why nothing is asserted,
+    which reduction was certified, how the identity check came out.  A
+    failed algebraic identity (identity False) fails the row.
+    """
+
+    closed: RationalFunction
+    roots_of: ComplexPolynomial | None
+    phi: float
+    phi_label: str
+    asserted: bool = True
+    note: str = ""
+    identity: bool = True
+    roots_in_w: bool = False
+
+
+class _MapCache:
+    """Family maps are reused across t values, ladder rungs and rows."""
+
+    def __init__(self):
+        self._store: dict = {}
+
+    def family(
+        self, alpha: float, n: int, omega: RationalFunction, order: int
+    ) -> HarmonicMap:
+        k = (alpha, n, omega, order)
+        if k not in self._store:
+            self._store[k] = family_f_alpha_n(alpha, n, omega.series(order), order)
+        return self._store[k]
+
+
+@dataclass(frozen=True)
+class Case:
+    """One construction, swept across its parameter axes.
+
+    build(params, N, cache) is the only definition of the case's harmonic
+    map, truncated at order N; it serves the curve ladder and the image
+    curves alike.  point(params) says what the row certifies and asserts.
+    """
+
+    blurb: str
+    axes: tuple[Axis, ...]
+    build: Callable[[dict, int, _MapCache], HarmonicMap]
+    point: Callable[[dict], Point]
+
+    @property
+    def parameters(self) -> list[str]:
+        """The parameter names a caller may set."""
+        return [k for axis in self.axes if not axis.fixed for k in axis.keys]
+
+    def points(self, params: Mapping) -> list[dict]:
+        """Every parameter point of the sweep, the axes crossed in order."""
+        unknown = sorted(set(params) - set(self.parameters))
+        if unknown:
+            raise ValueError(
+                f"unknown parameter(s) {', '.join(unknown)}; "
+                f"this case accepts: {', '.join(sorted(self.parameters))}"
+            )
+        points = [{}]
+        for axis in self.axes:
+            points = [{**p, **v} for p in points for v in axis.values(params, p)]
+        return points
+
+
+def _monomial(power: int, coeff) -> RationalFunction:
+    return RationalFunction(
+        ComplexPolynomial([0.0] * power + [coeff]), ComplexPolynomial([1.0])
+    )
+
+
+_Z2 = _monomial(2, 1.0)
+
+
+def _core(closed: RationalFunction) -> ComplexPolynomial:
+    """The numerator with its power of z split off."""
+    return convo._strip_monomial(closed.num)[1]
+
+
+def _w_poly(closed: RationalFunction) -> ComplexPolynomial:
+    """P from a dilatation -w * P(w)/P*(w)."""
+    return ComplexPolynomial((-1.0 * closed.num).coeffs[1:])
+
+
+# The maps: each build(params, N, cache) below is a case's harmonic map.
+
+
+def _halfplane(omega):
+    """f_{a,0} convolved with the gamma-slanted half-plane map sheared by
+    omega(params)."""
+
+    def build(p: dict, N: int, cache: _MapCache) -> HarmonicMap:
+        return convo.convolve(
+            f_a_alpha(p["a"], 0.0, N),
+            slanted_halfplane(p.get("gamma", 0.0), omega(p).series(N), N),
         )
 
+    return build
 
-def _sorted_root_pairs(values) -> list[list[float]] | None:
-    if values is None:
+
+def _strip(omega):
+    """f_{0,0} convolved with the strip map sheared by omega(params)."""
+
+    def build(p: dict, N: int, cache: _MapCache) -> HarmonicMap:
+        return convo.convolve(f_a_alpha(0.0, 0.0, N), strip_map(omega(p).series(N), N))
+
+    return build
+
+
+def _combined(members):
+    """t f1 + (1 - t) f2 for the dyadic-family members
+    members(params) = ((alpha1, omega1), (alpha2, omega2))."""
+
+    def build(p: dict, N: int, cache: _MapCache) -> HarmonicMap:
+        (alpha1, w1), (alpha2, w2) = members(p)
+        return convo.combination(
+            cache.family(alpha1, p["n"], w1, N),
+            cache.family(alpha2, p["n"], w2, N),
+            p["t"],
+        )
+
+    return build
+
+
+def _t22_omega(p):
+    return _monomial(p["n"], np.exp(1j * p["theta"]))
+
+
+def _even_mobius(p):
+    return convo.mobius_power_dilatation(p["a"], 0.0, 2)
+
+
+def _negated_square(p):
+    return convo.blaschke_power_dilatation(p["a"], math.pi, 2)
+
+
+def _mobius_power_b(p):
+    return convo.mobius_power_dilatation(p["b"], p["theta"], p["n"])
+
+
+def _blaschke_power_b(p):
+    return convo.blaschke_power_dilatation(p["b"], p["theta"], p["n"])
+
+
+def _blaschke_power_a(p):
+    return convo.blaschke_power_dilatation(p["a"], p["theta"], p["n"])
+
+
+def _t38_menu(n: int):
+    """Labelled dilatation pairs for the equal-weight combinations: two
+    monomial pairs plus Moebius pairs, chosen so no pair shares an
+    on-circle factor at interior t."""
+    half = 2 ** (n - 1)
+    minus = (f"-z^{half}", _monomial(half, -1.0))
+    plus = (f"z^{half}", _monomial(half, 1.0))
+    square = (f"z^{2 * half}", _monomial(2 * half, 1.0))
+    w3 = RationalFunction(ComplexPolynomial([0.3, -1.0]), ComplexPolynomial([1.0, -0.3]))
+    w6 = RationalFunction(ComplexPolynomial([-0.6, 1.0]), ComplexPolynomial([1.0, -0.6]))
+    m3 = (f"(0.3-z^{half})/(1-0.3z^{half})", w3.compose_power(half))
+    m6 = (f"-(0.6-z^{half})/(1-0.6z^{half})", w6.compose_power(half))
+    return ((minus, plus), (plus, square), (m3, plus), (m3, m6))
+
+
+def _t38_members(p):
+    omegas = dict(m for pair in _t38_menu(p["n"]) for m in pair)
+    return (p["alpha"], omegas[p["omega1"]]), (p["alpha"], omegas[p["omega2"]])
+
+
+def _t39_members(p):
+    half = 2 ** (p["n"] - 1)
+    return (p["alpha1"], _monomial(half, -1.0)), (p["alpha2"], _monomial(half, 1.0))
+
+
+def _t310_members(p):
+    if p["variant"] not in (1, 2):
+        raise ValueError("variant must be 1 (omega2=-z^{2^n}) or 2 (+z^{2^n})")
+    half = 2 ** (p["n"] - 1)
+    sign = -1.0 if p["variant"] == 1 else 1.0
+    return (p["alpha1"], _monomial(half, -1.0)), (p["alpha2"], _monomial(2 * half, sign))
+
+
+def _t311_members(p):
+    if p["n"] < 2:
+        raise ValueError("this case needs n >= 2 (the quarter power must be integral)")
+    quarter = 2 ** (p["n"] - 2)
+    return (
+        (p["alpha1"], _monomial(quarter, -1.0)),
+        (p["alpha2"], _monomial(2 * quarter, 1.0)),
+    )
+
+
+# What each parameter point certifies and asserts.
+
+
+def _t22_point(p) -> Point:
+    sp = SlantParams(gamma=p["gamma"], theta=p["theta"], n=p["n"], a=p["a"])
+    closed = convo.monomial_convolution_dilatation(sp)
+    asserted = sp.a >= sp.a_threshold - 1e-12
+    note = "" if asserted else "below the monomial threshold, no claim made; "
+    label = f"phi=-gamma={-sp.gamma + 0.0:g}"
+    return Point(closed, _core(closed), -sp.gamma, label, asserted, note)
+
+
+def _quartic_point(omega, reduced, quartic):
+    """The two coupled quartic convolutions.
+
+    The certificate runs on the reduced quartic form, not on the rational
+    the general half-plane formula assembles: at gamma = 0 that assembly
+    keeps a removable (1 - z) in both numerator and denominator, and its
+    circle zero defeats the structural routes.  The two forms are checked
+    against each other at random points so the reduction itself is part of
+    the verdict.  reduced(a) also enforces the case's range of a.
+    """
+
+    def point(p) -> Point:
+        closed = reduced(p["a"])
+        assembled = convo.halfplane_convolution_dilatation(p["a"], 0.0, omega(p))
+        agree = convo.rationals_equal(assembled, closed)
+        note = (
+            "assembled dilatation matches the reduced quartic form; "
+            if agree
+            else "assembled dilatation DISAGREES with the reduced quartic form; "
+        )
+        return Point(closed, quartic(p["a"]), 0.0, "phi=0", note=note, identity=agree)
+
+    return point
+
+
+def _t25_point(p) -> Point:
+    closed = convo.strip_convolution_dilatation(_even_mobius(p))
+    identity = convo.rationals_equal(closed, _Z2)
+    note = "dilatation collapses to z^2; " if identity else "z^2 identity FAILED; "
+    return Point(closed, None, 0.0, "phi=0", note=note, identity=identity)
+
+
+def _combination_point(p, w1, w2, closed, roots_of=None, asserted=True, note="") -> Point:
+    """Combination rows, convexity in direction pi/2.
+
+    At t = 0 or t = 1 the combination is a single member and its dilatation
+    equals that member's omega exactly, while the assembled rational keeps
+    removable factors that can defeat the shape detector; certify the pure
+    factor instead and say so.
+    """
+    if p["t"] <= 1e-12:
+        closed, note = w2, note + "endpoint t=0: dilatation is omega2 itself; "
+    elif p["t"] >= 1.0 - 1e-12:
+        closed, note = w1, note + "endpoint t=1: dilatation is omega1 itself; "
+    return Point(
+        closed, roots_of, math.pi / 2.0, "phi=pi/2", asserted, note,
+        roots_in_w=roots_of is not None,
+    )
+
+
+def _t38_point(p) -> Point:
+    (_, w1), (_, w2) = _t38_members(p)
+    closed = convo.shared_target_combination_dilatation(w1, w2, p["t"])
+    return _combination_point(p, w1, w2, closed)
+
+
+def _ordered_point(p, w1, w2, closed, roots_of) -> Point:
+    """The claim for alpha1 <= alpha2.  With equal weights the displayed
+    polynomial keeps a self-inversive factor that cancels against its
+    reflection; certify the shared-target reduction, which is that
+    cancellation carried out."""
+    asserted = p["alpha1"] <= p["alpha2"] + 1e-12
+    note = "" if asserted else "alpha1 > alpha2, outside the claimed range; "
+    if abs(p["alpha1"] - p["alpha2"]) <= 1e-12:
+        closed = convo.shared_target_combination_dilatation(w1, w2, p["t"])
+        note += "equal weights: certified via the shared-target reduction; "
+    return _combination_point(p, w1, w2, closed, roots_of, asserted, note)
+
+
+def _t39_point(p) -> Point:
+    (alpha1, w1), (alpha2, w2) = _t39_members(p)
+    closed = convo.opposed_monomial_cubic(alpha1, alpha2, p["t"])
+    return _ordered_point(p, w1, w2, closed, _w_poly(closed))
+
+
+def _t310_point(p) -> Point:
+    (alpha1, w1), (alpha2, w2) = _t310_members(p)
+    if p["variant"] == 1:
+        closed = convo.adjacent_negative_cubic(alpha1, alpha2, p["t"])
+        asserted = alpha1 < alpha2 - 1e-12
+        reason = "needs alpha1 < alpha2 strictly; "
+    else:
+        closed = convo.adjacent_positive_quartic(alpha1, alpha2, p["t"])
+        asserted = abs(alpha1) > abs(alpha2) + 1e-12 and alpha1 * alpha2 > 1e-12
+        reason = "needs |alpha1| > |alpha2| and alpha1*alpha2 > 0; "
+    return _combination_point(
+        p, w1, w2, closed, _w_poly(closed), asserted, "" if asserted else reason
+    )
+
+
+def _t311_point(p) -> Point:
+    # Certify in the substituted variable w; boundedness on the disk is
+    # invariant under z -> z**k substitution.
+    (alpha1, w1), (alpha2, w2) = _t311_members(p)
+    closed = convo.quarter_power_sextic(alpha1, alpha2, p["t"])
+    sextic = convo.quarter_power_sextic_poly(alpha1, alpha2, p["t"])
+    return _ordered_point(p, w1, w2, closed, sextic)
+
+
+def _exploration_point(omega):
+    """The open-ended half-plane explorations, which assert nothing.  A
+    shared (z - 1) factor of the gamma = 0 assembly is cancelled first."""
+
+    def point(p) -> Point:
+        closed = convo.halfplane_convolution_dilatation(p["a"], 0.0, omega(p))
+        note = "exploratory: no assertion; "
+        reduced = convo.cancel_unit_root(closed)
+        if reduced is not None:
+            closed, note = reduced, note + "shared (z - 1) factor cancelled; "
+        return Point(closed, _core(closed), 0.0, "phi=0", asserted=False, note=note)
+
+    return point
+
+
+def _oq3_point(p) -> Point:
+    closed = convo.strip_convolution_dilatation(_blaschke_power_a(p))
+    return Point(
+        closed, _core(closed), 0.0, "phi=0", asserted=False,
+        note="exploratory: no assertion; ",
+    )
+
+
+def _t22_a(p) -> list[float]:
+    """The threshold (n-2)/(n+2), two values above it, and one below it."""
+    threshold = (p["n"] - 2.0) / (p["n"] + 2.0)
+    below = round(threshold - 0.15, 10)
+    mid = round((threshold + 0.95) / 2.0, 10)
+    return [threshold, mid, 0.95] + ([below] if below > -0.95 else [])
+
+
+def _n(*default: int) -> Axis:
+    return Axis("n", default, _count)
+
+
+_THETA = Axis("theta", (0.0,))
+_T = Axis("t", (0.0, 0.25, 0.5, 0.75, 1.0))
+_A_EXPLORED = Axis("a", (0.25, 0.5, 0.75))
+_B_EXPLORED = Axis("b", lambda p: (p["a"],))
+_PAIRS = Axis(
+    "alpha1 alpha2", ((-0.5, 0.5), (-0.8, -0.2), (0.0, 0.8), (0.3, 0.3), (0.5, -0.5))
+)
+_T310_PAIRS = Axis(
+    "alpha1 alpha2",
+    lambda p: (
+        ((-0.5, 0.5), (0.0, 0.5), (-0.8, -0.2), (0.3, 0.3), (0.5, -0.5))
+        if p["variant"] == 1
+        else ((0.8, 0.3), (-0.8, -0.3), (0.3, 0.8), (0.5, 0.0), (-0.5, 0.5))
+    ),
+)
+
+CASES: dict[str, Case] = {
+    "t2.2": Case(
+        "slanted half-plane target, monomial dilatation e^{i theta} z^n",
+        (_n(1, 2, 3), Axis("gamma", (0.0,)), _THETA, Axis("a", _t22_a)),
+        _halfplane(_t22_omega),
+        _t22_point,
+    ),
+    "t2.3": Case(
+        "half-plane target, even Moebius dilatation, quartic certificate",
+        (Axis("a", _frange(0.05, 0.95, 0.05)),),
+        _halfplane(_even_mobius),
+        _quartic_point(
+            _even_mobius,
+            convo.even_mobius_convolution_dilatation,
+            convo.even_mobius_quartic,
+        ),
+    ),
+    "t2.4": Case(
+        "half-plane target, negated squared-Blaschke dilatation",
+        (Axis("a", _frange(0.05, 0.95, 0.05)),),
+        _halfplane(_negated_square),
+        _quartic_point(
+            _negated_square,
+            convo.negated_square_convolution_dilatation,
+            convo.negated_square_quartic,
+        ),
+    ),
+    "t2.5": Case(
+        "strip target, even Moebius dilatation collapsing to z^2",
+        (Axis("a", _frange(-0.9, 0.9, 0.1)),),
+        _strip(_even_mobius),
+        _t25_point,
+    ),
+    "t3.8": Case(
+        "equal-weight family combinations, assorted bounded dilatations",
+        (
+            _n(1, 2, 3),
+            Axis("alpha", (-FAMILY_ALPHA_MAX, 0.0, FAMILY_ALPHA_MAX)),
+            Axis(
+                "omega1 omega2",
+                lambda p: [(m1[0], m2[0]) for m1, m2 in _t38_menu(p["n"])],
+                fixed=True,
+            ),
+            _T,
+        ),
+        _combined(_t38_members),
+        _t38_point,
+    ),
+    "t3.9": Case(
+        "family combinations with opposed monomial dilatations",
+        (_n(1, 2), _PAIRS, _T),
+        _combined(_t39_members),
+        _t39_point,
+    ),
+    "t3.10": Case(
+        "family combinations with adjacent power dilatations (2 variants)",
+        (_n(1, 2), Axis("variant", (1, 2), _count), _T310_PAIRS, _T),
+        _combined(_t310_members),
+        _t310_point,
+    ),
+    "t3.11": Case(
+        "family combinations with quarter-power members, sextic certificate",
+        (_n(2, 3), _PAIRS, _T),
+        _combined(_t311_members),
+        _t311_point,
+    ),
+    "oq1": Case(
+        "exploration: half-plane target, Moebius power dilatation",
+        (_n(3), _THETA, _A_EXPLORED, _B_EXPLORED),
+        _halfplane(_mobius_power_b),
+        _exploration_point(_mobius_power_b),
+    ),
+    "oq2": Case(
+        "exploration: half-plane target, Blaschke power dilatation",
+        (_n(2), _THETA, _A_EXPLORED, _B_EXPLORED),
+        _halfplane(_blaschke_power_b),
+        _exploration_point(_blaschke_power_b),
+    ),
+    "oq3": Case(
+        "exploration: strip target, Blaschke power dilatation",
+        (_n(1, 2, 3), _THETA, _A_EXPLORED),
+        _strip(_blaschke_power_a),
+        _oq3_point,
+    ),
+}
+
+CASE_IDS = tuple(CASES)
+
+
+def _case(case: str) -> tuple[str, Case]:
+    key = str(case).strip().lower()
+    if key not in CASES:
+        raise ValueError(f"unknown case id {case!r}; known ids: {', '.join(CASE_IDS)}")
+    return key, CASES[key]
+
+
+# ---------------------------------------------------------------------------
+# sweep driver
+
+
+def _root_pairs(poly: ComplexPolynomial | None) -> list[list[float]] | None:
+    """Sorted [re, im] zeros of poly; None when the root oracle cannot say."""
+    if poly is None or poly.degree < 1 or poly.degree > 24:
+        return None
+    try:
+        values = roots(poly)
+    except NumericFailure:
         return None
     pairs = sorted((float(v.real), float(v.imag)) for v in values)
     return [[re, im] for re, im in pairs]
 
 
-def _safe_roots(poly: ComplexPolynomial):
-    if poly.degree < 1 or poly.degree > 24:
-        return None
-    try:
-        return list(roots(poly))
-    except NumericFailure:
-        return None
-
-
-def _row(
-    case: str,
-    params: dict,
-    verdict: str,
-    *,
-    max_omega=None,
-    min_hs=None,
-    root_vals=None,
-    note: str = "",
-) -> dict:
-    return {
-        "case": case,
-        "params": params,
-        "verdict": verdict,
-        "metrics": {
-            "max_omega": max_omega,
-            "min_hs": min_hs,
-            "roots": _sorted_root_pairs(root_vals),
-        },
-        "note": note,
-    }
-
-
-def _judge(cert: BoundednessReport, conv: ConvexityReport | None) -> bool | None:
+def _judge(cert: BoundednessReport, conv: ConvexityReport) -> bool | None:
     """Collapse certificate + convexity into pass (True), fail (False) or
     indeterminate (None)."""
-    if cert.verdict == "exceeds":
+    if cert.verdict == "exceeds" or conv.passed is False:
         return False
-    if conv is not None and conv.passed is False:
-        return False
-    if not cert.certified:
-        return None
-    if conv is not None and conv.passed is None:
+    if not cert.certified or conv.passed is None:
         return None
     return True
 
@@ -418,632 +878,14 @@ def _verdict_of(asserted: bool, ok: bool | None) -> str:
     return "pass" if ok else "fail"
 
 
-def _describe(cert: BoundednessReport, conv: ConvexityReport | None, phi_label: str) -> str:
+def _describe(cert: BoundednessReport, conv: ConvexityReport, phi_label: str) -> str:
     bits = [f"dilatation {cert.verdict} ({cert.method})"]
-    if conv is None:
-        pass
-    elif conv.passed is None:
+    if conv.passed is None:
         bits.append(f"convexity {phi_label}: withheld ({conv.note})")
     else:
         word = "passed" if conv.passed else "FAILED"
         bits.append(f"convexity {phi_label}: {word}, max {conv.crossing_max} crossings")
     return "; ".join(bits)
-
-
-def _endpoint_certificate(
-    omega1: RationalFunction,
-    omega2: RationalFunction,
-    t: float,
-    closed: RationalFunction,
-) -> tuple[BoundednessReport, str]:
-    """Certify the combination dilatation, delegating endpoints.
-
-    At t = 0 or t = 1 the combination is a single member and its dilatation
-    equals that member's omega exactly, while the assembled rational keeps
-    removable factors that can defeat the shape detector; certify the pure
-    factor instead and say so.
-    """
-    if t <= 1e-12:
-        return convo.certify_bounded(omega2), "endpoint t=0: dilatation is omega2 itself; "
-    if t >= 1.0 - 1e-12:
-        return convo.certify_bounded(omega1), "endpoint t=1: dilatation is omega1 itself; "
-    return convo.certify_bounded(closed), ""
-
-
-def _monomial(power: int, sign: float) -> RationalFunction:
-    return RationalFunction(
-        ComplexPolynomial([0.0] * power + [sign]), ComplexPolynomial([1.0])
-    )
-
-
-def _omega_label(power: int, sign: float) -> str:
-    s = "-" if sign < 0 else ""
-    return f"{s}z^{power}"
-
-
-class _MapCache:
-    """Family maps are reused across t values and ladder rungs in a sweep."""
-
-    def __init__(self):
-        self._store: dict = {}
-
-    def family(
-        self, alpha: float, n: int, key: str, omega: RationalFunction, order: int
-    ) -> HarmonicMap:
-        k = (alpha, n, key, order)
-        if k not in self._store:
-            self._store[k] = family_f_alpha_n(alpha, n, omega.series(order), order)
-        return self._store[k]
-
-
-def _combination_builder(cache, alpha1, alpha2, n, lbl1, w1, lbl2, w2, t):
-    def build(N: int) -> HarmonicMap:
-        return convo.combination(
-            cache.family(alpha1, n, lbl1, w1, N),
-            cache.family(alpha2, n, lbl2, w2, N),
-            t,
-        )
-
-    return build
-
-
-def _halfplane_builder(a: float, gamma: float, omega: RationalFunction):
-    def build(N: int) -> HarmonicMap:
-        return convo.convolve(
-            f_a_alpha(a, 0.0, N),
-            slanted_halfplane(gamma, omega.series(N), N),
-        )
-
-    return build
-
-
-def _strip_builder(omega: RationalFunction):
-    def build(N: int) -> HarmonicMap:
-        return convo.convolve(
-            f_a_alpha(0.0, 0.0, N), strip_map(omega.series(N), N)
-        )
-
-    return build
-
-
-def _sweep_t22(params: Mapping, order: int, grid: DiskGrid) -> list[dict]:
-    _check_keys(params, ("n", "gamma", "theta", "a"))
-    rows = []
-    for n in _axis(params, "n", (1, 2, 3)):
-        n = int(n)
-        threshold = (n - 2.0) / (n + 2.0)
-        default_a = [threshold, round((threshold + 0.95) / 2.0, 10), 0.95]
-        below = round(threshold - 0.15, 10)
-        if below > -0.95:
-            default_a.append(below)
-        for gamma in _axis(params, "gamma", (0.0,)):
-            for theta in _axis(params, "theta", (0.0,)):
-                for a in _axis(params, "a", default_a):
-                    a = float(a)
-                    sp = SlantParams(gamma=float(gamma), theta=float(theta), n=n, a=a)
-                    closed = convo.monomial_convolution_dilatation(sp)
-                    cert = convo.certify_bounded(closed)
-                    omega = convo.RationalFunction(
-                        ComplexPolynomial([0.0] * n + [np.exp(1j * sp.theta)]),
-                        ComplexPolynomial([1.0]),
-                    )
-                    conv = _curve_evidence(
-                        _halfplane_builder(a, sp.gamma, omega), -sp.gamma, order, grid
-                    )
-                    asserted = a >= threshold - 1e-12
-                    ok = _judge(cert, conv)
-                    note = _describe(cert, conv, f"phi=-gamma={-sp.gamma + 0.0:g}")
-                    if not asserted:
-                        note = "below the monomial threshold, no claim made; " + note
-                    core = convo._strip_monomial(closed.num)[1]
-                    rows.append(
-                        _row(
-                            "t2.2",
-                            {"n": n, "gamma": float(gamma), "theta": float(theta), "a": a},
-                            _verdict_of(asserted, ok),
-                            max_omega=cert.grid_max,
-                            min_hs=conv.min_hs_value,
-                            root_vals=_safe_roots(core),
-                            note=note,
-                        )
-                    )
-    return rows
-
-
-def _halfplane_case(
-    case: str,
-    params: Mapping,
-    order: int,
-    grid: DiskGrid,
-    default_a: Sequence[float],
-    omega_of,
-    reduced_of,
-    quartic_of,
-    domain_check,
-) -> list[dict]:
-    """Shared driver for the two coupled quartic convolutions.
-
-    The certificate runs on the reduced quartic form, not on the rational
-    the general half-plane formula assembles: at gamma = 0 that assembly
-    keeps a removable (1 - z) in both numerator and denominator, and its
-    circle zero defeats the structural routes.  The two forms are checked
-    against each other at random points so the reduction itself is part of
-    the verdict.
-    """
-    _check_keys(params, ("a",))
-    rows = []
-    for a in _axis(params, "a", default_a):
-        a = float(a)
-        domain_check(a)
-        omega = omega_of(a)
-        assembled = convo.halfplane_convolution_dilatation(a, 0.0, omega)
-        closed = reduced_of(a)
-        agree = convo.rationals_equal(assembled, closed)
-        cert = convo.certify_bounded(closed)
-        quartic = quartic_of(a)
-        conv = _curve_evidence(_halfplane_builder(a, 0.0, omega), 0.0, order, grid)
-        ok = _judge(cert, conv)
-        if not agree:
-            ok = False
-        note = (
-            "assembled dilatation matches the reduced quartic form; "
-            if agree
-            else "assembled dilatation DISAGREES with the reduced quartic form; "
-        ) + _describe(cert, conv, "phi=0")
-        rows.append(
-            _row(
-                case,
-                {"a": a},
-                _verdict_of(True, ok),
-                max_omega=cert.grid_max,
-                min_hs=conv.min_hs_value,
-                root_vals=_safe_roots(quartic),
-                note=note,
-            )
-        )
-    return rows
-
-
-def _sweep_t23(params: Mapping, order: int, grid: DiskGrid) -> list[dict]:
-    def check(a):
-        if not 0.0 <= a < 1.0:
-            raise ValueError(f"a must lie in [0, 1) for this case, got {a}")
-
-    return _halfplane_case(
-        "t2.3",
-        params,
-        order,
-        grid,
-        _frange(0.05, 0.95, 0.05),
-        lambda a: convo.mobius_power_dilatation(a, 0.0, 2),
-        convo.even_mobius_convolution_dilatation,
-        convo.even_mobius_quartic,
-        check,
-    )
-
-
-def _sweep_t24(params: Mapping, order: int, grid: DiskGrid) -> list[dict]:
-    def check(a):
-        if not 0.0 < a < 1.0:
-            raise ValueError(f"a must lie in (0, 1) for this case, got {a}")
-
-    return _halfplane_case(
-        "t2.4",
-        params,
-        order,
-        grid,
-        _frange(0.05, 0.95, 0.05),
-        lambda a: convo.blaschke_power_dilatation(a, math.pi, 2),
-        convo.negated_square_convolution_dilatation,
-        convo.negated_square_quartic,
-        check,
-    )
-
-
-_Z2 = RationalFunction(ComplexPolynomial([0.0, 0.0, 1.0]), ComplexPolynomial([1.0]))
-
-
-def _sweep_t25(params: Mapping, order: int, grid: DiskGrid) -> list[dict]:
-    _check_keys(params, ("a",))
-    rows = []
-    for a in _axis(params, "a", _frange(-0.9, 0.9, 0.1)):
-        a = float(a)
-        if not -1.0 < a < 1.0:
-            raise ValueError(f"a must lie in (-1, 1) for this case, got {a}")
-        omega = convo.mobius_power_dilatation(a, 0.0, 2)
-        closed = convo.strip_convolution_dilatation(omega)
-        identity = convo.rationals_equal(closed, _Z2)
-        cert = convo.certify_bounded(closed)
-        conv = _curve_evidence(_strip_builder(omega), 0.0, order, grid)
-        ok = _judge(cert, conv)
-        if ok is True and not identity:
-            ok = False
-        note = ("dilatation collapses to z^2; " if identity else "z^2 identity FAILED; ") + _describe(cert, conv, "phi=0")
-        rows.append(
-            _row(
-                "t2.5",
-                {"a": a},
-                _verdict_of(True, ok),
-                max_omega=cert.grid_max,
-                min_hs=conv.min_hs_value,
-                root_vals=None,
-                note=note,
-            )
-        )
-    return rows
-
-
-def _combination_row(
-    case: str,
-    row_params: dict,
-    asserted: bool,
-    build: Callable[[int], HarmonicMap],
-    omega1: RationalFunction,
-    omega2: RationalFunction,
-    t: float,
-    closed: RationalFunction,
-    cert_poly: ComplexPolynomial | None,
-    order: int,
-    grid: DiskGrid,
-    extra_note: str = "",
-) -> dict:
-    cert, endpoint_note = _endpoint_certificate(omega1, omega2, t, closed)
-    conv = _curve_evidence(build, math.pi / 2.0, order, grid)
-    ok = _judge(cert, conv)
-    root_vals = _safe_roots(cert_poly) if cert_poly is not None else None
-    note = extra_note + endpoint_note + _describe(cert, conv, "phi=pi/2")
-    if cert_poly is not None:
-        note += "; roots reported in the substituted variable w"
-    return _row(
-        case,
-        row_params,
-        _verdict_of(asserted, ok),
-        max_omega=cert.grid_max,
-        min_hs=conv.min_hs_value,
-        root_vals=root_vals,
-        note=note,
-    )
-
-
-def _mobius_w(b: float, sign: float) -> RationalFunction:
-    return RationalFunction(
-        ComplexPolynomial([sign * b, -sign]), ComplexPolynomial([1.0, -b])
-    )
-
-
-def _t38_menu(n: int) -> tuple[tuple[RationalFunction, str, RationalFunction, str], ...]:
-    """Dilatation pairs exercised for the equal-weight combinations: two
-    monomial pairs plus Moebius pairs, chosen so no pair shares an
-    on-circle factor at interior t."""
-    half = 2 ** (n - 1)
-    return (
-        (_monomial(half, -1.0), _omega_label(half, -1.0),
-         _monomial(half, 1.0), _omega_label(half, 1.0)),
-        (_monomial(half, 1.0), _omega_label(half, 1.0),
-         _monomial(2 * half, 1.0), _omega_label(2 * half, 1.0)),
-        (_mobius_w(0.3, 1.0).compose_power(half), f"(0.3-z^{half})/(1-0.3z^{half})",
-         _monomial(half, 1.0), _omega_label(half, 1.0)),
-        (_mobius_w(0.3, 1.0).compose_power(half), f"(0.3-z^{half})/(1-0.3z^{half})",
-         _mobius_w(0.6, -1.0).compose_power(half), f"-(0.6-z^{half})/(1-0.6z^{half})"),
-    )
-
-
-def _sweep_t38(params: Mapping, order: int, grid: DiskGrid) -> list[dict]:
-    _check_keys(params, ("n", "alpha", "t"))
-    rows = []
-    cache = _MapCache()
-    for n in _axis(params, "n", (1, 2, 3)):
-        n = int(n)
-        menu = _t38_menu(n)
-        for alpha in _axis(params, "alpha", (-FAMILY_ALPHA_MAX, 0.0, FAMILY_ALPHA_MAX)):
-            alpha = float(alpha)
-            for w1, lbl1, w2, lbl2 in menu:
-                for t in _axis(params, "t", _T_DEFAULT):
-                    t = float(t)
-                    closed = convo.shared_target_combination_dilatation(w1, w2, t)
-                    build = _combination_builder(
-                        cache, alpha, alpha, n, lbl1, w1, lbl2, w2, t
-                    )
-                    rows.append(
-                        _combination_row(
-                            "t3.8",
-                            {"n": n, "alpha": alpha, "omega1": lbl1, "omega2": lbl2, "t": t},
-                            True,
-                            build,
-                            w1,
-                            w2,
-                            t,
-                            closed,
-                            None,
-                            order,
-                            grid,
-                        )
-                    )
-    return rows
-
-
-_PAIRS_DEFAULT = ((-0.5, 0.5), (-0.8, -0.2), (0.0, 0.8), (0.3, 0.3), (0.5, -0.5))
-
-
-def _alpha_pairs(params: Mapping, default=_PAIRS_DEFAULT) -> list[tuple[float, float]]:
-    a1 = _axis(params, "alpha1", ())
-    a2 = _axis(params, "alpha2", ())
-    if a1 or a2:
-        if len(a1) != len(a2):
-            if len(a1) == 1:
-                a1 = a1 * len(a2)
-            elif len(a2) == 1:
-                a2 = a2 * len(a1)
-            else:
-                raise ValueError(
-                    "alpha1 and alpha2 must have matching lengths "
-                    "(they are paired, not crossed)"
-                )
-        return [(float(x), float(y)) for x, y in zip(a1, a2)]
-    return [(float(x), float(y)) for x, y in default]
-
-
-def _sweep_t39(params: Mapping, order: int, grid: DiskGrid) -> list[dict]:
-    _check_keys(params, ("n", "t", "alpha1", "alpha2"))
-    rows = []
-    cache = _MapCache()
-    for n in _axis(params, "n", (1, 2)):
-        n = int(n)
-        half = 2 ** (n - 1)
-        w1 = _monomial(half, -1.0)
-        w2 = _monomial(half, 1.0)
-        for alpha1, alpha2 in _alpha_pairs(params):
-            asserted = alpha1 <= alpha2 + 1e-12
-            equal = abs(alpha1 - alpha2) <= 1e-12
-            for t in _axis(params, "t", _T_DEFAULT):
-                t = float(t)
-                closed = convo.opposed_monomial_cubic(alpha1, alpha2, t)
-                cubic = (-1.0 * closed.num).coeffs[1:]
-                note = "" if asserted else "alpha1 > alpha2, outside the claimed range; "
-                if equal:
-                    # With equal weights the displayed cubic keeps a
-                    # self-inversive quadratic factor that cancels against
-                    # its reflection; certify the shared-target reduction,
-                    # which is that cancellation carried out.
-                    cert_closed = convo.shared_target_combination_dilatation(w1, w2, t)
-                    note += "equal weights: certified via the shared-target reduction; "
-                else:
-                    cert_closed = closed
-                build = _combination_builder(
-                    cache, alpha1, alpha2, n, "-w", w1, "+w", w2, t
-                )
-                rows.append(
-                    _combination_row(
-                        "t3.9",
-                        {"n": n, "alpha1": alpha1, "alpha2": alpha2, "t": t},
-                        asserted,
-                        build,
-                        w1,
-                        w2,
-                        t,
-                        cert_closed,
-                        ComplexPolynomial(cubic),
-                        order,
-                        grid,
-                        extra_note=note,
-                    )
-                )
-    return rows
-
-
-_T310_V1_PAIRS = ((-0.5, 0.5), (0.0, 0.5), (-0.8, -0.2), (0.3, 0.3), (0.5, -0.5))
-_T310_V2_PAIRS = ((0.8, 0.3), (-0.8, -0.3), (0.3, 0.8), (0.5, 0.0), (-0.5, 0.5))
-
-
-def _sweep_t310(params: Mapping, order: int, grid: DiskGrid) -> list[dict]:
-    _check_keys(params, ("n", "t", "alpha1", "alpha2", "variant"))
-    rows = []
-    cache = _MapCache()
-    for n in _axis(params, "n", (1, 2)):
-        n = int(n)
-        half = 2 ** (n - 1)
-        w1 = _monomial(half, -1.0)
-        for variant in _axis(params, "variant", (1, 2)):
-            variant = int(variant)
-            if variant not in (1, 2):
-                raise ValueError("variant must be 1 (omega2=-z^{2^n}) or 2 (+z^{2^n})")
-            sign = -1.0 if variant == 1 else 1.0
-            w2 = _monomial(2 * half, sign)
-            lbl2 = f"{sign:+g}w2"
-            default = _T310_V1_PAIRS if variant == 1 else _T310_V2_PAIRS
-            for alpha1, alpha2 in _alpha_pairs(params, default):
-                if variant == 1:
-                    asserted = alpha1 < alpha2 - 1e-12
-                    reason = "needs alpha1 < alpha2 strictly; "
-                else:
-                    asserted = abs(alpha1) > abs(alpha2) + 1e-12 and alpha1 * alpha2 > 1e-12
-                    reason = "needs |alpha1| > |alpha2| and alpha1*alpha2 > 0; "
-                for t in _axis(params, "t", _T_DEFAULT):
-                    t = float(t)
-                    if variant == 1:
-                        closed = convo.adjacent_negative_cubic(alpha1, alpha2, t)
-                    else:
-                        closed = convo.adjacent_positive_quartic(alpha1, alpha2, t)
-                    cert_poly = ComplexPolynomial((-1.0 * closed.num).coeffs[1:])
-                    note = "" if asserted else reason
-                    build = _combination_builder(
-                        cache, alpha1, alpha2, n, "-w", w1, lbl2, w2, t
-                    )
-                    rows.append(
-                        _combination_row(
-                            "t3.10",
-                            {
-                                "n": n,
-                                "variant": variant,
-                                "alpha1": alpha1,
-                                "alpha2": alpha2,
-                                "t": t,
-                            },
-                            asserted,
-                            build,
-                            w1,
-                            w2,
-                            t,
-                            closed,
-                            cert_poly,
-                            order,
-                            grid,
-                            extra_note=note,
-                        )
-                    )
-    return rows
-
-
-def _sweep_t311(params: Mapping, order: int, grid: DiskGrid) -> list[dict]:
-    _check_keys(params, ("n", "t", "alpha1", "alpha2"))
-    rows = []
-    cache = _MapCache()
-    for n in _axis(params, "n", (2, 3)):
-        n = int(n)
-        if n < 2:
-            raise ValueError("this case needs n >= 2 (the quarter power must be integral)")
-        quarter = 2 ** (n - 2)
-        w1 = _monomial(quarter, -1.0)
-        w2 = _monomial(2 * quarter, 1.0)
-        for alpha1, alpha2 in _alpha_pairs(params):
-            asserted = alpha1 <= alpha2 + 1e-12
-            equal = abs(alpha1 - alpha2) <= 1e-12
-            for t in _axis(params, "t", _T_DEFAULT):
-                t = float(t)
-                # Certify in the substituted variable w; boundedness on the
-                # disk is invariant under z -> z**k substitution.
-                closed = convo.quarter_power_sextic(alpha1, alpha2, t)
-                sextic = convo.quarter_power_sextic_poly(alpha1, alpha2, t)
-                note = "" if asserted else "alpha1 > alpha2, outside the claimed range; "
-                if equal:
-                    # Same cancellation as the opposed-monomial case: the
-                    # equal-weight sextic carries a self-inversive factor,
-                    # so certify the shared-target reduction instead.
-                    cert_closed = convo.shared_target_combination_dilatation(w1, w2, t)
-                    note += "equal weights: certified via the shared-target reduction; "
-                else:
-                    cert_closed = closed
-                build = _combination_builder(
-                    cache, alpha1, alpha2, n, "-w", w1, "+w^2", w2, t
-                )
-                rows.append(
-                    _combination_row(
-                        "t3.11",
-                        {"n": n, "alpha1": alpha1, "alpha2": alpha2, "t": t},
-                        asserted,
-                        build,
-                        w1,
-                        w2,
-                        t,
-                        cert_closed,
-                        sextic,
-                        order,
-                        grid,
-                        extra_note=note,
-                    )
-                )
-    return rows
-
-
-def _halfplane_exploration(
-    case: str,
-    params: Mapping,
-    order: int,
-    grid: DiskGrid,
-    default_n: Sequence[int],
-    omega_of,
-) -> list[dict]:
-    """Shared driver for the two open-ended half-plane explorations."""
-    _check_keys(params, ("n", "theta", "a", "b"))
-    rows = []
-    for n in _axis(params, "n", default_n):
-        n = int(n)
-        for theta in _axis(params, "theta", (0.0,)):
-            for a in _axis(params, "a", (0.25, 0.5, 0.75)):
-                a = float(a)
-                for b in _axis(params, "b", (None,)):
-                    b = a if b is None else float(b)
-                    omega = omega_of(b, float(theta), n)
-                    closed = convo.halfplane_convolution_dilatation(a, 0.0, omega)
-                    reduced = convo.cancel_unit_root(closed)
-                    cancel_note = ""
-                    if reduced is not None:
-                        closed = reduced
-                        cancel_note = "shared (z - 1) factor cancelled; "
-                    cert = convo.certify_bounded(closed)
-                    conv = _curve_evidence(
-                        _halfplane_builder(a, 0.0, omega), 0.0, order, grid
-                    )
-                    rows.append(
-                        _row(
-                            case,
-                            {"n": n, "theta": float(theta), "a": a, "b": b},
-                            "exploratory",
-                            max_omega=cert.grid_max,
-                            min_hs=conv.min_hs_value,
-                            root_vals=_safe_roots(
-                                convo._strip_monomial(closed.num)[1]
-                            ),
-                            note="exploratory: no assertion; "
-                            + cancel_note
-                            + _describe(cert, conv, "phi=0"),
-                        )
-                    )
-    return rows
-
-
-def _sweep_oq1(params: Mapping, order: int, grid: DiskGrid) -> list[dict]:
-    return _halfplane_exploration(
-        "oq1", params, order, grid, (3,), convo.mobius_power_dilatation
-    )
-
-
-def _sweep_oq2(params: Mapping, order: int, grid: DiskGrid) -> list[dict]:
-    return _halfplane_exploration(
-        "oq2", params, order, grid, (2,), convo.blaschke_power_dilatation
-    )
-
-
-def _sweep_oq3(params: Mapping, order: int, grid: DiskGrid) -> list[dict]:
-    _check_keys(params, ("n", "theta", "a"))
-    rows = []
-    for n in _axis(params, "n", (1, 2, 3)):
-        n = int(n)
-        for theta in _axis(params, "theta", (0.0,)):
-            for a in _axis(params, "a", (0.25, 0.5, 0.75)):
-                a = float(a)
-                omega = convo.blaschke_power_dilatation(a, float(theta), n)
-                closed = convo.strip_convolution_dilatation(omega)
-                cert = convo.certify_bounded(closed)
-                conv = _curve_evidence(_strip_builder(omega), 0.0, order, grid)
-                rows.append(
-                    _row(
-                        "oq3",
-                        {"n": n, "theta": float(theta), "a": a},
-                        "exploratory",
-                        max_omega=cert.grid_max,
-                        min_hs=conv.min_hs_value,
-                        root_vals=_safe_roots(convo._strip_monomial(closed.num)[1]),
-                        note="exploratory: no assertion; "
-                        + _describe(cert, conv, "phi=0"),
-                    )
-                )
-    return rows
-
-
-_SWEEPS: dict[str, Callable] = {
-    "t2.2": _sweep_t22,
-    "t2.3": _sweep_t23,
-    "t2.4": _sweep_t24,
-    "t2.5": _sweep_t25,
-    "t3.8": _sweep_t38,
-    "t3.9": _sweep_t39,
-    "t3.10": _sweep_t310,
-    "t3.11": _sweep_t311,
-    "oq1": _sweep_oq1,
-    "oq2": _sweep_oq2,
-    "oq3": _sweep_oq3,
-}
 
 
 def _row_key(row: dict):
@@ -1074,84 +916,40 @@ def sweep_report(
     its own truncation per CURVE_LADDER rung (never below order), since the
     radii it samples need orders the identity checks do not.
     """
-    key = str(case).strip().lower()
-    if key not in _SWEEPS:
-        known = ", ".join(CASE_IDS)
-        raise ValueError(f"unknown case id {case!r}; known ids: {known}")
+    key, spec = _case(case)
     grid = grid if grid is not None else DiskGrid()
-    rows = _SWEEPS[key](dict(params or {}), order, grid)
+    cache = _MapCache()
+    # Every point is set up (and its parameters validated) before any runs.
+    points = [(p, spec.point(p)) for p in spec.points(dict(params or {}))]
+    rows = []
+    for p, pt in points:
+        cert = convo.certify_bounded(pt.closed)
+        conv = _curve_evidence(
+            lambda N: spec.build(p, N, cache), pt.phi, order, grid
+        )
+        ok = _judge(cert, conv) if pt.identity else False
+        note = pt.note + _describe(cert, conv, pt.phi_label)
+        if pt.roots_in_w:
+            note += "; roots reported in the substituted variable w"
+        rows.append(
+            {
+                "case": key,
+                "params": p,
+                "verdict": _verdict_of(pt.asserted, ok),
+                "metrics": {
+                    "max_omega": cert.grid_max,
+                    "min_hs": conv.min_hs_value,
+                    "roots": _root_pairs(pt.roots_of),
+                },
+                "note": note,
+            }
+        )
     rows.sort(key=_row_key)
     return rows
 
 
 # ---------------------------------------------------------------------------
 # image curve export
-
-
-def _rebuild_map(case: str, p: Mapping, order: int) -> HarmonicMap:
-    """Reconstruct the harmonic map behind one verdict row's params."""
-    if case == "t2.2":
-        omega = RationalFunction(
-            ComplexPolynomial([0.0] * int(p["n"]) + [np.exp(1j * p["theta"])]),
-            ComplexPolynomial([1.0]),
-        )
-        return _halfplane_builder(p["a"], p["gamma"], omega)(order)
-    if case == "t2.3":
-        return _halfplane_builder(
-            p["a"], 0.0, convo.mobius_power_dilatation(p["a"], 0.0, 2)
-        )(order)
-    if case == "t2.4":
-        return _halfplane_builder(
-            p["a"], 0.0, convo.blaschke_power_dilatation(p["a"], math.pi, 2)
-        )(order)
-    if case == "t2.5":
-        return _strip_builder(convo.mobius_power_dilatation(p["a"], 0.0, 2))(order)
-    if case == "t3.8":
-        by_label = {}
-        for w1, lbl1, w2, lbl2 in _t38_menu(int(p["n"])):
-            by_label[lbl1] = w1
-            by_label[lbl2] = w2
-        cache = _MapCache()
-        return _combination_builder(
-            cache,
-            p["alpha"],
-            p["alpha"],
-            int(p["n"]),
-            p["omega1"],
-            by_label[p["omega1"]],
-            p["omega2"],
-            by_label[p["omega2"]],
-            p["t"],
-        )(order)
-    if case in ("t3.9", "t3.10", "t3.11"):
-        n = int(p["n"])
-        cache = _MapCache()
-        if case == "t3.9":
-            half = 2 ** (n - 1)
-            w1, w2 = _monomial(half, -1.0), _monomial(half, 1.0)
-        elif case == "t3.10":
-            half = 2 ** (n - 1)
-            sign = -1.0 if int(p["variant"]) == 1 else 1.0
-            w1, w2 = _monomial(half, -1.0), _monomial(2 * half, sign)
-        else:
-            quarter = 2 ** (n - 2)
-            w1, w2 = _monomial(quarter, -1.0), _monomial(2 * quarter, 1.0)
-        return _combination_builder(
-            cache, p["alpha1"], p["alpha2"], n, "w1", w1, "w2", w2, p["t"]
-        )(order)
-    if case == "oq1":
-        return _halfplane_builder(
-            p["a"], 0.0, convo.mobius_power_dilatation(p["b"], p["theta"], int(p["n"]))
-        )(order)
-    if case == "oq2":
-        return _halfplane_builder(
-            p["a"], 0.0, convo.blaschke_power_dilatation(p["b"], p["theta"], int(p["n"]))
-        )(order)
-    if case == "oq3":
-        return _strip_builder(
-            convo.blaschke_power_dilatation(p["a"], p["theta"], int(p["n"]))
-        )(order)
-    raise ValueError(f"unknown case id {case!r}")
 
 
 def row_param_id(row: Mapping) -> str:
@@ -1175,10 +973,9 @@ def image_curves(
 
     Returns (param-id, curve) pairs in row order, for CSV and SVG export.
     """
-    key = str(case).strip().lower()
+    _, spec = _case(case)
     zs = radius * np.exp(1j * _TWO_PI * np.arange(n_points) / n_points)
-    out = []
-    for row in rows:
-        f = _rebuild_map(key, row["params"], order)
-        out.append((row_param_id(row), f(zs)))
-    return out
+    cache = _MapCache()
+    return [
+        (row_param_id(row), spec.build(row["params"], order, cache)(zs)) for row in rows
+    ]

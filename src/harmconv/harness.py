@@ -32,6 +32,7 @@ import numpy as np
 from . import convo
 from .geochk import (
     CASE_IDS,
+    CASES,
     DEFAULT_ANGLES_PER_RING,
     DEFAULT_RADII,
     DiskGrid,
@@ -40,21 +41,8 @@ from .geochk import (
 )
 from .hmap import f_a_alpha, slanted_halfplane
 
-_CASE_BLURBS = {
-    "t2.2": "slanted half-plane target, monomial dilatation e^{i theta} z^n",
-    "t2.3": "half-plane target, even Moebius dilatation, quartic certificate",
-    "t2.4": "half-plane target, negated squared-Blaschke dilatation",
-    "t2.5": "strip target, even Moebius dilatation collapsing to z^2",
-    "t3.8": "equal-weight family combinations, assorted bounded dilatations",
-    "t3.9": "family combinations with opposed monomial dilatations",
-    "t3.10": "family combinations with adjacent power dilatations (2 variants)",
-    "t3.11": "family combinations with quarter-power members, sextic certificate",
-    "oq1": "exploration: half-plane target, Moebius power dilatation",
-    "oq2": "exploration: half-plane target, Blaschke power dilatation",
-    "oq3": "exploration: strip target, Blaschke power dilatation",
-}
-
-_PARAM_NAMES = ("a", "b", "gamma", "theta", "n", "t", "alpha", "alpha1", "alpha2", "variant")
+# every parameter any case accepts, in table order
+_PARAM_NAMES = tuple(dict.fromkeys(k for c in CASES.values() for k in c.parameters))
 
 MIN_ORDER, MAX_ORDER = 16, 512
 
@@ -350,7 +338,7 @@ def _glue_negative_values(argv: list[str]) -> list[str]:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    case_lines = "\n".join(f"  {cid:<6} {_CASE_BLURBS[cid]}" for cid in CASE_IDS)
+    case_lines = "\n".join(f"  {cid:<6} {CASES[cid].blurb}" for cid in CASE_IDS)
     parser = argparse.ArgumentParser(
         prog="harmconv",
         description="numerically certify convolution and combination "

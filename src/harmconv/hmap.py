@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import PowerSeries, named_series
+from .series import PowerSeries, named_series, rational_series
 
 # The dyadic family's parameter must stay within this symmetric interval
 # for the positivity argument behind it to apply.
@@ -151,14 +151,9 @@ def f_a_alpha(a: float, alpha: float, N: int) -> HarmonicMap:
     if not -1.0 < a < 1.0:
         raise ValueError(f"need -1 < a < 1, got a={a}")
     e1 = complex(np.exp(1j * alpha))
-
-    def expand(c1: complex, c2: complex) -> PowerSeries:
-        num = ([0j, c1, c2] + [0j] * max(0, N - 2))[: N + 1]
-        den = ([1.0 + 0j, -2.0 * e1, e1 * e1] + [0j] * max(0, N - 2))[: N + 1]
-        return PowerSeries(num).divide(PowerSeries(den))
-
-    h = expand(1.0 / (1.0 + a), -e1 / 2.0)
-    g = expand(a * e1 * e1 / (1.0 + a), -e1 * e1 * e1 / 2.0)
+    den = [1.0 + 0j, -2.0 * e1, e1 * e1]
+    h = rational_series([0j, 1.0 / (1.0 + a), -e1 / 2.0], den, N)
+    g = rational_series([0j, a * e1 * e1 / (1.0 + a), -e1 * e1 * e1 / 2.0], den, N)
     return HarmonicMap(h=h, g=g)
 
 
@@ -187,8 +182,3 @@ def family_f_alpha_n(alpha: float, n: int, omega: PowerSeries, N: int) -> Harmon
 def dilatation_series(f: HarmonicMap) -> PowerSeries:
     """g'/h' as a series; needs h'(0) away from zero."""
     return f.g.differentiate().divide(f.h.differentiate())
-
-
-def eval_map(f: HarmonicMap, z):
-    """f(z) = h(z) + conj(g(z)) at a scalar or array of points."""
-    return f(z)

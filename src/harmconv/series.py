@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .cpoly import horner
+
 DIVIDE_ATOL = 1e-13  # smallest |denominator constant term| we will invert
 
 
@@ -112,10 +114,7 @@ class PowerSeries:
 
     def evaluate(self, z):
         """Horner evaluation at a scalar or numpy array of points."""
-        acc = z * 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
+        return horner(self.coeffs, z)
 
     __call__ = evaluate
 
@@ -167,14 +166,15 @@ def arctangent(order: int) -> PowerSeries:
     return PowerSeries(out)
 
 
-def _rational_series(num: list[complex], den: list[complex], order: int) -> PowerSeries:
-    """Expand num(z)/den(z) to the given order; den[0] must be invertible."""
+def rational_series(num, den, order: int) -> PowerSeries:
+    """Expand num(z)/den(z), given by ascending coefficients, to the given
+    order; den[0] must be invertible."""
 
     def pad(cs):
         cs = list(cs[: order + 1])
-        return cs + [0j] * (order + 1 - len(cs))
+        return PowerSeries(cs + [0j] * (order + 1 - len(cs)))
 
-    return PowerSeries(pad(num)).divide(PowerSeries(pad(den)))
+    return pad(num).divide(pad(den))
 
 
 def family_sum_polynomials(n: int, alpha: float) -> tuple[list[complex], list[complex]]:
@@ -243,7 +243,7 @@ def named_series(kind: str, params, N: int) -> PowerSeries:
         n = int(params.pop("n"))
         alpha = float(params.pop("alpha", 0.0))
         num, den = family_sum_polynomials(n, alpha)
-        series = _rational_series(num, den, N)
+        series = rational_series(num, den, N)
     else:
         raise ValueError(f"unknown series kind {kind!r}")
     if params:

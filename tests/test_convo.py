@@ -34,8 +34,10 @@ from harmconv.convo import (
     shared_target_combination_dilatation,
     strip_convolution_dilatation,
 )
+from harmconv import convo
 from harmconv.cpoly import (
     ComplexPolynomial,
+    NumericFailure,
     cohn_reduce,
     count_zeros_in_disk,
     reciprocal_adjoint,
@@ -463,3 +465,23 @@ class TestCertifyBounded:
         rep = certify_bounded(rational([0.0, 0.5, 0.1], [1.0, 0.2]))
         assert rep.verdict == "indeterminate"
         assert not rep.certified
+
+    def test_unresolved_zero_count_falls_back_to_grid(self):
+        # three zeros of the t2.4 quartic cluster at z = 1 here, and the
+        # root oracle misses its residual tolerance on them
+        rep = certify_bounded(negated_square_convolution_dilatation(0.9999996764456546))
+        assert rep.method == "grid" and rep.verdict == "indeterminate"
+        assert rep.shape == "blaschke" and rep.zero_report is None
+        assert "zero count of the core failed" in rep.note
+
+    def test_failed_zero_count_never_certifies(self, monkeypatch):
+        def fail(p):
+            raise NumericFailure("root residual exceeds tolerance")
+
+        monkeypatch.setattr(convo, "count_zeros_in_disk", fail)
+        rep = certify_bounded(even_mobius_convolution_dilatation(0.5))
+        assert rep.method == "grid" and rep.verdict == "indeterminate"
+        # a zero outside the disk: the grid witnesses the excursion
+        p = ComplexPolynomial([1.5, 1.0])
+        rep = certify_bounded(RationalFunction(p, reciprocal_adjoint(p)))
+        assert rep.method == "grid" and rep.verdict == "exceeds"

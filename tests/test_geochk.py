@@ -5,6 +5,7 @@ for representative parameter slices of each case."""
 import numpy as np
 import pytest
 
+from harmconv import convo
 from harmconv.convo import RationalFunction, convolve, mobius_power_dilatation
 from harmconv.cpoly import ComplexPolynomial
 from harmconv.geochk import (
@@ -206,6 +207,29 @@ class TestSweepReport:
         rows = sweep_report("oq1", {"n": [3], "theta": [0.0], "a": [0.5], "b": [0.5]})
         assert rows and all(r["verdict"] == "exploratory" for r in rows)
         assert all("no assertion" in r["note"] for r in rows)
+
+    def test_paired_axes_need_matching_lengths(self):
+        with pytest.raises(ValueError, match="paired, not crossed"):
+            sweep_report("t3.9", {"alpha1": [0.1, 0.2], "alpha2": [0.3, 0.4, 0.5]})
+        with pytest.raises(ValueError, match="paired, not crossed"):
+            sweep_report("t3.9", {"alpha1": [0.1]})
+
+    def test_menu_axis_is_not_a_parameter(self):
+        with pytest.raises(ValueError, match="omega1"):
+            sweep_report("t3.8", {"omega1": ["z^1"]})
+
+    @pytest.mark.parametrize(
+        "case, params, says",
+        [
+            ("t2.3", {"a": [0.5]}, "DISAGREES with the reduced quartic form"),
+            ("t2.5", {"a": [0.5]}, "z^2 identity FAILED"),
+        ],
+    )
+    def test_failed_identity_fails_the_row(self, case, params, says, monkeypatch):
+        monkeypatch.setattr(convo, "rationals_equal", lambda r1, r2: False)
+        (row,) = sweep_report(case, params)
+        assert row["verdict"] == "fail"
+        assert says in row["note"]
 
     def test_rows_sorted_by_parameters(self):
         rows = sweep_report("t2.5", {"a": [0.5, -0.5, 0.0]})

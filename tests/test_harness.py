@@ -153,6 +153,49 @@ class TestMainExitCodes:
         assert (tmp_path / "t2.5.svg").exists()
 
 
+class TestIntegerAxes:
+    @pytest.mark.parametrize(
+        "case, option, value",
+        [
+            ("t2.2", "n", "2.5"),
+            ("t3.10", "variant", "1.7"),
+            ("t2.2", "n", "inf"),
+            ("t2.2", "n", "nan"),
+            ("t3.9", "n", "0"),
+        ],
+    )
+    def test_non_integer_is_one(self, case, option, value, tmp_path, capsys):
+        code = main(["verify", case, f"--{option}", value, "--outdir", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{option} must be a positive integer, got {float(value)}" in err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_integral_float_runs_as_int(self, tmp_path):
+        code = main(
+            ["verify", "t2.2", "--n", "2", "--a", "0.5", "--formats", "json",
+             "--outdir", str(tmp_path)]
+        )
+        assert code == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert [r["params"]["n"] for r in report["rows"]] == [2]
+
+
+class TestRootOracleFailure:
+    def test_clustered_zeros_are_indeterminate(self, tmp_path, capsys):
+        # the t2.4 quartic has three zeros clustered at z = 1 here, and the
+        # root oracle cannot resolve them
+        code = main(
+            ["verify", "t2.4", "--a", "0.9999996764456546", "--formats", "json",
+             "--outdir", str(tmp_path)]
+        )
+        assert code == 3
+        (row,) = json.loads((tmp_path / "report.json").read_text())["rows"]
+        assert row["verdict"] == "indeterminate"
+        assert "dilatation indeterminate (grid)" in row["note"]
+        assert capsys.readouterr().err == ""
+
+
 class TestConfigFile:
     def test_config_file_supplies_case_and_params(self, tmp_path):
         cfg = tmp_path / "run.json"

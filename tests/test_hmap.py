@@ -12,7 +12,6 @@ from harmconv.hmap import (
     HarmonicMap,
     SlantParams,
     dilatation_series,
-    eval_map,
     f_a_alpha,
     family_f_alpha_n,
     shear,
@@ -67,7 +66,6 @@ class TestHarmonicMap:
         f = HarmonicMap(h=monomial(1, 4), g=monomial(2, 4, coeff=0.5j))
         z = 0.3 + 0.2j
         assert f(z) == pytest.approx(z + np.conjugate(0.5j * z * z))
-        assert eval_map(f, z) == f(z)
 
     def test_normalization_reads_low_coefficients(self):
         f = f_a_alpha(0.4, 0.0, 8)
