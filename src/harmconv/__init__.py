@@ -53,11 +53,9 @@ from .convo import (
 from .geochk import (
     ConvexityReport,
     DiskGrid,
-    LocalUnivalenceFailure,
     convex_in_direction,
     hengartner_schober,
     image_curves,
-    max_dilatation_modulus,
     row_param_id,
     sweep_report,
 )
@@ -73,7 +71,6 @@ __all__ = [
     "FamilyParams",
     "HarmonicMap",
     "IndeterminateCertificate",
-    "LocalUnivalenceFailure",
     "NumericFailure",
     "PowerSeries",
     "RationalFunction",
@@ -96,7 +93,6 @@ __all__ = [
     "halfplane_convolution_dilatation",
     "hengartner_schober",
     "image_curves",
-    "max_dilatation_modulus",
     "monomial_convolution_dilatation",
     "named_series",
     "rationals_equal",

@@ -39,6 +39,7 @@ from .hmap import (
     slanted_halfplane,
     strip_map,
 )
+from .series import PowerSeries
 
 _TWO_PI = 2.0 * math.pi
 
@@ -60,14 +61,6 @@ LEVEL_TIE_ATOL = 1e-9
 LEVEL_TIE_NUDGE = 1e-8
 HP_VANISH_ATOL = 1e-12
 TIGHT_ATOL = 1e-9
-
-
-class LocalUnivalenceFailure(Exception):
-    """Sense preservation could not be confirmed at a sampled point."""
-
-    def __init__(self, message: str, point: complex):
-        super().__init__(message)
-        self.point = point
 
 
 @dataclass(frozen=True)
@@ -96,6 +89,12 @@ class DiskGrid:
         )
         return (np.asarray(self.radii)[:, None] * ang[None, :]).ravel()
 
+    def sample(self, F: PowerSeries) -> np.ndarray:
+        """F at self.points, in the same order, by one FFT per ring."""
+        return np.concatenate(
+            [F.on_circle(r, self.angles_per_ring) for r in self.radii]
+        )
+
     def capped(self, r_max: float) -> "DiskGrid":
         """The sub-grid of rings with radius <= r_max (at least one ring)."""
         kept = tuple(r for r in self.radii if r <= r_max + 1e-12)
@@ -104,35 +103,18 @@ class DiskGrid:
         return DiskGrid(kept, self.angles_per_ring)
 
 
-def max_dilatation_modulus(f: HarmonicMap, grid: DiskGrid) -> float:
-    """Max of |g'(z)/h'(z)| over the grid, by series evaluation.
-
-    Raises LocalUnivalenceFailure when |h'| drops below HP_VANISH_ATOL at a
-    sample, since the ratio says nothing about sense preservation there.
-    """
-    pts = grid.points
-    hv = f.h.differentiate()(pts)
-    gv = f.g.differentiate()(pts)
-    small = np.abs(hv) < HP_VANISH_ATOL
-    if small.any():
-        i = int(np.argmax(small))
-        raise LocalUnivalenceFailure(
-            f"|h'| = {abs(hv[i]):.3e} at z = {pts[i]:.6f}; "
-            "sense preservation indeterminate at that point",
-            point=complex(pts[i]),
-        )
-    return float(np.max(np.abs(gv / hv)))
-
-
 def hengartner_schober(F, grid: DiskGrid) -> float:
     """Min over the grid of Re((1 - z^2) F'(z)) for an analytic series F.
 
     Positivity of this functional (plus a boundary normalization that has
     no finite-sample analogue and is not checked here) forces F to be
-    convex in the direction of the imaginary axis.
+    convex in the direction of the imaginary axis.  NaN when any sampled
+    value is not finite, since the minimum would then hide it.
     """
     pts = grid.points
     vals = (1.0 - pts * pts) * F.differentiate()(pts)
+    if not np.isfinite(vals).all():
+        return math.nan
     return float(np.min(vals.real))
 
 
@@ -145,25 +127,46 @@ def line_crossing_counts(
     nudged off it by LEVEL_TIE_NUDGE so tangential touches never register;
     with no zero residuals left, each count is a number of strict sign
     changes around a cycle and therefore even.
+
+    The count is exact, not an approximation of that rule.  After the
+    nudge, sample i lies above level j iff fl(ys[i] - lv[j]) >
+    -LEVEL_TIE_ATOL, and since the levels never decrease this holds for a
+    prefix j < k[i].  k comes from a binary search, corrected on that very
+    predicate; the edge from sample i to i + 1 then crosses exactly the
+    levels between k[i] and k[i + 1], which a difference array sums in
+    O(n log L) rather than O(n L).  Non-finite samples raise ValueError:
+    they compare false against every level and would read as no crossing.
     """
     ys = np.asarray(ys, dtype=float)
+    if not np.isfinite(ys).all():
+        raise ValueError("line_crossing_counts needs finite samples")
     lo, hi = float(ys.min()), float(ys.max())
     if hi - lo <= LEVEL_TIE_ATOL:
         return np.array([lo]), np.zeros(1, dtype=int)
     lv = np.linspace(lo, hi, levels)
-    d = ys[None, :] - lv[:, None]
-    d = d + (np.abs(d) < LEVEL_TIE_ATOL) * LEVEL_TIE_NUDGE
-    crossing = d * np.roll(d, -1, axis=1) < 0.0
-    return lv, crossing.sum(axis=1)
+    k = np.searchsorted(lv, ys + LEVEL_TIE_ATOL)
+    while True:
+        # above(i, k-1) must hold and above(i, k) must not
+        drop = (k > 0) & ~(ys - lv[np.maximum(k - 1, 0)] > -LEVEL_TIE_ATOL)
+        rise = (k < levels) & (ys - lv[np.minimum(k, levels - 1)] > -LEVEL_TIE_ATOL)
+        if not (drop.any() or rise.any()):
+            break
+        k = k - drop + rise
+    k_next = np.roll(k, -1)
+    edges = np.bincount(np.minimum(k, k_next), minlength=levels + 1)
+    edges -= np.bincount(np.maximum(k, k_next), minlength=levels + 1)
+    return lv, np.cumsum(edges)[:levels]
 
 
 @dataclass(frozen=True)
 class ConvexityReport:
     """Outcome of the directional convexity check.
 
-    passed is None when the verdict was withheld (local univalence could
-    not be confirmed on the sampled grid); univalence_failure then carries
-    the offending point.  Otherwise passed == (crossing_max <= 2).
+    passed is None when the verdict was withheld: local univalence could
+    not be confirmed on the sampled grid (univalence_failure then carries
+    the offending point), or a sample was not finite.  Otherwise passed ==
+    (crossing_max <= 2), counted on the one curve Im(e^{-i phi} A) of the
+    analytic reduction, which is also the height of the harmonic image.
     """
 
     direction: float
@@ -176,6 +179,18 @@ class ConvexityReport:
     note: str = ""
 
 
+def _withheld(phi: float, note: str, point: complex | None = None) -> ConvexityReport:
+    return ConvexityReport(
+        direction=phi,
+        passed=None,
+        worst_line="",
+        crossing_max=None,
+        min_hs_value=None,
+        univalence_failure=point,
+        note=note,
+    )
+
+
 def convex_in_direction(
     f: HarmonicMap,
     phi: float,
@@ -186,81 +201,72 @@ def convex_in_direction(
 ) -> ConvexityReport:
     """Check convexity of the image of |z| < r_max in the direction phi.
 
-    Stage one runs on the analytic reduction A = h - e^{2i phi} g, stage
-    two on the harmonic image curve itself; both are rotated by e^{-i phi}
-    so that direction-phi lines become horizontal, then swept with
-    SWEEP_LEVELS horizontal levels.  A closed curve bounding a region
-    convex in that direction meets each line at most twice.
+    One curve decides it.  Turned by e^{-i phi}, so that direction-phi
+    lines become horizontal, the harmonic image and the analytic reduction
+    A = h - e^{2i phi} g have the same height:
+    Im(e^{-i phi} f) = Im(e^{-i phi} h) - Im(e^{i phi} g) = Im(e^{-i phi} A),
+    the shear identity of Clunie and Sheil-Small.  So only A is sampled, at
+    n_boundary points on |z| = r_max, and swept with SWEEP_LEVELS
+    horizontal levels.  A closed curve bounding a region convex in that
+    direction meets each line at most twice.
 
     Local univalence is sampled first on the grid, capped at gate_radius
-    (r_max when not given); failure withholds the verdict.  The gate uses
-    the derivative series, which loses accuracy faster than the curve
-    itself, so callers pushing r_max outward can keep the gate on a safer
-    ring.
+    (r_max when not given); failure withholds the verdict, and so does any
+    non-finite gate value, boundary sample or Hengartner-Schober value.
+    The gate uses the derivative series, which loses accuracy faster than
+    the curve itself, so callers pushing r_max outward can keep the gate on
+    a safer ring.  Gate rings and the boundary circle are evaluated by FFT
+    (PowerSeries.on_circle); the Hengartner-Schober minimum stays on Horner.
     """
     grid = grid if grid is not None else DiskGrid()
     gate = grid.capped(r_max if gate_radius is None else gate_radius)
     pts = gate.points
-    hv = f.h.differentiate()(pts)
-    gv = f.g.differentiate()(pts)
+    hv = gate.sample(f.h.differentiate())
+    gv = gate.sample(f.g.differentiate())
+    if not (np.isfinite(hv).all() and np.isfinite(gv).all()):
+        return _withheld(
+            phi, "non-finite h' or g' samples on the grid, convexity verdict withheld"
+        )
     small = np.abs(hv) < HP_VANISH_ATOL
     if small.any():
         i = int(np.argmax(small))
-        return ConvexityReport(
-            direction=phi,
-            passed=None,
-            worst_line="",
-            crossing_max=None,
-            min_hs_value=None,
-            univalence_failure=complex(pts[i]),
-            note=(
-                f"|h'| = {abs(hv[i]):.3e} at z = {pts[i]:.6f}; local "
-                "univalence unresolved, convexity verdict withheld"
-            ),
+        return _withheld(
+            phi,
+            f"|h'| = {abs(hv[i]):.3e} at z = {pts[i]:.6f}; local "
+            "univalence unresolved, convexity verdict withheld",
+            complex(pts[i]),
         )
     ratio = np.abs(gv) / np.abs(hv)
     i = int(np.argmax(ratio))
     worst_ratio = float(ratio[i])
     if worst_ratio > 1.0 + TIGHT_ATOL:
-        return ConvexityReport(
-            direction=phi,
-            passed=None,
-            worst_line="",
-            crossing_max=None,
-            min_hs_value=None,
-            univalence_failure=complex(pts[i]),
-            note=(
-                f"|g'/h'| = {worst_ratio:.6f} > 1 at z = {pts[i]:.6f}; not "
-                "sense-preserving on the grid, convexity verdict withheld"
-            ),
+        return _withheld(
+            phi,
+            f"|g'/h'| = {worst_ratio:.6f} > 1 at z = {pts[i]:.6f}; not "
+            "sense-preserving on the grid, convexity verdict withheld",
+            complex(pts[i]),
         )
     tight = worst_ratio >= 1.0 - TIGHT_ATOL
 
-    turn = np.exp(-1j * phi)
     A = f.h.subtract(f.g.scale(np.exp(2j * phi)))
     min_hs = hengartner_schober(A.scale(np.exp(1j * (math.pi / 2.0 - phi))), gate)
-    zs = r_max * np.exp(1j * _TWO_PI * np.arange(n_boundary) / n_boundary)
-    stages = (
-        ("analytic reduction", A(zs) * turn),
-        ("harmonic image", f(zs) * turn),
-    )
-    crossing_max = -1
-    worst_line = ""
-    for name, curve in stages:
-        lv, counts = line_crossing_counts(curve.imag)
-        j = int(np.argmax(counts))
-        if int(counts[j]) > crossing_max:
-            crossing_max = int(counts[j])
-            worst_line = (
-                f"{name}: level y = {float(lv[j]):.6g} crossed {crossing_max} times"
-            )
+    ys = (A.on_circle(r_max, n_boundary) * np.exp(-1j * phi)).imag
+    if not (math.isfinite(min_hs) and np.isfinite(ys).all()):
+        return _withheld(
+            phi,
+            "non-finite boundary or Hengartner-Schober samples, convexity "
+            "verdict withheld",
+        )
+    lv, counts = line_crossing_counts(ys)
+    j = int(np.argmax(counts))
+    crossing_max = int(counts[j])
     note = f"sampled at {n_boundary} boundary points on |z| = {r_max:g}; evidence, not proof"
     if tight:
         note += "; dilatation modulus is boundary-tight on the grid"
     return ConvexityReport(
         direction=phi,
         passed=crossing_max <= 2,
-        worst_line=worst_line,
+        worst_line=f"level y = {float(lv[j]):.6g} crossed {crossing_max} times",
         crossing_max=crossing_max,
         min_hs_value=min_hs,
         boundary_tight=tight,

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import re
@@ -145,13 +146,27 @@ def _write_report(config: RunConfig, rows, path: Path):
     )
 
 
+def _csv_field(value: str) -> str:
+    """value as csv.writer writes it inside a row (quoted when it holds a
+    comma or a quote)."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([value, ""])
+    return buf.getvalue()[: -len(",\r\n")]
+
+
 def _write_samples(curves, path: Path):
+    """One CSV row per sample; each curve's rows are joined into one write,
+    with the param-id quoted once, byte for byte what csv.writer gives."""
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["param-id", "t-index", "re", "im"])
+        csv.writer(fh).writerow(["param-id", "t-index", "re", "im"])
         for param_id, curve in curves:
-            for k, z in enumerate(curve):
-                writer.writerow([param_id, k, f"{z.real:.15g}", f"{z.imag:.15g}"])
+            q = _csv_field(param_id)
+            fh.write(
+                "".join(
+                    f"{q},{k},{z.real:.15g},{z.imag:.15g}\r\n"
+                    for k, z in enumerate(curve.tolist())
+                )
+            )
 
 
 _SVG_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")

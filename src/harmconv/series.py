@@ -118,6 +118,17 @@ class PowerSeries:
 
     __call__ = evaluate
 
+    def on_circle(self, radius: float, m: int) -> np.ndarray:
+        """Values at radius * e^{2 pi i j/m}, j = 0..m-1, by one inverse FFT.
+
+        The scaled coefficients c_k radius**k are folded mod m first: the
+        root of unity e^{2 pi i j k/m} depends only on k mod m, so the fold
+        is exact and orders past m need no larger transform.
+        """
+        c = np.asarray(self.coeffs) * float(radius) ** np.arange(len(self.coeffs))
+        c = np.pad(c, (0, -len(c) % m))
+        return np.fft.ifft(c.reshape(-1, m).sum(axis=0)) * m
+
     def to_jsonable(self) -> list[list[float]]:
         return [[c.real, c.imag] for c in self.coeffs]
 

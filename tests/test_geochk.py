@@ -10,13 +10,15 @@ from harmconv.convo import RationalFunction, convolve, mobius_power_dilatation
 from harmconv.cpoly import ComplexPolynomial
 from harmconv.geochk import (
     CASE_IDS,
+    CASES,
+    LEVEL_TIE_ATOL,
+    LEVEL_TIE_NUDGE,
     DiskGrid,
-    LocalUnivalenceFailure,
+    _MapCache,
     convex_in_direction,
     hengartner_schober,
     image_curves,
     line_crossing_counts,
-    max_dilatation_modulus,
     row_param_id,
     sweep_report,
 )
@@ -55,24 +57,6 @@ class TestDiskGrid:
 
 
 class TestInstruments:
-    def test_max_dilatation_of_analytic_map_is_zero(self):
-        f = HarmonicMap(h=geometric(32), g=zeros(32))
-        assert max_dilatation_modulus(f, GRID) == 0.0
-
-    def test_max_dilatation_of_mobius(self):
-        # |(a-z)/(1-az)| over |z| <= r peaks at z = -r
-        a = 0.5
-        f = f_a_alpha(a, 0.0, 256)
-        r = GRID.radii[-1]
-        expect = (a + r) / (1 + a * r)
-        assert max_dilatation_modulus(f, GRID) == pytest.approx(expect, abs=1e-6)
-
-    def test_vanishing_derivative_raises(self):
-        # h' = 1 - 5z vanishes at z = 0.2, a grid point
-        f = HarmonicMap(h=PowerSeries([0.0, 1.0, -2.5]), g=zeros(2))
-        with pytest.raises(LocalUnivalenceFailure):
-            max_dilatation_modulus(f, DiskGrid(radii=(0.2,), angles_per_ring=4))
-
     def test_hengartner_schober_of_identity(self):
         # Re((1-z^2) * 1) = 1 - Re z^2 >= 1 - r_max^2
         got = hengartner_schober(monomial(1, 8), GRID)
@@ -81,6 +65,99 @@ class TestInstruments:
     def test_hengartner_schober_positive_for_halfplane_target(self):
         # (1-z^2)/(1-z)^2 = (1+z)/(1-z) has positive real part
         assert hengartner_schober(geometric(512), GRID) > 0.0
+
+    def test_hengartner_schober_is_nan_on_non_finite_values(self):
+        s = PowerSeries([0.0, 1.0, float("nan")])
+        assert np.isnan(hengartner_schober(s, GRID))
+
+
+def dense_crossing_counts(ys, levels=256):
+    """The O(n L) level matrix that line_crossing_counts must agree with."""
+    ys = np.asarray(ys, dtype=float)
+    lo, hi = float(ys.min()), float(ys.max())
+    if hi - lo <= LEVEL_TIE_ATOL:
+        return np.array([lo]), np.zeros(1, dtype=int)
+    lv = np.linspace(lo, hi, levels)
+    d = ys[None, :] - lv[:, None]
+    d = d + (np.abs(d) < LEVEL_TIE_ATOL) * LEVEL_TIE_NUDGE
+    crossing = d * np.roll(d, -1, axis=1) < 0.0
+    return lv, crossing.sum(axis=1)
+
+
+def assert_same_counts(ys, levels=256):
+    lv, counts = line_crossing_counts(ys, levels)
+    ref_lv, ref_counts = dense_crossing_counts(ys, levels)
+    np.testing.assert_array_equal(lv, ref_lv)
+    np.testing.assert_array_equal(counts, ref_counts)
+
+
+# offsets from a level that sit on, inside, at and just past the tie band
+_TIE_OFFSETS = (
+    0.0,
+    LEVEL_TIE_ATOL,
+    -LEVEL_TIE_ATOL,
+    np.nextafter(LEVEL_TIE_ATOL, 0.0),
+    np.nextafter(-LEVEL_TIE_ATOL, 0.0),
+    np.nextafter(LEVEL_TIE_ATOL, 1.0),
+    np.nextafter(-LEVEL_TIE_ATOL, -1.0),
+    2 * LEVEL_TIE_ATOL,
+    -2 * LEVEL_TIE_ATOL,
+    LEVEL_TIE_NUDGE,
+    -LEVEL_TIE_NUDGE,
+)
+
+
+class TestLineCrossingsMatchDenseReference:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_samples_on_and_near_levels(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(8, 300))
+        th = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
+        scale = 10.0 ** rng.uniform(-6, 3)
+        ys = scale * (np.sin(th) + 0.4 * np.sin(rng.integers(2, 6) * th + rng.uniform()))
+        ys = ys + rng.choice([0.0, 1.0, 1e4])
+        lv = np.linspace(ys.min(), ys.max(), 256)
+        snap = rng.random(n) < 0.6
+        picks = rng.integers(0, 256, n)
+        offs = rng.choice(_TIE_OFFSETS, n)
+        ys = np.where(snap, lv[picks] + offs, ys)
+        assert_same_counts(ys)
+
+    def test_samples_exactly_on_every_level(self):
+        lv = np.linspace(-1.0, 2.0, 256)
+        ys = np.concatenate([lv, lv[::-1], lv[::3], lv[::-7]])
+        assert_same_counts(ys)
+
+    @pytest.mark.parametrize("offset", _TIE_OFFSETS)
+    def test_samples_at_tie_offsets(self, offset):
+        th = np.linspace(0.0, 2 * np.pi, 512, endpoint=False)
+        ys = np.sin(2 * th)
+        lv = np.linspace(ys.min(), ys.max(), 256)
+        ys[1:-1:2] = lv[np.arange(1, 511, 2) % 256] + offset
+        assert_same_counts(ys)
+
+    @pytest.mark.parametrize("spread", [0.0, 0.5e-9, 1e-9, 1.5e-9, 3e-9, 1e-8])
+    def test_flat_and_nearly_flat_curves(self, spread):
+        ys = 0.3 + spread * np.sin(np.linspace(0.0, 2 * np.pi, 97, endpoint=False))
+        assert_same_counts(ys)
+
+    @pytest.mark.parametrize("decimals", [0, 1, 2, 3])
+    def test_rounded_samples(self, decimals):
+        th = np.linspace(0.0, 2 * np.pi, 1024, endpoint=False)
+        ys = np.round(3.0 * np.sin(th) + np.sin(5 * th), decimals)
+        assert_same_counts(ys)
+
+    @pytest.mark.parametrize("levels", [1, 2, 3, 17])
+    def test_other_level_counts(self, levels):
+        th = np.linspace(0.0, 2 * np.pi, 200, endpoint=False)
+        assert_same_counts(np.cos(3 * th) + 0.1 * th, levels)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_raise(self, bad):
+        ys = np.sin(2 * np.linspace(0.0, 2 * np.pi, 256, endpoint=False))
+        ys[17] = bad
+        with pytest.raises(ValueError, match="finite"):
+            line_crossing_counts(ys)
 
 
 class TestLineCrossings:
@@ -144,6 +221,79 @@ class TestConvexInDirection:
         rep = convex_in_direction(f, 0.0, grid=GRID)
         assert rep.passed is True
         assert rep.boundary_tight
+
+    def test_gate_passes_analytic_map(self):
+        f = HarmonicMap(h=geometric(32), g=zeros(32))
+        rep = convex_in_direction(f, 0.0, grid=GRID)
+        assert rep.passed is not None
+        assert rep.univalence_failure is None
+        assert not rep.boundary_tight
+
+    def test_gate_reads_mobius_dilatation_modulus(self):
+        # |(a-z)/(1-az)| over |z| <= r peaks at z = -r, so scaling g by
+        # (1 +- 1e-6) / that peak puts the gate's maximum at 1 +- 1e-6
+        a, r = 0.5, GRID.radii[-1]
+        f = f_a_alpha(a, 0.0, 256)
+        peak = (a + r) / (1 + a * r)
+        over = HarmonicMap(h=f.h, g=f.g.scale((1.0 + 1e-6) / peak))
+        rep = convex_in_direction(over, 0.0, grid=GRID)
+        assert rep.passed is None
+        assert rep.univalence_failure == pytest.approx(-r, abs=1e-12)
+        assert "sense-preserving" in rep.note
+        under = HarmonicMap(h=f.h, g=f.g.scale((1.0 - 1e-6) / peak))
+        rep = convex_in_direction(under, 0.0, grid=GRID)
+        assert rep.passed is not None
+        assert rep.univalence_failure is None
+        assert not rep.boundary_tight
+
+    def test_gate_withholds_on_vanishing_derivative(self):
+        # h' = 1 - 5z vanishes at z = 0.2, a grid point
+        f = HarmonicMap(h=PowerSeries([0.0, 1.0, -2.5]), g=zeros(2))
+        rep = convex_in_direction(f, 0.0, grid=DiskGrid(radii=(0.2,), angles_per_ring=4))
+        assert rep.passed is None
+        assert rep.univalence_failure == pytest.approx(0.2, abs=1e-12)
+        assert "local univalence unresolved" in rep.note
+
+    @pytest.mark.parametrize("part", ["h", "g"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_gate_withholds(self, part, bad):
+        cs = [0.0, 1.0, 0.0, 0.5, bad]
+        f = HarmonicMap(h=PowerSeries(cs), g=zeros(4))
+        if part == "g":
+            f = HarmonicMap(h=monomial(1, 4), g=PowerSeries([0.0, 0.1, 0.0, 0.0, bad]))
+        rep = convex_in_direction(f, 0.0, grid=GRID)
+        assert rep.passed is None
+        assert "non-finite" in rep.note
+
+    def test_boundary_overflow_withholds(self):
+        # every coefficient of h' is 1.4e308: h' stays finite on the gate
+        # ring 0.2, even inside Horner's scheme, while h on |z| = 0.99
+        # sums to about 2.6e308, past the largest double
+        h = PowerSeries([0.0] * 10 + [1.4e308 / k for k in range(10, 2001)])
+        f = HarmonicMap(h=h, g=zeros(2000))
+        assert np.isfinite(hengartner_schober(h, DiskGrid(radii=(0.2,))))
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = convex_in_direction(f, 0.0, grid=GRID, r_max=0.99, gate_radius=0.2)
+        assert rep.passed is None
+        assert "non-finite boundary" in rep.note
+
+    @pytest.mark.parametrize(
+        "case, params",
+        [
+            ("t2.3", {"a": 0.5}),
+            ("t3.9", {"n": 1, "alpha1": -0.5, "alpha2": 0.5, "t": 0.25}),
+        ],
+    )
+    @pytest.mark.parametrize("phi", [0.0, 0.7, np.pi / 2])
+    def test_one_curve_carries_the_harmonic_image_height(self, case, params, phi):
+        # the shear identity: Im(e^{-i phi} f) = Im(e^{-i phi} (h - e^{2i phi} g))
+        f = CASES[case].build(params, 256, _MapCache())
+        m = 1024
+        zs = 0.9 * np.exp(2j * np.pi * np.arange(m) / m)
+        image = (f(zs) * np.exp(-1j * phi)).imag
+        A = f.h.subtract(f.g.scale(np.exp(2j * phi)))
+        reduction = (A.on_circle(0.9, m) * np.exp(-1j * phi)).imag
+        assert np.max(np.abs(image - reduction)) <= 1e-12 * np.max(np.abs(image))
 
 
 class TestSweepReport:

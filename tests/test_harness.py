@@ -2,8 +2,10 @@
 artifact schemas, and byte-identical reruns."""
 
 import csv
+import io
 import json
 
+import numpy as np
 import pytest
 
 from harmconv import harness
@@ -258,6 +260,22 @@ class TestArtifacts:
         assert len(body) == 2 * 512
         assert {r[0] for r in body} == {"a=0.3", "a=0.6"}
         float(body[0][2]), float(body[0][3])  # numeric columns parse
+
+    def test_samples_bytes_match_row_by_row_csv_writer(self, tmp_path):
+        curves = [
+            ("a=0.5,n=2", np.array([0.25 - 1e-7j, -0.0 + 3j, 1e-20 + 12345.678j])),
+            ('quote"d', np.array([np.pi + 0j])),
+            ("", np.array([-1.5 - 0j])),
+        ]
+        path = tmp_path / "samples.csv"
+        harness._write_samples(curves, path)
+        expect = io.StringIO(newline="")
+        writer = csv.writer(expect)
+        writer.writerow(["param-id", "t-index", "re", "im"])
+        for param_id, curve in curves:
+            for k, z in enumerate(curve):
+                writer.writerow([param_id, k, f"{z.real:.15g}", f"{z.imag:.15g}"])
+        assert path.read_bytes() == expect.getvalue().encode()
 
     def test_svg_shape(self, artifact_dir):
         svg = (artifact_dir / "t2.5.svg").read_text()

@@ -157,6 +157,19 @@ class TestArithmetic:
         expect = np.polyval(np.asarray(cs)[::-1], SMALL_PTS)
         np.testing.assert_allclose(s(SMALL_PTS), expect, atol=1e-9)
 
+    @pytest.mark.parametrize("order", [15, 16, 17, 40, 200])
+    @pytest.mark.parametrize("radius", [0.5, 0.9, 0.99])
+    def test_on_circle_matches_horner(self, order, radius):
+        # m = 16: orders 16 and up fold one or more coefficients onto others
+        m = 16
+        rng = np.random.default_rng(order)
+        s = PowerSeries(rng.normal(size=order + 1) + 1j * rng.normal(size=order + 1))
+        zs = radius * np.exp(2j * np.pi * np.arange(m) / m)
+        expect = s(zs)
+        got = s.on_circle(radius, m)
+        assert got.shape == (m,)
+        assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
+
 
 class TestFactories:
     def test_monomial_places_single_coefficient(self):
