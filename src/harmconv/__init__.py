@@ -13,17 +13,15 @@ The package splits along the objects involved:
 
 from .cpoly import (
     ComplexPolynomial,
-    IndeterminateCertificate,
     NumericFailure,
     ReductionNotApplicable,
     ZeroCountReport,
-    blaschke_bound_certificate,
     cohn_reduce,
     count_zeros_in_disk,
     reciprocal_adjoint,
     roots,
 )
-from .series import PowerSeries, named_series
+from .series import PowerSeries
 from .hmap import (
     FAMILY_ALPHA_MAX,
     FamilyParams,
@@ -38,6 +36,7 @@ from .hmap import (
 )
 from .convo import (
     BoundednessReport,
+    DiskGrid,
     RationalFunction,
     cancel_unit_root,
     certify_bounded,
@@ -52,7 +51,6 @@ from .convo import (
 )
 from .geochk import (
     ConvexityReport,
-    DiskGrid,
     convex_in_direction,
     hengartner_schober,
     image_curves,
@@ -70,7 +68,6 @@ __all__ = [
     "FAMILY_ALPHA_MAX",
     "FamilyParams",
     "HarmonicMap",
-    "IndeterminateCertificate",
     "NumericFailure",
     "PowerSeries",
     "RationalFunction",
@@ -78,7 +75,6 @@ __all__ = [
     "SlantParams",
     "ZeroCountReport",
     "__version__",
-    "blaschke_bound_certificate",
     "cancel_unit_root",
     "certify_bounded",
     "cohn_reduce",
@@ -94,7 +90,6 @@ __all__ = [
     "hengartner_schober",
     "image_curves",
     "monomial_convolution_dilatation",
-    "named_series",
     "rationals_equal",
     "reciprocal_adjoint",
     "roots",

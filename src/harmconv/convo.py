@@ -18,11 +18,11 @@ end to end and falls back to grid evaluation when the structure is absent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .cpoly import (
-    CIRCLE_ATOL,
     ComplexPolynomial,
     NumericFailure,
     ZeroCountReport,
@@ -42,8 +42,8 @@ UNIMODULAR_ATOL = 1e-10
 # 1 by more than this count as a witnessed excursion outside the disk.
 GRID_ATOL = 1e-9
 
-CERTIFY_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99)
-CERTIFY_ANGLES = 720
+DEFAULT_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99)
+DEFAULT_ANGLES_PER_RING = 720
 
 _Z = ComplexPolynomial([0.0, 1.0])
 _ONE = ComplexPolynomial([1.0])
@@ -81,16 +81,6 @@ class RationalFunction:
 
     def scale(self, c: complex) -> "RationalFunction":
         return RationalFunction(c * self.num, self.den)
-
-    def to_jsonable(self) -> dict:
-        return {"num": self.num.to_jsonable(), "den": self.den.to_jsonable()}
-
-    @classmethod
-    def from_jsonable(cls, data) -> "RationalFunction":
-        return cls(
-            num=ComplexPolynomial.from_jsonable(data["num"]),
-            den=ComplexPolynomial.from_jsonable(data["den"]),
-        )
 
 
 def rationals_equal(
@@ -575,6 +565,57 @@ def quarter_power_cohn_chain(
 
 
 @dataclass(frozen=True)
+class DiskGrid:
+    """Concentric sampling rings inside the unit disk.
+
+    One grid serves a whole run: the certificate's scan of |omega~|, the
+    univalence gate and the Hengartner-Schober minimum all sample it.
+    """
+
+    radii: tuple[float, ...] = DEFAULT_RADII
+    angles_per_ring: int = DEFAULT_ANGLES_PER_RING
+
+    def __post_init__(self):
+        radii = tuple(float(r) for r in self.radii)
+        if not radii:
+            raise ValueError("grid needs at least one radius")
+        if radii[0] <= 0.0 or radii[-1] >= 1.0:
+            raise ValueError("grid radii must lie strictly inside (0, 1)")
+        if any(b <= a for a, b in zip(radii, radii[1:])):
+            raise ValueError("grid radii must be strictly increasing")
+        if self.angles_per_ring < 4:
+            raise ValueError("angles_per_ring must be at least 4")
+        object.__setattr__(self, "radii", radii)
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        """Ring by ring, angles 2 pi j / angles_per_ring; read-only, since
+        every caller shares the one cached array."""
+        ang = np.exp(
+            1j * (2.0 * np.pi) * np.arange(self.angles_per_ring) / self.angles_per_ring
+        )
+        pts = (np.asarray(self.radii)[:, None] * ang[None, :]).ravel()
+        pts.flags.writeable = False
+        return pts
+
+    def sample(self, F: PowerSeries) -> np.ndarray:
+        """F at self.points, in the same order, by one FFT per ring."""
+        return np.concatenate(
+            [F.on_circle(r, self.angles_per_ring) for r in self.radii]
+        )
+
+    def capped(self, r_max: float) -> "DiskGrid":
+        """The sub-grid of rings with radius <= r_max (at least one ring)."""
+        kept = tuple(r for r in self.radii if r <= r_max + 1e-12)
+        if not kept:
+            kept = (float(r_max),)
+        return DiskGrid(kept, self.angles_per_ring)
+
+
+_DEFAULT_GRID = DiskGrid()
+
+
+@dataclass(frozen=True)
 class BoundednessReport:
     """Outcome of trying to certify |omega~| < 1 on the unit disk.
 
@@ -628,13 +669,9 @@ def _proportionality(
     return complex(c)
 
 
-def _grid_scan(
-    r: RationalFunction, radii, angles_per_ring: int
-) -> tuple[float, bool]:
+def _grid_scan(r: RationalFunction, grid: DiskGrid) -> tuple[float, bool]:
     """(max |r| over the grid, pole detected) with pole points masked."""
-    rad = np.asarray(radii, dtype=float)
-    ang = 2.0 * np.pi * np.arange(angles_per_ring) / angles_per_ring
-    z = (rad[:, None] * np.exp(1j * ang)[None, :]).ravel()
+    z = grid.points
     nu = r.num(z)
     de = r.den(z)
     den_scale = max(float(np.max(np.abs(de))), 1e-300)
@@ -645,11 +682,7 @@ def _grid_scan(
     return float(np.max(vals)), bool(pole.any())
 
 
-def certify_bounded(
-    r: RationalFunction,
-    radii=CERTIFY_RADII,
-    angles_per_ring: int = CERTIFY_ANGLES,
-) -> BoundednessReport:
+def certify_bounded(r: RationalFunction, grid: DiskGrid = _DEFAULT_GRID) -> BoundednessReport:
     """Certify |r(z)| < 1 on the unit disk, structurally when possible.
 
     Path 1: the function has the Blaschke shape z**k * core / (c * core*)
@@ -662,7 +695,7 @@ def certify_bounded(
     the boundary cases where core's zeros sit exactly on the circle.
 
     Otherwise, and also when the zero count itself fails, the verdict
-    rests on grid evaluation only: values above 1 + GRID_ATOL are a
+    rests on the values at grid.points only: above 1 + GRID_ATOL is a
     witnessed excursion ("exceeds"); anything else is "indeterminate",
     never a certificate.
     """
@@ -678,7 +711,7 @@ def certify_bounded(
             boundary_tight=False,
             note="identically zero",
         )
-    grid_max, pole = _grid_scan(r, radii, angles_per_ring)
+    grid_max, pole = _grid_scan(r, grid)
     boundary_tight = grid_max >= 1.0 - GRID_ATOL
     k, core = _strip_monomial(r.num)
     c = _proportionality(reciprocal_adjoint(core), r.den)

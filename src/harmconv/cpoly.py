@@ -52,10 +52,6 @@ class NumericFailure(Exception):
         self.best = best
 
 
-class IndeterminateCertificate(Exception):
-    """Zeros sit on the unit circle within tolerance; neither bound holds."""
-
-
 def horner(coeffs, z):
     """sum coeffs[k] * z**k by Horner's scheme, at a scalar or numpy array."""
     acc = z * 0j
@@ -149,13 +145,6 @@ class ComplexPolynomial:
         for k, c in enumerate(self.coeffs):
             out[m * k] = c
         return ComplexPolynomial(out)
-
-    def to_jsonable(self) -> list[list[float]]:
-        return [[c.real, c.imag] for c in self.coeffs]
-
-    @classmethod
-    def from_jsonable(cls, data) -> "ComplexPolynomial":
-        return cls(complex(re, im) for re, im in data)
 
     def __repr__(self) -> str:
         return f"ComplexPolynomial({list(self.coeffs)!r})"
@@ -318,19 +307,3 @@ def count_zeros_in_disk(p: ComplexPolynomial) -> ZeroCountReport:
         chain=tuple(chain),
         degenerate=True,
     )
-
-
-def blaschke_bound_certificate(p: ComplexPolynomial) -> bool:
-    """True iff every zero of p lies strictly inside the unit disk.
-
-    A True answer certifies |p(z) / p*(z)| < 1 throughout the open disk.
-    Zeros on the circle (within tolerance) make both that bound and its
-    negation unprovable at this precision, so that case raises
-    IndeterminateCertificate instead of guessing.
-    """
-    report = count_zeros_in_disk(p)
-    if report.on_circle:
-        raise IndeterminateCertificate(
-            f"{report.on_circle} zero(s) within {CIRCLE_ATOL:.0e} of the unit circle"
-        )
-    return report.all_inside

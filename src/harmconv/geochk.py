@@ -22,13 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from . import convo
-from .convo import BoundednessReport, RationalFunction
+from .convo import BoundednessReport, DiskGrid, RationalFunction
 from .cpoly import ComplexPolynomial, NumericFailure, roots
 from .hmap import (
     FAMILY_ALPHA_MAX,
@@ -39,12 +38,7 @@ from .hmap import (
     slanted_halfplane,
     strip_map,
 )
-from .series import PowerSeries
 
-_TWO_PI = 2.0 * math.pi
-
-DEFAULT_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99)
-DEFAULT_ANGLES_PER_RING = 720
 # Boundary curves are sampled on a circle strictly inside the disk.  The
 # radius default stays at 0.9 because the maps arrive as truncated series:
 # at order 128 the tail at 0.9 is harmless, while at 0.995 it would drown
@@ -58,49 +52,8 @@ DEFAULT_BOUNDARY_POINTS = 4096
 CURVE_LADDER = ((0.95, 384), (0.9, 256), (0.98, 1024))
 SWEEP_LEVELS = 256
 LEVEL_TIE_ATOL = 1e-9
-LEVEL_TIE_NUDGE = 1e-8
 HP_VANISH_ATOL = 1e-12
 TIGHT_ATOL = 1e-9
-
-
-@dataclass(frozen=True)
-class DiskGrid:
-    """Concentric sampling rings inside the unit disk."""
-
-    radii: tuple[float, ...] = DEFAULT_RADII
-    angles_per_ring: int = DEFAULT_ANGLES_PER_RING
-
-    def __post_init__(self):
-        radii = tuple(float(r) for r in self.radii)
-        if not radii:
-            raise ValueError("grid needs at least one radius")
-        if radii[0] <= 0.0 or radii[-1] >= 1.0:
-            raise ValueError("grid radii must lie strictly inside (0, 1)")
-        if any(b <= a for a, b in zip(radii, radii[1:])):
-            raise ValueError("grid radii must be strictly increasing")
-        if self.angles_per_ring < 4:
-            raise ValueError("angles_per_ring must be at least 4")
-        object.__setattr__(self, "radii", radii)
-
-    @cached_property
-    def points(self) -> np.ndarray:
-        ang = np.exp(
-            1j * _TWO_PI * np.arange(self.angles_per_ring) / self.angles_per_ring
-        )
-        return (np.asarray(self.radii)[:, None] * ang[None, :]).ravel()
-
-    def sample(self, F: PowerSeries) -> np.ndarray:
-        """F at self.points, in the same order, by one FFT per ring."""
-        return np.concatenate(
-            [F.on_circle(r, self.angles_per_ring) for r in self.radii]
-        )
-
-    def capped(self, r_max: float) -> "DiskGrid":
-        """The sub-grid of rings with radius <= r_max (at least one ring)."""
-        kept = tuple(r for r in self.radii if r <= r_max + 1e-12)
-        if not kept:
-            kept = (float(r_max),)
-        return DiskGrid(kept, self.angles_per_ring)
 
 
 def hengartner_schober(F, grid: DiskGrid) -> float:
@@ -123,19 +76,19 @@ def line_crossing_counts(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Crossings of horizontal levels against a closed sampled curve.
 
-    Returns (levels, counts).  Samples within LEVEL_TIE_ATOL of a level are
-    nudged off it by LEVEL_TIE_NUDGE so tangential touches never register;
-    with no zero residuals left, each count is a number of strict sign
-    changes around a cycle and therefore even.
+    Returns (levels, counts).  A sample within LEVEL_TIE_ATOL of a level
+    counts as above it, so tangential touches never register; each count
+    is then a number of strict sign changes around a cycle and therefore
+    even.
 
-    The count is exact, not an approximation of that rule.  After the
-    nudge, sample i lies above level j iff fl(ys[i] - lv[j]) >
-    -LEVEL_TIE_ATOL, and since the levels never decrease this holds for a
-    prefix j < k[i].  k comes from a binary search, corrected on that very
-    predicate; the edge from sample i to i + 1 then crosses exactly the
-    levels between k[i] and k[i + 1], which a difference array sums in
-    O(n log L) rather than O(n L).  Non-finite samples raise ValueError:
-    they compare false against every level and would read as no crossing.
+    The count is exact, not an approximation of that rule.  Sample i lies
+    above level j iff fl(ys[i] - lv[j]) > -LEVEL_TIE_ATOL, and since the
+    levels never decrease this holds for a prefix j < k[i].  k comes from a
+    binary search, corrected on that very predicate; the edge from sample i
+    to i + 1 then crosses exactly the levels between k[i] and k[i + 1],
+    which a difference array sums in O(n log L) rather than O(n L).
+    Non-finite samples raise ValueError: they compare false against every
+    level and would read as no crossing.
     """
     ys = np.asarray(ys, dtype=float)
     if not np.isfinite(ys).all():
@@ -171,7 +124,6 @@ class ConvexityReport:
 
     direction: float
     passed: bool | None
-    worst_line: str
     crossing_max: int | None
     min_hs_value: float | None
     boundary_tight: bool = False
@@ -183,7 +135,6 @@ def _withheld(phi: float, note: str, point: complex | None = None) -> ConvexityR
     return ConvexityReport(
         direction=phi,
         passed=None,
-        worst_line="",
         crossing_max=None,
         min_hs_value=None,
         univalence_failure=point,
@@ -257,16 +208,14 @@ def convex_in_direction(
             "non-finite boundary or Hengartner-Schober samples, convexity "
             "verdict withheld",
         )
-    lv, counts = line_crossing_counts(ys)
-    j = int(np.argmax(counts))
-    crossing_max = int(counts[j])
+    _, counts = line_crossing_counts(ys)
+    crossing_max = int(counts.max())
     note = f"sampled at {n_boundary} boundary points on |z| = {r_max:g}; evidence, not proof"
     if tight:
         note += "; dilatation modulus is boundary-tight on the grid"
     return ConvexityReport(
         direction=phi,
         passed=crossing_max <= 2,
-        worst_line=f"level y = {float(lv[j]):.6g} crossed {crossing_max} times",
         crossing_max=crossing_max,
         min_hs_value=min_hs,
         boundary_tight=tight,
@@ -929,7 +878,7 @@ def sweep_report(
     points = [(p, spec.point(p)) for p in spec.points(dict(params or {}))]
     rows = []
     for p, pt in points:
-        cert = convo.certify_bounded(pt.closed)
+        cert = convo.certify_bounded(pt.closed, grid)
         conv = _curve_evidence(
             lambda N: spec.build(p, N, cache), pt.phi, order, grid
         )
@@ -980,7 +929,7 @@ def image_curves(
     Returns (param-id, curve) pairs in row order, for CSV and SVG export.
     """
     _, spec = _case(case)
-    zs = radius * np.exp(1j * _TWO_PI * np.arange(n_points) / n_points)
+    zs = radius * np.exp(1j * (2.0 * math.pi) * np.arange(n_points) / n_points)
     cache = _MapCache()
     return [
         (row_param_id(row), spec.build(row["params"], order, cache)(zs)) for row in rows

@@ -4,7 +4,6 @@ Verbs:
     verify <case>    run the case's sweep, write artifacts, exit by verdicts
     explore <case>   same machinery; meant for the open-ended cases
     plot <case>      write only the curve artifacts (csv, svg)
-    fixtures         regenerate the golden fixture files
 
 Every run writes into --outdir: report.json (verdict rows, deterministic
 and byte-identical across reruns of the same config), samples.csv (image
@@ -25,22 +24,13 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import convo
-from .geochk import (
-    CASE_IDS,
-    CASES,
-    DEFAULT_ANGLES_PER_RING,
-    DEFAULT_RADII,
-    DiskGrid,
-    image_curves,
-    sweep_report,
-)
-from .hmap import f_a_alpha, slanted_halfplane
+from .convo import DEFAULT_ANGLES_PER_RING, DEFAULT_RADII, DiskGrid
+from .geochk import CASE_IDS, CASES, image_curves, sweep_report
 
 # every parameter any case accepts, in table order
 _PARAM_NAMES = tuple(dict.fromkeys(k for c in CASES.values() for k in c.parameters))
@@ -205,7 +195,7 @@ def _write_svg(case: str, curves, path: Path):
 
 
 # ---------------------------------------------------------------------------
-# run + fixtures
+# run
 
 
 def run(config: RunConfig) -> int:
@@ -237,61 +227,6 @@ def run(config: RunConfig) -> int:
     if "indeterminate" in verdicts:
         return 3
     return 0
-
-
-def fixtures(outdir: str = "fixtures") -> list[Path]:
-    """Regenerate the golden fixture files the test suite compares against.
-
-    Three files: the quartic certificate coefficients at a few a values,
-    one assembled half-plane convolution at low order, and the sextic
-    certificate at one parameter point.
-    """
-    base = Path(outdir)
-    base.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    quartics = {
-        f"{a:g}": [[c.real, c.imag] for c in convo.even_mobius_quartic(a).coeffs]
-        for a in (0.25, 0.5, 0.75)
-    }
-    p = base / "even-mobius-quartic.json"
-    _dump_json(quartics, p)
-    written.append(p)
-
-    a, order = 0.5, 32
-    omega = convo.RationalFunction(
-        convo.ComplexPolynomial([0.0, 1.0]), convo.ComplexPolynomial([1.0])
-    )
-    f = convo.convolve(
-        f_a_alpha(a, 0.0, order), slanted_halfplane(0.0, omega.series(order), order)
-    )
-    p = base / "halfplane-convolution-series.json"
-    _dump_json(
-        {
-            "a": a,
-            "order": order,
-            "omega": "z",
-            "h": [[c.real, c.imag] for c in f.h.coeffs],
-            "g": [[c.real, c.imag] for c in f.g.coeffs],
-        },
-        p,
-    )
-    written.append(p)
-
-    t, alpha1, alpha2 = 0.5, -0.5, 0.5
-    sextic = convo.quarter_power_sextic_poly(alpha1, alpha2, t)
-    p = base / "quarter-power-sextic.json"
-    _dump_json(
-        {
-            "t": t,
-            "alpha1": alpha1,
-            "alpha2": alpha2,
-            "coefficients": [[c.real, c.imag] for c in sextic.coeffs],
-        },
-        p,
-    )
-    written.append(p)
-    return written
 
 
 # ---------------------------------------------------------------------------
@@ -387,9 +322,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_sweep_verb("verify", "run a case and assert its claimed rows")
     add_sweep_verb("explore", "run an open-ended case; rows assert nothing")
     add_sweep_verb("plot", "write only the curve artifacts for a case")
-
-    fx = sub.add_parser("fixtures", help="regenerate golden fixture files")
-    fx.add_argument("--outdir", default="fixtures", help="fixture directory")
     return parser
 
 
@@ -449,11 +381,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(_glue_negative_values(argv))
 
     try:
-        if args.verb == "fixtures":
-            written = fixtures(args.outdir)
-            for p in written:
-                print(p)
-            return 0
         config = _config_from_args(args)
         code = run(config)
     except ConfigError as exc:

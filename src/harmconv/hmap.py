@@ -10,7 +10,7 @@ log(1/(1-z)).
 
 Closed rational forms are expanded by series division rather than by typing
 out their coefficients; the independently coded coefficient formulas in
-``series.named_series`` serve as a cross-check in the tests, not as the
+``series.halfplane_parts`` serve as a cross-check in the tests, not as the
 construction path.
 """
 
@@ -21,7 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import PowerSeries, named_series, rational_series
+from .series import (
+    PowerSeries,
+    arctangent,
+    family_sum_polynomials,
+    geometric,
+    log_inverse,
+    rational_series,
+)
 
 # The dyadic family's parameter must stay within this symmetric interval
 # for the positivity argument behind it to apply.
@@ -39,31 +46,8 @@ class HarmonicMap:
     h: PowerSeries
     g: PowerSeries
 
-    @property
-    def order(self) -> int:
-        return min(self.h.order, self.g.order)
-
     def __call__(self, z):
         return self.h(z) + np.conjugate(self.g(z))
-
-    def normalization(self) -> tuple[complex, complex, complex, complex]:
-        """(h(0), g(0), h'(0), g'(0)) read off the stored coefficients."""
-        return (
-            self.h.at_order(0),
-            self.g.at_order(0),
-            self.h.at_order(1),
-            self.g.at_order(1),
-        )
-
-    def to_jsonable(self) -> dict:
-        return {"h": self.h.to_jsonable(), "g": self.g.to_jsonable()}
-
-    @classmethod
-    def from_jsonable(cls, data) -> "HarmonicMap":
-        return cls(
-            h=PowerSeries.from_jsonable(data["h"]),
-            g=PowerSeries.from_jsonable(data["g"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -159,12 +143,12 @@ def f_a_alpha(a: float, alpha: float, N: int) -> HarmonicMap:
 
 def slanted_halfplane(gamma: float, omega: PowerSeries, N: int) -> HarmonicMap:
     """Shear of the slanted half-plane target z/(1 - e^{i gamma} z)."""
-    return shear(named_series("geometric", {"alpha": gamma}, N), omega, gamma, N)
+    return shear(geometric(N, gamma), omega, gamma, N)
 
 
 def strip_map(omega: PowerSeries, N: int) -> HarmonicMap:
     """Shear of the vertical strip target (1/2i) log((1+iz)/(1-iz))."""
-    return shear(named_series("log-strip", {}, N), omega, 0.0, N)
+    return shear(arctangent(N), omega, 0.0, N)
 
 
 def family_f_alpha_n(alpha: float, n: int, omega: PowerSeries, N: int) -> HarmonicMap:
@@ -174,8 +158,8 @@ def family_f_alpha_n(alpha: float, n: int, omega: PowerSeries, N: int) -> Harmon
     prefactor with log(1/(1-z)), per the family's defining display.
     """
     FamilyParams(alpha=alpha, n=n)  # range validation
-    prefactor = named_series("family-sum", {"n": n, "alpha": alpha}, N)
-    F = prefactor.hadamard(named_series("log-half", {}, N))
+    prefactor = rational_series(*family_sum_polynomials(n, alpha), N)
+    F = prefactor.hadamard(log_inverse(N))
     return shear(F, omega, 0.0, N)
 
 

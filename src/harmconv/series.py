@@ -129,19 +129,8 @@ class PowerSeries:
         c = np.pad(c, (0, -len(c) % m))
         return np.fft.ifft(c.reshape(-1, m).sum(axis=0)) * m
 
-    def to_jsonable(self) -> list[list[float]]:
-        return [[c.real, c.imag] for c in self.coeffs]
-
-    @classmethod
-    def from_jsonable(cls, data) -> "PowerSeries":
-        return cls(complex(re, im) for re, im in data)
-
     def __repr__(self) -> str:
         return f"PowerSeries(order={self.order}, c1={self.coeffs[min(1, self.order)]:.6g})"
-
-
-def zeros(order: int) -> PowerSeries:
-    return PowerSeries([0j] * (order + 1))
 
 
 def monomial(k: int, order: int, coeff=1.0) -> PowerSeries:
@@ -152,14 +141,12 @@ def monomial(k: int, order: int, coeff=1.0) -> PowerSeries:
     return PowerSeries(c)
 
 
-def geometric(order: int) -> PowerSeries:
-    """z/(1-z) = sum_{k>=1} z**k, the unit for the coefficient product."""
-    return PowerSeries([0j] + [1.0 + 0j] * order)
-
-
-def coefficient_ramp(order: int) -> PowerSeries:
-    """z/(1-z)**2 = sum_{k>=1} k z**k; its coefficient product is z d/dz."""
-    return PowerSeries([complex(k) for k in range(order + 1)])
+def geometric(order: int, gamma: float = 0.0) -> PowerSeries:
+    """z/(1 - e^{i gamma} z) = sum_{k>=1} e^{i gamma (k-1)} z**k, the slanted
+    half-plane target; at gamma = 0 it is the unit for the coefficient
+    product."""
+    rot = complex(np.exp(1j * gamma))
+    return PowerSeries([0j] + [rot ** (k - 1) for k in range(1, order + 1)])
 
 
 def log_inverse(order: int) -> PowerSeries:
@@ -212,51 +199,14 @@ def family_sum_polynomials(n: int, alpha: float) -> tuple[list[complex], list[co
     return list(num), list(den)
 
 
-def named_series(kind: str, params, N: int) -> PowerSeries:
-    """Truncated expansions of the closed forms the constructions start from.
-
-    Kinds:
-      "geometric"    z/(1 - e^{i alpha} z)                params: alpha
-      "halfplane-h"  analytic part of the slanted
-                     half-plane extremal map              params: a, alpha
-      "halfplane-g"  its co-analytic part                 params: a, alpha
-      "log-strip"    (1/2i) log((1+iz)/(1-iz)) = arctan z params: none
-      "log-half"     log(1/(1-z))                         params: none
-      "family-sum"   the dyadic-product rational prefactor
-                     whose coefficient product with
-                     log-half gives h+g of the family     params: n, alpha
-    """
-    params = dict(params or {})
-    if kind == "geometric":
-        alpha = float(params.pop("alpha", 0.0))
-        rot = complex(np.exp(1j * alpha))
-        out = [0j] + [rot ** (k - 1) for k in range(1, N + 1)]
-        series = PowerSeries(out)
-    elif kind in ("halfplane-h", "halfplane-g"):
-        a = float(params.pop("a"))
-        alpha = float(params.pop("alpha", 0.0))
-        if not -1.0 < a < 1.0:
-            raise ValueError(f"need |a| < 1, got a={a}")
-        rot = complex(np.exp(1j * alpha))
-        out = [0j]
-        if kind == "halfplane-h":
-            for k in range(1, N + 1):
-                out.append(rot ** (k - 1) * (k / (1.0 + a) - (k - 1) / 2.0))
-        else:
-            for k in range(1, N + 1):
-                out.append(rot ** (k + 1) * (a * k / (1.0 + a) - (k - 1) / 2.0))
-        series = PowerSeries(out)
-    elif kind == "log-strip":
-        series = arctangent(N)
-    elif kind == "log-half":
-        series = log_inverse(N)
-    elif kind == "family-sum":
-        n = int(params.pop("n"))
-        alpha = float(params.pop("alpha", 0.0))
-        num, den = family_sum_polynomials(n, alpha)
-        series = rational_series(num, den, N)
-    else:
-        raise ValueError(f"unknown series kind {kind!r}")
-    if params:
-        raise ValueError(f"unused parameters for kind {kind!r}: {sorted(params)}")
-    return series
+def halfplane_parts(a: float, alpha: float, order: int) -> tuple[PowerSeries, PowerSeries]:
+    """(h, g) of the slanted half-plane extremal map f_{a,alpha}, typed out
+    coefficient by coefficient.  hmap.f_a_alpha expands the same map by
+    series division; these formulas are the independent reference for it."""
+    if not -1.0 < a < 1.0:
+        raise ValueError(f"need |a| < 1, got a={a}")
+    rot = complex(np.exp(1j * alpha))
+    ks = range(1, order + 1)
+    h = [rot ** (k - 1) * (k / (1.0 + a) - (k - 1) / 2.0) for k in ks]
+    g = [rot ** (k + 1) * (a * k / (1.0 + a) - (k - 1) / 2.0) for k in ks]
+    return PowerSeries([0j] + h), PowerSeries([0j] + g)

@@ -8,6 +8,7 @@ import pytest
 from conftest import sample_points
 
 from harmconv.convo import (
+    DiskGrid,
     RationalFunction,
     adjacent_negative_cubic,
     adjacent_positive_quartic,
@@ -118,10 +119,6 @@ class TestRationalFunction:
     def test_scale_multiplies_numerator(self):
         r = rational([0.0, 1.0])
         np.testing.assert_allclose(r.scale(2j)(PTS), 2j * PTS, atol=1e-14)
-
-    def test_jsonable_roundtrip(self):
-        r = mobius_power_dilatation(0.4, 0.3, 2)
-        assert RationalFunction.from_jsonable(r.to_jsonable()) == r
 
     def test_rationals_equal_ignores_common_factors(self):
         r = rational([0.3, 1.0], [1.0, -0.3])
@@ -455,6 +452,14 @@ class TestCertifyBounded:
         w = RationalFunction(ComplexPolynomial([0.0]) + p * ComplexPolynomial([0.0, 1.0]), reciprocal_adjoint(p))
         rep = certify_bounded(w)
         assert rep.certified and rep.method == "self-inversive"
+
+    def test_grid_max_scans_the_given_grid(self):
+        grid = DiskGrid((0.5,), 8)
+        r = rational([0.3, 1.0, 0.2j], [1.0, -0.4])
+        rep = certify_bounded(r, grid)
+        assert rep.grid_max == pytest.approx(float(np.max(np.abs(r(grid.points)))), abs=1e-15)
+        # the default grid reaches r = 0.99, which this one does not
+        assert certify_bounded(r).grid_max > rep.grid_max + 0.1
 
     def test_excursion_witnessed(self):
         rep = certify_bounded(rational([0.0, 1.2]))

@@ -1,5 +1,5 @@
 """Polynomial layer: arithmetic identities, the reduction chain against an
-independent root oracle, and the boundedness certificate."""
+independent root oracle, and the unit-disk zero count."""
 
 import numpy as np
 import pytest
@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 
 from harmconv.cpoly import (
     ComplexPolynomial,
-    IndeterminateCertificate,
     NumericFailure,
     ReductionNotApplicable,
-    blaschke_bound_certificate,
     cohn_reduce,
     count_zeros_in_disk,
     reciprocal_adjoint,
@@ -95,11 +93,6 @@ class TestArithmetic:
         p = ComplexPolynomial([1.0, -0.5j])
         assert p**3 == p * p * p
         assert (p**0).coeffs == (1.0 + 0j,)
-
-    @given(poly_coeffs)
-    def test_jsonable_round_trip(self, a):
-        p = ComplexPolynomial(a)
-        assert ComplexPolynomial.from_jsonable(p.to_jsonable()) == p
 
 
 class TestReciprocalAdjoint:
@@ -224,18 +217,3 @@ class TestCountZeros:
     def test_rejects_zero_polynomial(self):
         with pytest.raises(ValueError):
             count_zeros_in_disk(ComplexPolynomial())
-
-
-class TestBlaschkeCertificate:
-    def test_true_certifies_disk_bound(self):
-        p = from_roots([0.5, -0.2 + 0.4j, 0.1j])
-        assert blaschke_bound_certificate(p)
-        zs = 0.95 * np.exp(1j * np.linspace(0, 6.28, 50))
-        assert np.all(np.abs(p(zs) / reciprocal_adjoint(p)(zs)) < 1.0)
-
-    def test_false_for_outside_zero(self):
-        assert not blaschke_bound_certificate(from_roots([0.5, 1.7]))
-
-    def test_circle_zero_is_indeterminate(self):
-        with pytest.raises(IndeterminateCertificate):
-            blaschke_bound_certificate(from_roots([0.5, np.exp(0.3j)]))

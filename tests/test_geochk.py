@@ -6,13 +6,11 @@ import numpy as np
 import pytest
 
 from harmconv import convo
-from harmconv.convo import RationalFunction, convolve, mobius_power_dilatation
-from harmconv.cpoly import ComplexPolynomial
+from harmconv.convo import convolve, mobius_power_dilatation
 from harmconv.geochk import (
     CASE_IDS,
     CASES,
     LEVEL_TIE_ATOL,
-    LEVEL_TIE_NUDGE,
     DiskGrid,
     _MapCache,
     convex_in_direction,
@@ -23,7 +21,7 @@ from harmconv.geochk import (
     sweep_report,
 )
 from harmconv.hmap import HarmonicMap, f_a_alpha, slanted_halfplane
-from harmconv.series import PowerSeries, geometric, monomial, zeros
+from harmconv.series import PowerSeries, geometric, monomial
 
 # smaller than the default grid; plenty for unit-level assertions
 GRID = DiskGrid(radii=(0.2, 0.5, 0.8, 0.9), angles_per_ring=180)
@@ -71,6 +69,10 @@ class TestInstruments:
         assert np.isnan(hengartner_schober(s, GRID))
 
 
+# the dense reference nudges samples within LEVEL_TIE_ATOL of a level off it
+NUDGE = 1e-8
+
+
 def dense_crossing_counts(ys, levels=256):
     """The O(n L) level matrix that line_crossing_counts must agree with."""
     ys = np.asarray(ys, dtype=float)
@@ -79,7 +81,7 @@ def dense_crossing_counts(ys, levels=256):
         return np.array([lo]), np.zeros(1, dtype=int)
     lv = np.linspace(lo, hi, levels)
     d = ys[None, :] - lv[:, None]
-    d = d + (np.abs(d) < LEVEL_TIE_ATOL) * LEVEL_TIE_NUDGE
+    d = d + (np.abs(d) < LEVEL_TIE_ATOL) * NUDGE
     crossing = d * np.roll(d, -1, axis=1) < 0.0
     return lv, crossing.sum(axis=1)
 
@@ -102,8 +104,8 @@ _TIE_OFFSETS = (
     np.nextafter(-LEVEL_TIE_ATOL, -1.0),
     2 * LEVEL_TIE_ATOL,
     -2 * LEVEL_TIE_ATOL,
-    LEVEL_TIE_NUDGE,
-    -LEVEL_TIE_NUDGE,
+    NUDGE,
+    -NUDGE,
 )
 
 
@@ -223,7 +225,7 @@ class TestConvexInDirection:
         assert rep.boundary_tight
 
     def test_gate_passes_analytic_map(self):
-        f = HarmonicMap(h=geometric(32), g=zeros(32))
+        f = HarmonicMap(h=geometric(32), g=PowerSeries([0.0] * 33))
         rep = convex_in_direction(f, 0.0, grid=GRID)
         assert rep.passed is not None
         assert rep.univalence_failure is None
@@ -248,7 +250,7 @@ class TestConvexInDirection:
 
     def test_gate_withholds_on_vanishing_derivative(self):
         # h' = 1 - 5z vanishes at z = 0.2, a grid point
-        f = HarmonicMap(h=PowerSeries([0.0, 1.0, -2.5]), g=zeros(2))
+        f = HarmonicMap(h=PowerSeries([0.0, 1.0, -2.5]), g=PowerSeries([0.0] * 3))
         rep = convex_in_direction(f, 0.0, grid=DiskGrid(radii=(0.2,), angles_per_ring=4))
         assert rep.passed is None
         assert rep.univalence_failure == pytest.approx(0.2, abs=1e-12)
@@ -258,7 +260,7 @@ class TestConvexInDirection:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_gate_withholds(self, part, bad):
         cs = [0.0, 1.0, 0.0, 0.5, bad]
-        f = HarmonicMap(h=PowerSeries(cs), g=zeros(4))
+        f = HarmonicMap(h=PowerSeries(cs), g=PowerSeries([0.0] * 5))
         if part == "g":
             f = HarmonicMap(h=monomial(1, 4), g=PowerSeries([0.0, 0.1, 0.0, 0.0, bad]))
         rep = convex_in_direction(f, 0.0, grid=GRID)
@@ -270,7 +272,7 @@ class TestConvexInDirection:
         # ring 0.2, even inside Horner's scheme, while h on |z| = 0.99
         # sums to about 2.6e308, past the largest double
         h = PowerSeries([0.0] * 10 + [1.4e308 / k for k in range(10, 2001)])
-        f = HarmonicMap(h=h, g=zeros(2000))
+        f = HarmonicMap(h=h, g=PowerSeries([0.0] * 2001))
         assert np.isfinite(hengartner_schober(h, DiskGrid(radii=(0.2,))))
         with np.errstate(over="ignore", invalid="ignore"):
             rep = convex_in_direction(f, 0.0, grid=GRID, r_max=0.99, gate_radius=0.2)

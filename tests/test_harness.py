@@ -15,7 +15,6 @@ from harmconv.harness import (
     _glue_negative_values,
     _parse_range,
     _parse_values,
-    fixtures,
     main,
 )
 
@@ -89,6 +88,18 @@ class TestRunConfig:
         cfg = RunConfig(case="t2.5", radii=(0.9, 0.5))
         with pytest.raises(ConfigError):
             cfg.grid()
+
+    def test_certificate_scans_the_configured_grid(self, tmp_path):
+        # t2.5's dilatation is z^2, so its maximum over the rings 0.1 and
+        # 0.5 is 0.25; a scan of the default rings would read 0.99^2
+        cfg = RunConfig(
+            case="t2.5", params={"a": [0.5]}, radii=(0.1, 0.5),
+            outdir=str(tmp_path), formats=("json",),
+        )
+        assert harness.run(cfg) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["config"]["radii"] == [0.1, 0.5]
+        assert abs(report["rows"][0]["metrics"]["max_omega"] - 0.25) <= 1e-12
 
 
 class TestMainExitCodes:
@@ -295,21 +306,3 @@ class TestArtifacts:
                 artifact_dir / name
             ).read_bytes()
 
-
-class TestFixtures:
-    def test_fixture_files_written(self, tmp_path):
-        written = fixtures(str(tmp_path))
-        names = {p.name for p in written}
-        assert names == {
-            "even-mobius-quartic.json",
-            "halfplane-convolution-series.json",
-            "quarter-power-sextic.json",
-        }
-        quartics = json.loads((tmp_path / "even-mobius-quartic.json").read_text())
-        assert set(quartics) == {"0.25", "0.5", "0.75"}
-        assert len(quartics["0.5"]) == 5
-
-    def test_fixtures_verb(self, tmp_path, capsys):
-        assert main(["fixtures", "--outdir", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "quarter-power-sextic.json" in out
