@@ -24,7 +24,7 @@ def main() -> int:
     parser.add_argument(
         "--skip-curves",
         action="store_true",
-        help="write report.json only (curves dominate the runtime)",
+        help="write report.json only (skips samples.csv and the SVGs)",
     )
     args = parser.parse_args()
 

@@ -18,7 +18,7 @@ end to end and falls back to grid evaluation when the structure is absent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -604,8 +604,10 @@ class DiskGrid:
             [F.on_circle(r, self.angles_per_ring) for r in self.radii]
         )
 
+    @lru_cache(maxsize=64)
     def capped(self, r_max: float) -> "DiskGrid":
-        """The sub-grid of rings with radius <= r_max (at least one ring)."""
+        """The sub-grid of rings with radius <= r_max (at least one ring),
+        memoised so each run builds it, and its points, once."""
         kept = tuple(r for r in self.radii if r <= r_max + 1e-12)
         if not kept:
             kept = (float(r_max),)
@@ -692,105 +694,68 @@ def certify_bounded(r: RationalFunction, grid: DiskGrid = _DEFAULT_GRID) -> Boun
     Path 2: same shape, but core is itself a unimodular multiple of its own
     adjoint.  Then core/core* is a constant of modulus 1 and the function
     collapses to a rotation of z**k, bounded whenever k >= 1.  This covers
-    the boundary cases where core's zeros sit exactly on the circle.
+    the boundary cases where core's zeros sit exactly on the circle, and
+    holds whether or not the zero count succeeded.
 
-    Otherwise, and also when the zero count itself fails, the verdict
-    rests on the values at grid.points only: above 1 + GRID_ATOL is a
-    witnessed excursion ("exceeds"); anything else is "indeterminate",
-    never a certificate.
+    Otherwise the verdict rests on the values at grid.points only: above
+    1 + GRID_ATOL is a witnessed excursion ("exceeds"); anything else is
+    "indeterminate", never a certificate.
     """
+    k, c, shape, zero_report, verdict = 0, None, "zero", None, None
     if r.num.is_zero:
-        return BoundednessReport(
-            verdict="certified",
-            method="trivial",
-            shape="zero",
-            monomial_power=0,
-            shape_constant=None,
-            zero_report=None,
-            grid_max=0.0,
-            boundary_tight=False,
-            note="identically zero",
-        )
-    grid_max, pole = _grid_scan(r, grid)
-    boundary_tight = grid_max >= 1.0 - GRID_ATOL
-    k, core = _strip_monomial(r.num)
-    c = _proportionality(reciprocal_adjoint(core), r.den)
-    blaschke = c is not None and abs(abs(c) - 1.0) <= UNIMODULAR_ATOL
-    shape = "blaschke" if blaschke else "generic"
-    zero_report = None
-    detail = "numeric-only: no Blaschke shape detected"
-    if blaschke:
+        grid_max, pole = 0.0, False
+        verdict, method, note = "certified", "trivial", "identically zero"
+    else:
+        grid_max, pole = _grid_scan(r, grid)
+        k, core = _strip_monomial(r.num)
+        adjoint = reciprocal_adjoint(core)
+        c = _proportionality(adjoint, r.den)
+        blaschke = c is not None and abs(abs(c) - 1.0) <= UNIMODULAR_ATOL
+        shape = "blaschke" if blaschke else "generic"
+        detail = "numeric-only: no Blaschke shape detected"
+    if shape == "blaschke":
         try:
             zero_report = count_zeros_in_disk(core)
         except NumericFailure as exc:
             # The root oracle could not vouch for the zeros (clustered
-            # zeros defeat it), so no structural argument is left.
+            # zeros defeat it), so the count proves nothing.
             detail = f"zero count of the core failed: {exc}"
-    if zero_report is not None:
-        if zero_report.all_inside and k + zero_report.total >= 1:
-            return BoundednessReport(
-                verdict="certified",
-                method=zero_report.method,
-                shape="blaschke",
-                monomial_power=k,
-                shape_constant=c,
-                zero_report=zero_report,
-                grid_max=grid_max,
-                boundary_tight=boundary_tight,
-                note=f"finite Blaschke product of degree {k + zero_report.total}",
-            )
-        lam = _proportionality(core, reciprocal_adjoint(core))
-        if lam is not None and abs(abs(lam) - 1.0) <= UNIMODULAR_ATOL and k >= 1:
-            return BoundednessReport(
-                verdict="certified",
-                method="self-inversive",
-                shape="blaschke",
-                monomial_power=k,
-                shape_constant=c,
-                zero_report=zero_report,
-                grid_max=grid_max,
-                boundary_tight=boundary_tight,
-                note=(
+        else:
+            if zero_report.all_inside and k + zero_report.total >= 1:
+                verdict, method = "certified", zero_report.method
+                note = f"finite Blaschke product of degree {k + zero_report.total}"
+            else:
+                detail = (
+                    f"{zero_report.on_circle} zero(s) on the circle, "
+                    f"{zero_report.outside} outside; no structural cancellation found"
+                )
+        if verdict is None and k >= 1:
+            lam = _proportionality(core, adjoint)
+            if lam is not None and abs(abs(lam) - 1.0) <= UNIMODULAR_ATOL:
+                verdict, method = "certified", "self-inversive"
+                note = (
                     "core equals a unimodular multiple of its own adjoint; "
                     f"the quotient collapses to a rotation of z**{k}"
-                ),
-            )
-        detail = (
-            f"{zero_report.on_circle} zero(s) on the circle, "
-            f"{zero_report.outside} outside; no structural cancellation found"
-        )
-    if pole:
-        return BoundednessReport(
-            verdict="indeterminate",
-            method="grid",
-            shape=shape,
-            monomial_power=k,
-            shape_constant=c,
-            zero_report=zero_report,
-            grid_max=grid_max,
-            boundary_tight=boundary_tight,
-            note="denominator vanishes on the sample grid; certificate withheld",
-        )
-    if grid_max > 1.0 + GRID_ATOL:
-        return BoundednessReport(
-            verdict="exceeds",
-            method="grid",
-            shape=shape,
-            monomial_power=k,
-            shape_constant=c,
-            zero_report=zero_report,
-            grid_max=grid_max,
-            boundary_tight=boundary_tight,
-            note=f"grid maximum {grid_max:.6g} exceeds 1; {detail}",
-        )
+                )
+    if verdict is None:
+        method = "grid"
+        if pole:
+            verdict = "indeterminate"
+            note = "denominator vanishes on the sample grid; certificate withheld"
+        elif grid_max > 1.0 + GRID_ATOL:
+            verdict = "exceeds"
+            note = f"grid maximum {grid_max:.6g} exceeds 1; {detail}"
+        else:
+            verdict = "indeterminate"
+            note = f"grid maximum {grid_max:.6g} stays at or below 1 but proves nothing; {detail}"
     return BoundednessReport(
-        verdict="indeterminate",
-        method="grid",
+        verdict=verdict,
+        method=method,
         shape=shape,
         monomial_power=k,
         shape_constant=c,
         zero_report=zero_report,
         grid_max=grid_max,
-        boundary_tight=boundary_tight,
-        note=f"grid maximum {grid_max:.6g} stays at or below 1 but proves nothing; {detail}",
+        boundary_tight=grid_max >= 1.0 - GRID_ATOL,
+        note=note,
     )

@@ -1,12 +1,11 @@
 """Polynomials over the complex numbers and unit-disk zero counting.
 
 Coefficients are kept in ascending order, so ``coeffs[k]`` multiplies
-``z**k``.  The counting routine drives a Schur-Cohn style reduction chain:
-each applicable step strips exactly one zero from inside the unit disk and
-preserves zeros sitting on the circle, so a chain that runs all the way
-down to a constant certifies that every zero lies strictly inside.  When a
-step is inapplicable (leading/trailing modulus tie or reversal) the count
-falls back to an explicit simultaneous root iteration.
+``z**k``.  The counting routine is the Schur-Cohn reduction chain: each
+step strips exactly one zero from one side of the unit circle and keeps
+zeros on it, and a reversed step goes on with the reciprocal adjoint, so
+the chain counts both sides.  Only a tie (or a degree collapse from
+trimming) falls back to an explicit simultaneous root iteration.
 """
 
 from __future__ import annotations
@@ -186,10 +185,11 @@ def cohn_reduce(p: ComplexPolynomial) -> ComplexPolynomial:
 class ZeroCountReport:
     """Where the zeros of a polynomial sit relative to the unit circle.
 
-    ``chain`` records the successive reduction outputs.  When the chain ran
-    to completion (``degenerate`` False) its length equals ``inside`` and
-    each entry drops the degree by exactly one; on a fallback it holds
-    whatever prefix succeeded before the step that refused.
+    ``chain`` records the successive reduction outputs.  A complete chain
+    (``degenerate`` False, method "cohn-chain") has length ``total``: each
+    entry drops the degree by exactly one, and the counts are proved.  On
+    a tie or a degree collapse the counts come from the root oracle
+    (method "roots") and the chain holds whatever prefix succeeded.
     """
 
     total: int
@@ -266,44 +266,55 @@ def _classify(moduli: np.ndarray) -> tuple[int, int]:
     return inside, on
 
 
-def count_zeros_in_disk(p: ComplexPolynomial) -> ZeroCountReport:
-    """Count zeros inside / on the unit circle, certified when possible.
+def _unit_scaled(p: ComplexPolynomial) -> ComplexPolynomial:
+    """p / max|c_k|: the same zeros, with coefficients of modulus <= 1."""
+    scale = max(abs(c) for c in p.coeffs)
+    return ComplexPolynomial(c / scale for c in p.coeffs)
 
-    Runs the reduction chain first.  A chain reaching a nonzero constant
-    in exactly deg(p) steps proves every zero is strictly inside (method
-    "cohn-chain", no floating root-finding involved beyond coefficient
-    arithmetic).  Any other outcome falls back to the root oracle applied
-    to the original polynomial, classifying root moduli against the
-    circle with CIRCLE_ATOL.
+
+def count_zeros_in_disk(p: ComplexPolynomial) -> ZeroCountReport:
+    """Count zeros inside / on the unit circle, proved when possible.
+
+    Runs the Schur-Cohn chain: each step strips one zero from the side of
+    the circle being counted, and a clear reversal (|a_0| > |a_n|) goes on
+    with the reciprocal adjoint, whose inside zeros are the current outside
+    ones.  A chain reaching a nonzero constant in exactly deg(p) steps
+    proves both counts and that no zero lies on the circle (method
+    "cohn-chain").  Only a tie, or trimming that collapses the degree
+    faster than one per step, falls back to the root oracle on the
+    original polynomial, with CIRCLE_ATOL deciding "on the circle".
     """
     if p.is_zero:
         raise ValueError("zero polynomial has no zero count")
     total = p.degree
     cur = p
     chain: list[ComplexPolynomial] = []
+    inside = reversals = 0
     while cur.degree >= 1:
         try:
-            cur = cohn_reduce(cur)
-        except ReductionNotApplicable:
-            break
+            nxt = cohn_reduce(cur)
+        except ReductionNotApplicable as exc:
+            if exc.tie:
+                break
+            reversals += 1
+            cur = _unit_scaled(reciprocal_adjoint(cur))
+            continue
+        # Unscaled, the coefficient scale squares per step; scaling only
+        # past a reversal keeps the tie decisions of reversal-free chains.
+        cur = _unit_scaled(nxt) if reversals else nxt
         chain.append(cur)
-    if cur.degree == 0 and len(chain) == total:
-        return ZeroCountReport(
-            total=total,
-            inside=total,
-            on_circle=0,
-            method="cohn-chain",
-            chain=tuple(chain),
-            degenerate=False,
-        )
-    # A step refused, or trimming collapsed the degree faster than one per
-    # step: the chain proves nothing further, so count the original's roots.
-    inside, on = _classify(np.abs(roots(p)))
+        inside += reversals % 2 == 0
+    degenerate = not (cur.degree == 0 and len(chain) == total)
+    on = 0
+    if degenerate:
+        # A step tied, or trimming collapsed the degree faster than one per
+        # step: the chain proves nothing further, so count the original's roots.
+        inside, on = _classify(np.abs(roots(p)))
     return ZeroCountReport(
         total=total,
         inside=inside,
         on_circle=on,
-        method="roots",
+        method="roots" if degenerate else "cohn-chain",
         chain=tuple(chain),
-        degenerate=True,
+        degenerate=degenerate,
     )

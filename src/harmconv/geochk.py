@@ -27,7 +27,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import convo
-from .convo import BoundednessReport, DiskGrid, RationalFunction
+from .convo import GRID_ATOL, BoundednessReport, DiskGrid, RationalFunction
 from .cpoly import ComplexPolynomial, NumericFailure, roots
 from .hmap import (
     FAMILY_ALPHA_MAX,
@@ -53,7 +53,8 @@ CURVE_LADDER = ((0.95, 384), (0.9, 256), (0.98, 1024))
 SWEEP_LEVELS = 256
 LEVEL_TIE_ATOL = 1e-9
 HP_VANISH_ATOL = 1e-12
-TIGHT_ATOL = 1e-9
+# Slack on a hypothesis edge: a parameter within it lies on the edge.
+EDGE_ATOL = 1e-12
 
 
 def hengartner_schober(F, grid: DiskGrid) -> float:
@@ -190,14 +191,14 @@ def convex_in_direction(
     ratio = np.abs(gv) / np.abs(hv)
     i = int(np.argmax(ratio))
     worst_ratio = float(ratio[i])
-    if worst_ratio > 1.0 + TIGHT_ATOL:
+    if worst_ratio > 1.0 + GRID_ATOL:
         return _withheld(
             phi,
             f"|g'/h'| = {worst_ratio:.6f} > 1 at z = {pts[i]:.6f}; not "
             "sense-preserving on the grid, convexity verdict withheld",
             complex(pts[i]),
         )
-    tight = worst_ratio >= 1.0 - TIGHT_ATOL
+    tight = worst_ratio >= 1.0 - GRID_ATOL
 
     A = f.h.subtract(f.g.scale(np.exp(2j * phi)))
     min_hs = hengartner_schober(A.scale(np.exp(1j * (math.pi / 2.0 - phi))), gate)
@@ -248,13 +249,6 @@ def _curve_evidence(
             f, phi, grid=grid, r_max=r, gate_radius=min(r, 0.95)
         )
         if rep.passed:
-            if attempts:
-                rep = replace(
-                    rep,
-                    note=rep.note
-                    + "; curves at other sampled radii wiggle (directional "
-                    "convexity is not inherited by subdisk images)",
-                )
             return rep
         attempts.append((r, rep))
     bits = []
@@ -547,7 +541,7 @@ def _t311_members(p):
 def _t22_point(p) -> Point:
     sp = SlantParams(gamma=p["gamma"], theta=p["theta"], n=p["n"], a=p["a"])
     closed = convo.monomial_convolution_dilatation(sp)
-    asserted = sp.a >= sp.a_threshold - 1e-12
+    asserted = sp.a >= sp.a_threshold - EDGE_ATOL
     note = "" if asserted else "below the monomial threshold, no claim made; "
     label = f"phi=-gamma={-sp.gamma + 0.0:g}"
     return Point(closed, _core(closed), -sp.gamma, label, asserted, note)
@@ -593,9 +587,9 @@ def _combination_point(p, w1, w2, closed, roots_of=None, asserted=True, note="")
     removable factors that can defeat the shape detector; certify the pure
     factor instead and say so.
     """
-    if p["t"] <= 1e-12:
+    if p["t"] <= EDGE_ATOL:
         closed, note = w2, note + "endpoint t=0: dilatation is omega2 itself; "
-    elif p["t"] >= 1.0 - 1e-12:
+    elif p["t"] >= 1.0 - EDGE_ATOL:
         closed, note = w1, note + "endpoint t=1: dilatation is omega1 itself; "
     return Point(
         closed, roots_of, math.pi / 2.0, "phi=pi/2", asserted, note,
@@ -614,9 +608,9 @@ def _ordered_point(p, w1, w2, closed, roots_of) -> Point:
     polynomial keeps a self-inversive factor that cancels against its
     reflection; certify the shared-target reduction, which is that
     cancellation carried out."""
-    asserted = p["alpha1"] <= p["alpha2"] + 1e-12
+    asserted = p["alpha1"] <= p["alpha2"] + EDGE_ATOL
     note = "" if asserted else "alpha1 > alpha2, outside the claimed range; "
-    if abs(p["alpha1"] - p["alpha2"]) <= 1e-12:
+    if abs(p["alpha1"] - p["alpha2"]) <= EDGE_ATOL:
         closed = convo.shared_target_combination_dilatation(w1, w2, p["t"])
         note += "equal weights: certified via the shared-target reduction; "
     return _combination_point(p, w1, w2, closed, roots_of, asserted, note)
@@ -632,11 +626,11 @@ def _t310_point(p) -> Point:
     (alpha1, w1), (alpha2, w2) = _t310_members(p)
     if p["variant"] == 1:
         closed = convo.adjacent_negative_cubic(alpha1, alpha2, p["t"])
-        asserted = alpha1 < alpha2 - 1e-12
+        asserted = alpha1 < alpha2 - EDGE_ATOL
         reason = "needs alpha1 < alpha2 strictly; "
     else:
         closed = convo.adjacent_positive_quartic(alpha1, alpha2, p["t"])
-        asserted = abs(alpha1) > abs(alpha2) + 1e-12 and alpha1 * alpha2 > 1e-12
+        asserted = abs(alpha1) > abs(alpha2) + EDGE_ATOL and alpha1 * alpha2 > EDGE_ATOL
         reason = "needs |alpha1| > |alpha2| and alpha1*alpha2 > 0; "
     return _combination_point(
         p, w1, w2, closed, _w_poly(closed), asserted, "" if asserted else reason
@@ -867,9 +861,8 @@ def sweep_report(
     claimed hypothesis range, and all rows of the open-ended cases, carry
     verdict "exploratory" and assert nothing.
 
-    order governs the series-identity checks; the curve instrument picks
-    its own truncation per CURVE_LADDER rung (never below order), since the
-    radii it samples need orders the identity checks do not.
+    order only floors the truncation of each CURVE_LADDER rung, which
+    otherwise uses the rung's own minimum order.
     """
     key, spec = _case(case)
     grid = grid if grid is not None else DiskGrid()

@@ -44,6 +44,14 @@ class ConfigError(ValueError):
     """Invalid run configuration; the message says what to change."""
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Malformed command lines raise ConfigError (exit 1), not argparse's
+    exit 2, which means a failed row.  Subparsers inherit the class."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     case: str
@@ -289,7 +297,7 @@ def _glue_negative_values(argv: list[str]) -> list[str]:
 
 def _build_parser() -> argparse.ArgumentParser:
     case_lines = "\n".join(f"  {cid:<6} {CASES[cid].blurb}" for cid in CASE_IDS)
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="harmconv",
         description="numerically certify convolution and combination "
         "constructions on planar harmonic mappings",
@@ -377,10 +385,8 @@ def _config_from_args(args) -> RunConfig:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
-    args = parser.parse_args(_glue_negative_values(argv))
-
     try:
+        args = _build_parser().parse_args(_glue_negative_values(argv))
         config = _config_from_args(args)
         code = run(config)
     except ConfigError as exc:

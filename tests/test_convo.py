@@ -453,6 +453,17 @@ class TestCertifyBounded:
         rep = certify_bounded(w)
         assert rep.certified and rep.method == "self-inversive"
 
+    def test_self_inversive_certified_without_zero_count(self, monkeypatch):
+        def fail(p):
+            raise NumericFailure("root residual exceeds tolerance")
+
+        monkeypatch.setattr(convo, "count_zeros_in_disk", fail)
+        p = ComplexPolynomial([1.0, 0.7, 1.0])
+        w = RationalFunction(p * ComplexPolynomial([0.0, 1.0]), reciprocal_adjoint(p))
+        rep = certify_bounded(w)
+        assert rep.certified and rep.method == "self-inversive"
+        assert rep.zero_report is None
+
     def test_grid_max_scans_the_given_grid(self):
         grid = DiskGrid((0.5,), 8)
         r = rational([0.3, 1.0, 0.2j], [1.0, -0.4])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from harmconv import cpoly
 from harmconv.cpoly import (
     ComplexPolynomial,
     NumericFailure,
@@ -207,7 +208,28 @@ class TestCountZeros:
         assert report.inside == len(ins)
         assert report.outside == len(outs)
         assert report.on_circle == 0
-        assert report.degenerate
+        assert report.degenerate == (report.method == "roots")
+
+    @pytest.mark.parametrize(
+        "rts",
+        [
+            [0.3, 2.0],
+            # unscaled, the flipped chain overflows on these moduli
+            np.array([0.6352, 2.7838, 0.5614, 1.2807, 1.9574, 2.8041, 3.4897, 0.5629])
+            * np.exp(1j * np.array([2.2673, 4.6308, 0.4969, 0.8006, 1.2681, 5.1821, 1.0984, 2.7817])),
+        ],
+    )
+    def test_mixed_counts_proved_by_chain_alone(self, rts, monkeypatch):
+        def no_oracle(p):
+            raise AssertionError("a reversal must not reach the root oracle")
+
+        monkeypatch.setattr(cpoly, "roots", no_oracle)
+        rts = np.asarray(rts, dtype=complex)
+        report = count_zeros_in_disk(from_roots(rts))
+        assert report.method == "cohn-chain" and not report.degenerate
+        assert len(report.chain) == report.total == len(rts)
+        assert report.inside == int(np.sum(np.abs(rts) < 1.0))
+        assert report.outside == int(np.sum(np.abs(rts) > 1.0))
 
     def test_circle_zero_detected(self):
         report = count_zeros_in_disk(from_roots([1.0, 0.3]))

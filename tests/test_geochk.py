@@ -53,6 +53,10 @@ class TestDiskGrid:
         # capping below the innermost ring falls back to a single ring
         assert g.capped(0.1).radii == (0.1,)
 
+    def test_capped_grid_is_built_once(self):
+        g = DiskGrid()
+        assert g.capped(0.95) is g.capped(0.95)
+
 
 class TestInstruments:
     def test_hengartner_schober_of_identity(self):

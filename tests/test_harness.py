@@ -142,6 +142,23 @@ class TestMainExitCodes:
         assert main(["verify"]) == 1
         assert "no case id" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "t2.3", "--bogus", "1"],
+            ["verify", "t2.3", "--a", "0.5", "--order", "abc"],
+            [],
+        ],
+    )
+    def test_malformed_command_line_is_one(self, argv, capsys):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_help_is_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--help"])
+        assert exc.value.code == 0
+
     def test_conflicting_param_styles_is_one(self, capsys):
         code = main(["verify", "t2.5", "--a", "0.5", "--a-range", "0:1:0.5"])
         assert code == 1
