@@ -23,7 +23,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from harmconv.convo import RationalFunction
 from harmconv.cpoly import ComplexPolynomial
-from harmconv.hmap import FAMILY_ALPHA_MAX
+from harmconv.hmap import EDGE_ATOL, FAMILY_ALPHA_MAX
 from harmconv.series import family_sum_polynomials
 
 
@@ -58,7 +58,7 @@ def main() -> int:
         cells = "".join(
             f"{functional_min(float(alpha), n, radii, args.angles):+12.4e} " for n in ns
         )
-        tag = "" if abs(alpha) <= FAMILY_ALPHA_MAX + 1e-12 else "  (outside interval)"
+        tag = "" if abs(alpha) <= FAMILY_ALPHA_MAX + EDGE_ATOL else "  (outside interval)"
         print(f"  {alpha:+.4f} {cells}{tag}")
     return 0
 

@@ -13,14 +13,14 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from harmconv.geochk import CASE_IDS
+from harmconv.geochk import CASE_IDS, DEFAULT_ORDER
 from harmconv.harness import RunConfig, run
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="artifacts", help="artifact tree root")
-    parser.add_argument("--order", "-N", type=int, default=128)
+    parser.add_argument("--order", "-N", type=int, default=DEFAULT_ORDER)
     parser.add_argument(
         "--skip-curves",
         action="store_true",

@@ -130,10 +130,6 @@ class ComplexPolynomial:
     def derivative(self) -> "ComplexPolynomial":
         return ComplexPolynomial(k * c for k, c in enumerate(self.coeffs) if k)
 
-    def rotate(self, lam: complex) -> "ComplexPolynomial":
-        """Return p(lam * z), i.e. coefficient k scaled by lam**k."""
-        return ComplexPolynomial(c * complex(lam) ** k for k, c in enumerate(self.coeffs))
-
     def compose_power(self, m: int) -> "ComplexPolynomial":
         """Return p(z**m), spreading coefficient k to index m*k."""
         if m < 1:
@@ -186,7 +182,7 @@ class ZeroCountReport:
     """Where the zeros of a polynomial sit relative to the unit circle.
 
     ``chain`` records the successive reduction outputs.  A complete chain
-    (``degenerate`` False, method "cohn-chain") has length ``total``: each
+    (method "cohn-chain") has length ``total``: each
     entry drops the degree by exactly one, and the counts are proved.  On
     a tie or a degree collapse the counts come from the root oracle
     (method "roots") and the chain holds whatever prefix succeeded.
@@ -197,7 +193,6 @@ class ZeroCountReport:
     on_circle: int
     method: str  # "cohn-chain" or "roots"
     chain: tuple[ComplexPolynomial, ...]
-    degenerate: bool
 
     @property
     def outside(self) -> int:
@@ -208,19 +203,16 @@ class ZeroCountReport:
         return self.inside == self.total
 
 
-def roots(
-    p: ComplexPolynomial,
-    tol: float = DK_RESIDUAL_RTOL,
-    max_iter: int = DK_MAX_ITER,
-) -> np.ndarray:
+def roots(p: ComplexPolynomial) -> np.ndarray:
     """All zeros, by simultaneous Durand-Kerner iteration.
 
     Exact zero coefficients at the low end are factored out first (those
-    are zeros at the origin).  The iteration runs with Jacobi updates from
-    guesses spread on a circle of radius 1 + max|c_k/c_n|, offset by 0.4
-    radians so no guess starts on the real axis.  Acceptance is a backward
-    error test: |p(z)| must not exceed tol * sum|c_k||z|^k; violating
-    roots raise NumericFailure with the best iterate attached.
+    are zeros at the origin).  The iteration runs at most DK_MAX_ITER Jacobi
+    updates from guesses spread on a circle of radius 1 + max|c_k/c_n|,
+    offset by 0.4 radians so no guess starts on the real axis.  Acceptance
+    is a backward error test: |p(z)| must not exceed DK_RESIDUAL_RTOL *
+    sum|c_k||z|^k; violating roots raise NumericFailure with the best
+    iterate attached.
     """
     if p.degree < 1:
         return np.zeros(0, dtype=complex)
@@ -237,7 +229,7 @@ def roots(
     radius = 1.0 + float(np.max(np.abs(monic[:-1])))
     guess = radius * np.exp(1j * (2.0 * np.pi * np.arange(n) / n + 0.4))
     desc = monic[::-1]
-    for _ in range(max_iter):
+    for _ in range(DK_MAX_ITER):
         diff = guess[:, None] - guess[None, :]
         np.fill_diagonal(diff, 1.0)
         denom = diff.prod(axis=1)
@@ -251,10 +243,10 @@ def roots(
             break
     resid = np.abs(np.polyval(desc, guess))
     bound = np.polyval(np.abs(monic)[::-1], np.abs(guess))
-    if np.any(resid > tol * bound):
+    if np.any(resid > DK_RESIDUAL_RTOL * bound):
         worst = float(np.max(resid / bound))
         raise NumericFailure(
-            f"root residual {worst:.3e} exceeds tolerance {tol:.1e}",
+            f"root residual {worst:.3e} exceeds tolerance {DK_RESIDUAL_RTOL:.1e}",
             best=np.concatenate([origin, guess]),
         )
     return np.concatenate([origin, guess])
@@ -316,5 +308,4 @@ def count_zeros_in_disk(p: ComplexPolynomial) -> ZeroCountReport:
         on_circle=on,
         method="roots" if degenerate else "cohn-chain",
         chain=tuple(chain),
-        degenerate=degenerate,
     )

@@ -21,15 +21,18 @@ convo.certify_bounded.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from . import convo
-from .convo import GRID_ATOL, BoundednessReport, DiskGrid, RationalFunction
+from .convo import DEFAULT_GRID, GRID_ATOL, BoundednessReport, DiskGrid, RationalFunction
 from .cpoly import ComplexPolynomial, NumericFailure, roots
 from .hmap import (
+    EDGE_ATOL,
     FAMILY_ALPHA_MAX,
     HarmonicMap,
     SlantParams,
@@ -45,6 +48,10 @@ from .hmap import (
 # the curve.  Callers holding exact representations can push r_max up.
 DEFAULT_CURVE_RADIUS = 0.9
 DEFAULT_BOUNDARY_POINTS = 4096
+IMAGE_CURVE_POINTS = 512
+# Truncation order of a run: the image curves' order, and the floor of each
+# CURVE_LADDER rung's order.
+DEFAULT_ORDER = 128
 # (radius, minimum truncation order) rungs for the sweep drivers' curve
 # checks.  Each radius is paired with an order that keeps the series tail
 # a few orders of magnitude below the curve scale even for maps whose
@@ -53,8 +60,6 @@ CURVE_LADDER = ((0.95, 384), (0.9, 256), (0.98, 1024))
 SWEEP_LEVELS = 256
 LEVEL_TIE_ATOL = 1e-9
 HP_VANISH_ATOL = 1e-12
-# Slack on a hypothesis edge: a parameter within it lies on the edge.
-EDGE_ATOL = 1e-12
 
 
 def hengartner_schober(F, grid: DiskGrid) -> float:
@@ -117,38 +122,27 @@ class ConvexityReport:
     """Outcome of the directional convexity check.
 
     passed is None when the verdict was withheld: local univalence could
-    not be confirmed on the sampled grid (univalence_failure then carries
-    the offending point), or a sample was not finite.  Otherwise passed ==
+    not be confirmed on the sampled grid (the note then names the offending
+    point), or a sample was not finite.  Otherwise passed ==
     (crossing_max <= 2), counted on the one curve Im(e^{-i phi} A) of the
     analytic reduction, which is also the height of the harmonic image.
     """
 
-    direction: float
     passed: bool | None
     crossing_max: int | None
     min_hs_value: float | None
-    boundary_tight: bool = False
-    univalence_failure: complex | None = None
     note: str = ""
 
 
-def _withheld(phi: float, note: str, point: complex | None = None) -> ConvexityReport:
-    return ConvexityReport(
-        direction=phi,
-        passed=None,
-        crossing_max=None,
-        min_hs_value=None,
-        univalence_failure=point,
-        note=note,
-    )
+def _withheld(note: str) -> ConvexityReport:
+    return ConvexityReport(passed=None, crossing_max=None, min_hs_value=None, note=note)
 
 
 def convex_in_direction(
     f: HarmonicMap,
     phi: float,
-    grid: DiskGrid | None = None,
+    grid: DiskGrid = DEFAULT_GRID,
     r_max: float = DEFAULT_CURVE_RADIUS,
-    n_boundary: int = DEFAULT_BOUNDARY_POINTS,
     gate_radius: float | None = None,
 ) -> ConvexityReport:
     """Check convexity of the image of |z| < r_max in the direction phi.
@@ -158,7 +152,7 @@ def convex_in_direction(
     A = h - e^{2i phi} g have the same height:
     Im(e^{-i phi} f) = Im(e^{-i phi} h) - Im(e^{i phi} g) = Im(e^{-i phi} A),
     the shear identity of Clunie and Sheil-Small.  So only A is sampled, at
-    n_boundary points on |z| = r_max, and swept with SWEEP_LEVELS
+    DEFAULT_BOUNDARY_POINTS points on |z| = r_max, and swept with SWEEP_LEVELS
     horizontal levels.  A closed curve bounding a region convex in that
     direction meets each line at most twice.
 
@@ -170,57 +164,44 @@ def convex_in_direction(
     a safer ring.  Gate rings and the boundary circle are evaluated by FFT
     (PowerSeries.on_circle); the Hengartner-Schober minimum stays on Horner.
     """
-    grid = grid if grid is not None else DiskGrid()
     gate = grid.capped(r_max if gate_radius is None else gate_radius)
     pts = gate.points
     hv = gate.sample(f.h.differentiate())
     gv = gate.sample(f.g.differentiate())
     if not (np.isfinite(hv).all() and np.isfinite(gv).all()):
-        return _withheld(
-            phi, "non-finite h' or g' samples on the grid, convexity verdict withheld"
-        )
+        return _withheld("non-finite h' or g' samples on the grid, convexity verdict withheld")
     small = np.abs(hv) < HP_VANISH_ATOL
     if small.any():
         i = int(np.argmax(small))
         return _withheld(
-            phi,
             f"|h'| = {abs(hv[i]):.3e} at z = {pts[i]:.6f}; local "
-            "univalence unresolved, convexity verdict withheld",
-            complex(pts[i]),
+            "univalence unresolved, convexity verdict withheld"
         )
     ratio = np.abs(gv) / np.abs(hv)
     i = int(np.argmax(ratio))
     worst_ratio = float(ratio[i])
     if worst_ratio > 1.0 + GRID_ATOL:
         return _withheld(
-            phi,
             f"|g'/h'| = {worst_ratio:.6f} > 1 at z = {pts[i]:.6f}; not "
-            "sense-preserving on the grid, convexity verdict withheld",
-            complex(pts[i]),
+            "sense-preserving on the grid, convexity verdict withheld"
         )
-    tight = worst_ratio >= 1.0 - GRID_ATOL
 
     A = f.h.subtract(f.g.scale(np.exp(2j * phi)))
     min_hs = hengartner_schober(A.scale(np.exp(1j * (math.pi / 2.0 - phi))), gate)
-    ys = (A.on_circle(r_max, n_boundary) * np.exp(-1j * phi)).imag
+    ys = (A.on_circle(r_max, DEFAULT_BOUNDARY_POINTS) * np.exp(-1j * phi)).imag
     if not (math.isfinite(min_hs) and np.isfinite(ys).all()):
         return _withheld(
-            phi,
             "non-finite boundary or Hengartner-Schober samples, convexity "
-            "verdict withheld",
+            "verdict withheld"
         )
     _, counts = line_crossing_counts(ys)
     crossing_max = int(counts.max())
-    note = f"sampled at {n_boundary} boundary points on |z| = {r_max:g}; evidence, not proof"
-    if tight:
-        note += "; dilatation modulus is boundary-tight on the grid"
     return ConvexityReport(
-        direction=phi,
         passed=crossing_max <= 2,
         crossing_max=crossing_max,
         min_hs_value=min_hs,
-        boundary_tight=tight,
-        note=note,
+        note=f"sampled at {DEFAULT_BOUNDARY_POINTS} boundary points on |z| = "
+        f"{r_max:g}; evidence, not proof",
     )
 
 
@@ -275,7 +256,11 @@ def _curve_evidence(
 
 
 def _frange(lo: float, hi: float, step: float) -> list[float]:
+    """lo, lo + step, ... through hi when step divides the span (to 1e-9),
+    else up to the last value below hi; rounded to 10 decimals."""
     n = int(round((hi - lo) / step))
+    if abs(lo + n * step - hi) > 1e-9 * max(1.0, abs(hi)):
+        n = int(math.floor((hi - lo) / step + 1e-9))
     return [round(lo + k * step, 10) for k in range(n + 1)]
 
 
@@ -286,21 +271,19 @@ def _listed(val) -> list:
 
 
 def _real(name: str, v) -> float:
-    try:
-        if math.isfinite(float(v)):
-            return float(v)
-    except (TypeError, ValueError):
-        pass
-    raise ValueError(f"{name} must be a finite number, got {v}")
+    """v as a float; only a finite number (never a string or a bool, nor an
+    integer past the float range) is one."""
+    if isinstance(v, numbers.Real) and not isinstance(v, bool) and abs(v) <= sys.float_info.max:
+        return float(v)
+    raise ValueError(f"{name} must be a finite number, got {v!r}")
 
 
 def _count(name: str, v) -> int:
-    try:
-        if float(v).is_integer() and float(v) >= 1:
-            return int(float(v))
-    except (TypeError, ValueError):
-        pass
-    raise ValueError(f"{name} must be a positive integer, got {v}")
+    """v as an int; an integral float such as 2.0 counts, 2.5 or "2" does not."""
+    if isinstance(v, float) and v.is_integer() or isinstance(v, numbers.Integral):
+        if not isinstance(v, bool) and v >= 1:
+            return int(v)
+    raise ValueError(f"{name} must be a positive integer, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -330,6 +313,9 @@ class Axis:
             rows = [v if len(keys) > 1 else (v,) for v in vals]
         else:
             cols = [[self.kind(k, v) for v in _listed(params.get(k, []))] for k in keys]
+            for k, col in zip(keys, cols):
+                if k in params and not col:
+                    raise ValueError(f"{k} needs at least one value")
             size = max(len(c) for c in cols)
             if any(len(c) not in (1, size) for c in cols):
                 raise ValueError(
@@ -852,8 +838,8 @@ def sweep_report(
     case: str,
     params: Mapping | None = None,
     *,
-    order: int = 128,
-    grid: DiskGrid | None = None,
+    order: int = DEFAULT_ORDER,
+    grid: DiskGrid = DEFAULT_GRID,
 ) -> list[dict]:
     """Run one case's construction and certificates across a parameter grid.
 
@@ -865,7 +851,6 @@ def sweep_report(
     otherwise uses the rung's own minimum order.
     """
     key, spec = _case(case)
-    grid = grid if grid is not None else DiskGrid()
     cache = _MapCache()
     # Every point is set up (and its parameters validated) before any runs.
     points = [(p, spec.point(p)) for p in spec.points(dict(params or {}))]
@@ -913,16 +898,16 @@ def image_curves(
     case: str,
     rows: Sequence[Mapping],
     *,
-    order: int = 128,
-    n_points: int = 512,
-    radius: float = DEFAULT_CURVE_RADIUS,
+    order: int = DEFAULT_ORDER,
 ) -> list[tuple[str, np.ndarray]]:
-    """Sampled image curves f(radius * e^{i theta}) for verdict rows.
+    """Sampled image curves f(r e^{i theta}) for verdict rows, at
+    IMAGE_CURVE_POINTS equally spaced angles on r = DEFAULT_CURVE_RADIUS.
 
     Returns (param-id, curve) pairs in row order, for CSV and SVG export.
     """
     _, spec = _case(case)
-    zs = radius * np.exp(1j * (2.0 * math.pi) * np.arange(n_points) / n_points)
+    m = IMAGE_CURVE_POINTS
+    zs = DEFAULT_CURVE_RADIUS * np.exp(1j * (2.0 * math.pi) * np.arange(m) / m)
     cache = _MapCache()
     return [
         (row_param_id(row), spec.build(row["params"], order, cache)(zs)) for row in rows

@@ -22,15 +22,17 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .convo import DEFAULT_ANGLES_PER_RING, DEFAULT_RADII, DiskGrid
-from .geochk import CASE_IDS, CASES, image_curves, sweep_report
+from .geochk import CASE_IDS, CASES, DEFAULT_ORDER, image_curves, sweep_report
+from .geochk import _count, _frange, _real
 
 # every parameter any case accepts, in table order
 _PARAM_NAMES = tuple(dict.fromkeys(k for c in CASES.values() for k in c.parameters))
@@ -46,7 +48,7 @@ class ConfigError(ValueError):
 
 class _ArgumentParser(argparse.ArgumentParser):
     """Malformed command lines raise ConfigError (exit 1), not argparse's
-    exit 2, which means a failed row.  Subparsers inherit the class."""
+    exit 2, which means a failed row."""
 
     def error(self, message):
         raise ConfigError(message)
@@ -54,32 +56,56 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run's settings; the fields are also the config file's keys.
+    Values are checked, never coerced (128.0 is taken as 128, 128.7 or "128"
+    raise ConfigError), and case is kept stripped and lower-cased."""
+
     case: str
     params: dict = field(default_factory=dict)
-    order: int = 128
+    order: int = DEFAULT_ORDER
     radii: tuple = DEFAULT_RADII
     angles_per_ring: int = DEFAULT_ANGLES_PER_RING
     outdir: str = "."
     formats: tuple = _FORMATS
 
     def __post_init__(self):
-        if not (MIN_ORDER <= int(self.order) <= MAX_ORDER):
+        if not isinstance(self.params, dict):
+            raise ConfigError(f"params must be an object, got {self.params!r}")
+        if not isinstance(self.radii, (list, tuple)):
+            raise ConfigError(f"radii must be a list of numbers, got {self.radii!r}")
+        if not isinstance(self.formats, (list, tuple)):
+            raise ConfigError(f"formats must be a list, got {self.formats!r}")
+        if not isinstance(self.outdir, (str, os.PathLike)):
+            raise ConfigError(f"outdir must be a path, got {self.outdir!r}")
+        try:
+            checked = {
+                "case": str(self.case).strip().lower(),
+                "order": _count("order", self.order),
+                "radii": tuple(_real("radii", r) for r in self.radii),
+                "angles_per_ring": _count("angles_per_ring", self.angles_per_ring),
+                "formats": tuple(self.formats),
+            }
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
+        if not (MIN_ORDER <= self.order <= MAX_ORDER):
             raise ConfigError(
                 f"truncation order must lie in [{MIN_ORDER}, {MAX_ORDER}], got {self.order}"
             )
-        bad = sorted(set(self.formats) - set(_FORMATS))
+        bad = sorted({str(f) for f in self.formats if f not in _FORMATS})
         if bad:
             raise ConfigError(
                 f"unknown output format(s) {', '.join(bad)}; choose from {', '.join(_FORMATS)}"
             )
-        if str(self.case).strip().lower() not in CASE_IDS:
+        if self.case not in CASE_IDS:
             raise ConfigError(
                 f"unknown case id {self.case!r}; known ids: {', '.join(CASE_IDS)}"
             )
 
     def grid(self) -> DiskGrid:
         try:
-            return DiskGrid(tuple(self.radii), int(self.angles_per_ring))
+            return DiskGrid(self.radii, self.angles_per_ring)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -130,7 +156,7 @@ def _summary_note(rows) -> str:
 def _write_report(config: RunConfig, rows, path: Path):
     _dump_json(
         {
-            "case": str(config.case).strip().lower(),
+            "case": config.case,
             "config": {
                 "order": config.order,
                 "radii": list(config.radii),
@@ -212,9 +238,8 @@ def run(config: RunConfig) -> int:
     Returns the process exit code; raises ConfigError for bad input and
     lets OSError from the writes escape to the caller.
     """
-    case = str(config.case).strip().lower()
     try:
-        rows = sweep_report(case, config.params, order=config.order, grid=config.grid())
+        rows = sweep_report(config.case, config.params, order=config.order, grid=config.grid())
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -223,11 +248,11 @@ def run(config: RunConfig) -> int:
     if "json" in config.formats:
         _write_report(config, rows, outdir / "report.json")
     if "csv" in config.formats or "svg" in config.formats:
-        curves = image_curves(case, rows, order=config.order)
+        curves = image_curves(config.case, rows, order=config.order)
         if "csv" in config.formats:
             _write_samples(curves, outdir / "samples.csv")
         if "svg" in config.formats:
-            _write_svg(case, curves, outdir / f"{case}.svg")
+            _write_svg(config.case, curves, outdir / f"{config.case}.svg")
 
     verdicts = {r["verdict"] for r in rows}
     if "fail" in verdicts:
@@ -256,10 +281,7 @@ def _parse_range(text: str) -> list[float]:
         raise ConfigError(f"range step must be positive, got {step}")
     if hi < lo:
         raise ConfigError(f"range {text!r} is empty (hi < lo)")
-    count = int(round((hi - lo) / step))
-    if abs(lo + count * step - hi) > 1e-9 * max(1.0, abs(hi)):
-        count = int(math.floor((hi - lo) / step + 1e-9))
-    return [round(lo + k * step, 10) for k in range(count + 1)]
+    return _frange(lo, hi, step)
 
 
 def _parse_values(text: str) -> list[float]:
@@ -304,58 +326,47 @@ def _build_parser() -> argparse.ArgumentParser:
         epilog="cases:\n" + case_lines,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add_sweep_verb(name: str, help_text: str) -> argparse.ArgumentParser:
-        sp = sub.add_parser(
-            name,
-            help=help_text,
-            epilog="cases:\n" + case_lines,
-            formatter_class=argparse.RawDescriptionHelpFormatter,
-        )
-        sp.add_argument("case", nargs="?", help="case id (see list below)")
-        for p in _PARAM_NAMES:
-            sp.add_argument(f"--{p}", metavar="V[,V...]", help=f"explicit {p} values")
-            sp.add_argument(
-                f"--{p}-range", metavar="LO:HI:STEP", help=f"swept {p} values"
-            )
-        sp.add_argument("--order", "-N", type=int, help="series truncation order")
-        sp.add_argument("--outdir", help="artifact directory (default: .)")
-        sp.add_argument(
-            "--formats", metavar="F[,F...]", help="subset of json,csv,svg"
-        )
-        sp.add_argument("--config", metavar="PATH", help="JSON config file")
-        return sp
-
-    add_sweep_verb("verify", "run a case and assert its claimed rows")
-    add_sweep_verb("explore", "run an open-ended case; rows assert nothing")
-    add_sweep_verb("plot", "write only the curve artifacts for a case")
+    parser.add_argument(
+        "verb", choices=("verify", "explore", "plot"),
+        help="verify a case's claims, explore an open-ended case, or plot its curves only",
+    )
+    parser.add_argument("case", nargs="?", help="case id (see list below)")
+    for p in _PARAM_NAMES:
+        parser.add_argument(f"--{p}", metavar="V[,V...]", help=f"explicit {p} values")
+        parser.add_argument(f"--{p}-range", metavar="LO:HI:STEP", help=f"swept {p} values")
+    parser.add_argument("--order", "-N", type=int, help="series truncation order")
+    parser.add_argument("--outdir", help="artifact directory (default: .)")
+    parser.add_argument("--formats", metavar="F[,F...]", help="subset of json,csv,svg")
+    parser.add_argument("--config", metavar="PATH", help="JSON config file")
     return parser
 
 
 def _config_from_args(args) -> RunConfig:
-    file_cfg = {}
+    """The config file's settings, overridden by the options given; a
+    setting given nowhere keeps its RunConfig default."""
+    settings = {}
     if args.config:
         try:
-            file_cfg = json.loads(Path(args.config).read_text())
+            settings = json.loads(Path(args.config).read_text())
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-        if not isinstance(file_cfg, dict):
+        if not isinstance(settings, dict):
             raise ConfigError("config file must hold a JSON object")
-        unknown = sorted(
-            set(file_cfg)
-            - {"case", "params", "order", "radii", "angles_per_ring", "outdir", "formats"}
-        )
+        unknown = sorted(set(settings) - {f.name for f in fields(RunConfig)})
         if unknown:
             raise ConfigError(f"unknown config file key(s): {', '.join(unknown)}")
-
-    case = args.case or file_cfg.get("case")
-    if not case:
+    for key in ("case", "order", "outdir"):
+        if getattr(args, key) is not None:
+            settings[key] = getattr(args, key)
+    if not settings.get("case"):
         raise ConfigError("no case id given (positional argument or config file)")
+    if args.formats is not None:
+        settings["formats"] = [f.strip() for f in args.formats.split(",") if f.strip()]
+    config = RunConfig(**settings)
 
-    params = dict(file_cfg.get("params") or {})
+    params = {}
     for p in _PARAM_NAMES:
         vals = getattr(args, p.replace("-", "_"))
         rng = getattr(args, f"{p}_range")
@@ -365,28 +376,16 @@ def _config_from_args(args) -> RunConfig:
             params[p] = _parse_values(vals)
         elif rng is not None:
             params[p] = _parse_range(rng)
-
-    formats = file_cfg.get("formats", _FORMATS)
-    if args.formats is not None:
-        formats = [f.strip() for f in args.formats.split(",") if f.strip()]
+    changes = {"params": {**config.params, **params}} if params else {}
     if args.verb == "plot":
-        formats = [f for f in formats if f != "json"] or ["svg"]
-
-    return RunConfig(
-        case=str(case),
-        params=params,
-        order=args.order if args.order is not None else int(file_cfg.get("order", 128)),
-        radii=tuple(file_cfg.get("radii", DEFAULT_RADII)),
-        angles_per_ring=int(file_cfg.get("angles_per_ring", DEFAULT_ANGLES_PER_RING)),
-        outdir=args.outdir or file_cfg.get("outdir", "."),
-        formats=tuple(formats),
-    )
+        changes["formats"] = tuple(f for f in config.formats if f != "json") or ("svg",)
+    return replace(config, **changes) if changes else config
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = _build_parser().parse_args(_glue_negative_values(argv))
+        args = _build_parser().parse_intermixed_args(_glue_negative_values(argv))
         config = _config_from_args(args)
         code = run(config)
     except ConfigError as exc:

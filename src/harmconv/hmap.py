@@ -37,6 +37,8 @@ FAMILY_ALPHA_MAX = 2.0 * (math.sqrt(2.0) - 1.0)
 # A shear denominator 1 + e^{-2i gamma} omega(0) below this modulus means
 # the construction divides by (numerically) zero.
 SHEAR_ATOL = 1e-12
+# Slack on a hypothesis edge: a parameter within it lies on the edge.
+EDGE_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -84,7 +86,7 @@ class FamilyParams:
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"generation index n must be a positive integer, got {self.n!r}")
-        limit = FAMILY_ALPHA_MAX + 1e-12
+        limit = FAMILY_ALPHA_MAX + EDGE_ATOL
         if not -limit <= self.alpha <= limit:
             raise ValueError(
                 f"alpha={self.alpha} outside [-2(sqrt(2)-1), 2(sqrt(2)-1)] "

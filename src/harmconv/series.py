@@ -102,16 +102,6 @@ class PowerSeries:
         out.extend(c / (k + 1) for k, c in enumerate(self.coeffs))
         return PowerSeries(out)
 
-    def rotate(self, lam) -> "PowerSeries":
-        """Return the series of f(lam * z); |lam| = 1 preserves moduli."""
-        lam = complex(lam)
-        w = 1.0 + 0j
-        out = []
-        for c in self.coeffs:
-            out.append(c * w)
-            w *= lam
-        return PowerSeries(out)
-
     def evaluate(self, z):
         """Horner evaluation at a scalar or numpy array of points."""
         return horner(self.coeffs, z)

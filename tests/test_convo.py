@@ -97,28 +97,14 @@ class TestRationalFunction:
         with pytest.raises(ZeroDivisionError):
             rational([1.0], [0.0])
 
-    def test_derivative_quotient_rule(self):
-        r = rational([0.0, 1.0, 3.0], [1.0, -0.5])
-        d = r.derivative()
-        h = 1e-6
-        for z in PTS:
-            fd = (r(z + h) - r(z - h)) / (2 * h)
-            assert d(z) == pytest.approx(fd, abs=1e-7)
-
     def test_series_matches_evaluation(self):
         r = rational([1.0, 0.5j, -0.25], [1.0, -0.5, 0.125])
         s = r.series(40)
         np.testing.assert_allclose(s(PTS), r(PTS), atol=1e-11)
 
-    def test_compose_power_and_rotate(self):
+    def test_compose_power(self):
         r = rational([0.3, 1.0], [1.0, -0.3])
         np.testing.assert_allclose(r.compose_power(3)(PTS), r(PTS**3), atol=1e-13)
-        lam = np.exp(0.7j)
-        np.testing.assert_allclose(r.rotate(lam)(PTS), r(lam * PTS), atol=1e-13)
-
-    def test_scale_multiplies_numerator(self):
-        r = rational([0.0, 1.0])
-        np.testing.assert_allclose(r.scale(2j)(PTS), 2j * PTS, atol=1e-14)
 
     def test_rationals_equal_ignores_common_factors(self):
         r = rational([0.3, 1.0], [1.0, -0.3])

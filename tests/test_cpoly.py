@@ -78,12 +78,6 @@ class TestArithmetic:
         approx = (p(z0 + h) - p(z0 - h)) / (2 * h)
         assert abs(p.derivative()(z0) - approx) < 1e-5 * max(1.0, abs(approx))
 
-    @given(poly_coeffs, st.builds(complex, finite, finite))
-    def test_rotate_is_composition_with_scaling(self, a, lam):
-        p = ComplexPolynomial(a)
-        pts = 0.3 * EVAL_PTS
-        assert np.allclose(p.rotate(lam)(pts), p(lam * pts), atol=1e-8)
-
     @given(poly_coeffs, st.integers(1, 4))
     def test_compose_power_substitutes_monomial(self, a, m):
         p = ComplexPolynomial(a)
@@ -173,10 +167,12 @@ class TestRoots:
     def test_constant_has_no_roots(self):
         assert roots(ComplexPolynomial([3.0])).size == 0
 
-    def test_numeric_failure_carries_best_iterate(self):
+    def test_numeric_failure_carries_best_iterate(self, monkeypatch):
+        monkeypatch.setattr(cpoly, "DK_RESIDUAL_RTOL", 1e-30)
+        monkeypatch.setattr(cpoly, "DK_MAX_ITER", 1)
         p = from_roots([0.3, 0.6])
         with pytest.raises(NumericFailure) as exc:
-            roots(p, tol=1e-30, max_iter=1)
+            roots(p)
         assert exc.value.best is not None
 
 
@@ -188,14 +184,12 @@ class TestCountZeros:
         assert report.all_inside
         assert report.on_circle == 0
         if report.method == "cohn-chain":
-            assert not report.degenerate
             assert len(report.chain) == len(rts)
         else:
             # even with every zero interior, an intermediate reduction can
             # acquire a circle zero and stall the chain; the oracle
             # fallback must still deliver the exact count
             assert report.method == "roots"
-            assert report.degenerate
 
     @given(
         st.lists(inside_root, min_size=0, max_size=4),
@@ -208,7 +202,6 @@ class TestCountZeros:
         assert report.inside == len(ins)
         assert report.outside == len(outs)
         assert report.on_circle == 0
-        assert report.degenerate == (report.method == "roots")
 
     @pytest.mark.parametrize(
         "rts",
@@ -226,7 +219,7 @@ class TestCountZeros:
         monkeypatch.setattr(cpoly, "roots", no_oracle)
         rts = np.asarray(rts, dtype=complex)
         report = count_zeros_in_disk(from_roots(rts))
-        assert report.method == "cohn-chain" and not report.degenerate
+        assert report.method == "cohn-chain"
         assert len(report.chain) == report.total == len(rts)
         assert report.inside == int(np.sum(np.abs(rts) < 1.0))
         assert report.outside == int(np.sum(np.abs(rts) > 1.0))

@@ -159,6 +159,13 @@ class TestMainExitCodes:
             main(["verify", "--help"])
         assert exc.value.code == 0
 
+    def test_empty_value_list_is_one(self, tmp_path, capsys):
+        code = main(["verify", "t2.3", "--a", ",", "--formats", "json",
+                     "--outdir", str(tmp_path)])
+        assert code == 1
+        assert "error: a needs at least one value" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
     def test_conflicting_param_styles_is_one(self, capsys):
         code = main(["verify", "t2.5", "--a", "0.5", "--a-range", "0:1:0.5"])
         assert code == 1
@@ -256,6 +263,49 @@ class TestConfigFile:
         cfg = tmp_path / "run.json"
         cfg.write_text("{not json")
         assert main(["verify", "--config", str(cfg)]) == 1
+
+    @pytest.mark.parametrize(
+        "setting, says",
+        [
+            ({"order": 128.7}, "order must be a positive integer, got 128.7"),
+            ({"angles_per_ring": 720.9}, "angles_per_ring must be a positive integer"),
+            ({"radii": ["0.5", "0.9"]}, "radii must be a finite number, got '0.5'"),
+            ({"order": "abc"}, "order must be a positive integer, got 'abc'"),
+            ({"angles_per_ring": "x"}, "angles_per_ring must be a positive integer, got 'x'"),
+            ({"radii": 0.5}, "radii must be a list of numbers"),
+            ({"params": [1, 2]}, "params must be an object"),
+            ({"formats": "json"}, "formats must be a list"),
+            ({"outdir": 5}, "outdir must be a path"),
+            ({"radii": [10**400]}, "radii must be a finite number"),
+        ],
+        ids=["fractional-order", "fractional-angles", "string-radii", "string-order",
+             "string-angles", "scalar-radii", "list-params", "string-formats",
+             "number-outdir", "huge-radius"],
+    )
+    def test_mistyped_value_is_one(self, setting, says, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"case": "t2.5", "params": {"a": [0.5]},
+                                   "outdir": str(tmp_path), **setting}))
+        assert main(["verify", "--config", str(cfg)]) == 1
+        assert f"error: {says}" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_integral_float_is_taken_as_int(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"case": "t2.5", "params": {"a": [0.5]},
+                                   "order": 64.0, "angles_per_ring": 360.0}))
+        code = main(["verify", "--config", str(cfg), "--outdir", str(tmp_path),
+                     "--formats", "json"])
+        assert code == 0
+        config = json.loads((tmp_path / "report.json").read_text())["config"]
+        assert (config["order"], config["angles_per_ring"]) == (64, 360)
+
+    def test_empty_value_list_is_one(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"case": "t2.5", "params": {"a": []},
+                                   "formats": ["svg"]}))
+        assert main(["verify", "--config", str(cfg), "--outdir", str(tmp_path)]) == 1
+        assert "error: a needs at least one value" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

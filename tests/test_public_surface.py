@@ -1,6 +1,7 @@
 """The package's public surface: every export resolves, and names the
 reproduction no longer has stay gone from the exports and the modules."""
 
+import inspect
 from dataclasses import fields
 
 import pytest
@@ -29,6 +30,31 @@ REMOVED_ATTRIBUTES = (
     (hmap.HarmonicMap, ("to_jsonable", "from_jsonable", "normalization", "order")),
 )
 
+# methods that only tests called
+REMOVED_METHODS = (
+    (convo.RationalFunction, "derivative"),
+    (convo.RationalFunction, "rotate"),
+    (convo.RationalFunction, "scale"),
+    (cpoly.ComplexPolynomial, "rotate"),
+    (series.PowerSeries, "rotate"),
+)
+
+# parameters that only tests set to other than their default; each is now
+# a constant of its module
+REMOVED_PARAMETERS = (
+    (geochk.convex_in_direction, "n_boundary"),
+    (geochk.image_curves, "n_points"),
+    (geochk.image_curves, "radius"),
+    (cpoly.roots, "tol"),
+    (cpoly.roots, "max_iter"),
+    (convo.rationals_equal, "tol"),
+    (convo.rationals_equal, "points"),
+    (convo.rationals_equal, "radius"),
+    (convo.rationals_equal, "seed"),
+    (convo.cancel_unit_root, "z0"),
+    (convo.cancel_unit_root, "rtol"),
+)
+
 
 def test_every_export_resolves():
     missing = [name for name in harmconv.__all__ if not hasattr(harmconv, name)]
@@ -49,8 +75,38 @@ def test_removed_attributes_are_gone(cls, names):
     assert [n for n in names if hasattr(cls, n)] == []
 
 
+@pytest.mark.parametrize(
+    "cls, name", REMOVED_METHODS, ids=[f"{c.__name__}.{n}" for c, n in REMOVED_METHODS]
+)
+def test_removed_method_is_gone(cls, name):
+    assert not hasattr(cls, name)
+
+
+@pytest.mark.parametrize(
+    "fn, name", REMOVED_PARAMETERS, ids=[f"{f.__name__}-{n}" for f, n in REMOVED_PARAMETERS]
+)
+def test_removed_parameter_is_gone(fn, name):
+    assert name not in inspect.signature(fn).parameters
+
+
 def test_convexity_report_has_no_worst_line():
     assert "worst_line" not in {f.name for f in fields(geochk.ConvexityReport)}
+
+
+# report fields that only tests read
+REMOVED_FIELDS = (
+    (geochk.ConvexityReport, "direction"),
+    (geochk.ConvexityReport, "boundary_tight"),
+    (geochk.ConvexityReport, "univalence_failure"),
+    (cpoly.ZeroCountReport, "degenerate"),
+)
+
+
+@pytest.mark.parametrize(
+    "cls, name", REMOVED_FIELDS, ids=[f"{c.__name__}.{n}" for c, n in REMOVED_FIELDS]
+)
+def test_removed_report_field_is_gone(cls, name):
+    assert name not in {f.name for f in fields(cls)}
 
 
 def test_fixtures_verb_is_gone(capsys):
