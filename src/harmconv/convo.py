@@ -30,7 +30,7 @@ from .cpoly import (
     reciprocal_adjoint,
 )
 from .hmap import EDGE_ATOL, FamilyParams, HarmonicMap, SlantParams
-from .series import PowerSeries, rational_series
+from .series import PowerSeries, rational_series, ring_values
 
 # Relative tolerance for structural coefficient matches (Blaschke shape,
 # self-inversive factors).  Constructions are exact arithmetic on exact
@@ -44,6 +44,10 @@ GRID_ATOL = 1e-9
 
 DEFAULT_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99)
 DEFAULT_ANGLES_PER_RING = 720
+# A grid holds radii x angles complex values (about 17 GB at 1e8 angles on
+# the 11 default rings), so DiskGrid refuses more angles than this, 91
+# times the default, before it allocates any.
+MAX_ANGLES_PER_RING = 65536
 
 _Z = ComplexPolynomial([0.0, 1.0])
 _ONE = ComplexPolynomial([1.0])
@@ -566,6 +570,12 @@ class DiskGrid:
             raise ValueError("grid radii must be strictly increasing")
         if self.angles_per_ring < 4:
             raise ValueError("angles_per_ring must be at least 4")
+        if self.angles_per_ring > MAX_ANGLES_PER_RING:
+            raise ValueError(
+                f"angles_per_ring must be at most {MAX_ANGLES_PER_RING}, got "
+                f"{self.angles_per_ring}: the grid holds radii x angles complex "
+                "values, and more angles only refine sampled evidence"
+            )
         object.__setattr__(self, "radii", radii)
 
     @cached_property
@@ -580,10 +590,9 @@ class DiskGrid:
         return pts
 
     def sample(self, F: PowerSeries) -> np.ndarray:
-        """F at self.points, in the same order, by one FFT per ring."""
-        return np.concatenate(
-            [F.on_circle(r, self.angles_per_ring) for r in self.radii]
-        )
+        """F at self.points, in the same order, by one row-wise FFT over
+        all rings (series.ring_values)."""
+        return ring_values(F.coeffs, self.radii, self.angles_per_ring).ravel()
 
     @lru_cache(maxsize=64)
     def capped(self, r_max: float) -> "DiskGrid":

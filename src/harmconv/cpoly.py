@@ -52,8 +52,17 @@ class NumericFailure(Exception):
 
 
 def horner(coeffs, z):
-    """sum coeffs[k] * z**k by Horner's scheme, at a scalar or numpy array."""
+    """sum coeffs[k] * z**k by Horner's scheme, at a scalar or numpy array.
+
+    At an array the accumulator, a fresh array, is updated in place: the
+    same multiply and add, without a temporary per coefficient.
+    """
     acc = z * 0j
+    if isinstance(acc, np.ndarray):
+        for c in coeffs[::-1]:
+            acc *= z
+            acc += c
+        return acc
     for c in reversed(coeffs):
         acc = acc * z + c
     return acc

@@ -161,8 +161,9 @@ def convex_in_direction(
     non-finite gate value, boundary sample or Hengartner-Schober value.
     The gate uses the derivative series, which loses accuracy faster than
     the curve itself, so callers pushing r_max outward can keep the gate on
-    a safer ring.  Gate rings and the boundary circle are evaluated by FFT
-    (PowerSeries.on_circle); the Hengartner-Schober minimum stays on Horner.
+    a safer ring.  The gate rings (DiskGrid.sample, one row-wise FFT) and
+    the boundary circle (PowerSeries.on_circle) are evaluated by FFT; the
+    Hengartner-Schober minimum stays on Horner.
     """
     gate = grid.capped(r_max if gate_radius is None else gate_radius)
     pts = gate.points
@@ -212,10 +213,11 @@ def _curve_evidence(
 
     A map whose full-disk image is convex in a direction can still have
     subdisk images that are not: the half-plane convolution at a = 0.95
-    with omega = z^2 fails the two-crossing test on |z| <= 0.97 and passes
-    from 0.98 on, while the squared-Blaschke variant fails exactly on
-    [0.95, 0.98] and is clean on either side (checked against closed-form
-    curves).  So a wiggle at one interior radius is not counter-evidence.
+    has real bumps in its image curve at every radius r <= 0.99, whose
+    depth shrinks like 1 - r (checked against closed-form curves), and
+    even f_{0.5,0}, which maps onto a half-plane, has a bump 0.006 deep on
+    |z| = 0.9 in direction 0.7.  So a wiggle at one interior radius is not
+    counter-evidence.
     The ladder accepts a pass at any radius whose truncation tail is
     trusted, and an all-rung failure withholds the verdict rather than
     failing it; decisive failures must come from the algebraic side.
@@ -348,18 +350,32 @@ class Point:
 
 
 class _MapCache:
-    """Family maps are reused across t values, ladder rungs and rows."""
+    """Maps reused across t values, ladder rungs and rows of one sweep.
+
+    One cache lives as long as one sweep_report or image_curves call, never
+    longer, so repeated runs in a process rebuild their maps.
+    """
 
     def __init__(self):
         self._store: dict = {}
 
+    def _get(self, key: tuple, make: Callable[[], HarmonicMap]) -> HarmonicMap:
+        if key not in self._store:
+            self._store[key] = make()
+        return self._store[key]
+
     def family(
         self, alpha: float, n: int, omega: RationalFunction, order: int
     ) -> HarmonicMap:
-        k = (alpha, n, omega, order)
-        if k not in self._store:
-            self._store[k] = family_f_alpha_n(alpha, n, omega.series(order), order)
-        return self._store[k]
+        return self._get(
+            ("family", alpha, n, omega, order),
+            lambda: family_f_alpha_n(alpha, n, omega.series(order), order),
+        )
+
+    def extremal(self, a: float, order: int) -> HarmonicMap:
+        """f_{a,0}, the convolution partner of the half-plane and strip
+        cases."""
+        return self._get(("extremal", a, order), lambda: f_a_alpha(a, 0.0, order))
 
 
 @dataclass(frozen=True)
@@ -423,7 +439,7 @@ def _halfplane(omega):
 
     def build(p: dict, N: int, cache: _MapCache) -> HarmonicMap:
         return convo.convolve(
-            f_a_alpha(p["a"], 0.0, N),
+            cache.extremal(p["a"], N),
             slanted_halfplane(p.get("gamma", 0.0), omega(p).series(N), N),
         )
 
@@ -434,7 +450,7 @@ def _strip(omega):
     """f_{0,0} convolved with the strip map sheared by omega(params)."""
 
     def build(p: dict, N: int, cache: _MapCache) -> HarmonicMap:
-        return convo.convolve(f_a_alpha(0.0, 0.0, N), strip_map(omega(p).series(N), N))
+        return convo.convolve(cache.extremal(0.0, N), strip_map(omega(p).series(N), N))
 
     return build
 

@@ -27,6 +27,7 @@ from .series import (
     family_sum_polynomials,
     geometric,
     log_inverse,
+    monomial,
     rational_series,
 )
 
@@ -96,15 +97,6 @@ class FamilyParams:
             raise ValueError(f"combination weight t must lie in [0, 1], got {self.t}")
 
 
-def _padded(s: PowerSeries, order: int) -> PowerSeries:
-    """Truncate or zero-extend to the exact order.  Extension treats the
-    stored coefficients as exact, which is right for prescribed dilatations
-    like monomials; expanded approximations should arrive at full order."""
-    if s.order >= order:
-        return s.truncated(order)
-    return PowerSeries(s.coeffs + (0j,) * (order - s.order))
-
-
 def shear(F: PowerSeries, omega: PowerSeries, gamma: float, N: int | None = None) -> HarmonicMap:
     """Shear the analytic target F into a harmonic map with dilatation omega.
 
@@ -113,16 +105,16 @@ def shear(F: PowerSeries, omega: PowerSeries, gamma: float, N: int | None = None
     """
     if N is not None:
         F = F.truncated(min(N, F.order))
-        omega = _padded(omega, N)
+        omega = omega.padded(N)
     if abs(F.at_order(0)) > SHEAR_ATOL:
         raise ValueError(f"target must vanish at 0, got F(0)={F.at_order(0):.3e}")
     phase = complex(np.exp(-2j * gamma))
-    denom = phase * omega.coeffs[0] + 1.0
+    denom = phase * omega.at_order(0) + 1.0
     if abs(denom) <= SHEAR_ATOL:
         raise ValueError(
             "shear denominator 1 + e^{-2i gamma} omega vanishes at the origin"
         )
-    one_plus = omega.scale(phase).add(PowerSeries([1.0] + [0j] * omega.order))
+    one_plus = omega.scale(phase).add(monomial(0, omega.order))
     hp = F.differentiate().divide(one_plus)
     gp = omega.multiply(hp)
     return HarmonicMap(h=hp.integrate(), g=gp.integrate())

@@ -16,13 +16,50 @@ from .cpoly import horner
 DIVIDE_ATOL = 1e-13  # smallest |denominator constant term| we will invert
 
 
+def _product(a, b):
+    """a * b elementwise, rounded as Python's complex product rounds it.
+
+    numpy's complex multiply may fuse into FMA and move last bits, so the
+    real and imaginary parts are formed from float products instead.  Like
+    Python's, it overflows to inf and makes inf * 0 a nan without a warning.
+    """
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    with np.errstate(invalid="ignore", over="ignore"):
+        out.real = a.real * b.real - a.imag * b.imag
+        out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def ring_values(coeffs: np.ndarray, radii, m: int) -> np.ndarray:
+    """Values of sum c_k z**k at radius * e^{2 pi i j/m}, j = 0..m-1, one
+    row per radius, by one row-wise inverse FFT.
+
+    The scaled coefficients c_k radius**k are folded mod m first: the
+    root of unity e^{2 pi i j k/m} depends only on k mod m, so the fold
+    is exact and orders past m need no larger transform.
+    """
+    radii = np.asarray(radii, dtype=float)
+    n = len(coeffs)
+    folded = np.zeros((len(radii), -(-n // m) * m), dtype=complex)
+    folded[:, :n] = coeffs * radii[:, None] ** np.arange(n)
+    folded = folded.reshape(len(radii), -1, m).sum(axis=1)
+    return np.fft.ifft(folded, axis=-1) * m
+
+
 class PowerSeries:
+    """coeffs is one read-only complex128 array.  The termwise operations
+    round exactly as Python's scalar complex arithmetic does."""
+
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        self.coeffs: tuple[complex, ...] = tuple(complex(c) for c in coeffs)
-        if not self.coeffs:
+        if not isinstance(coeffs, (np.ndarray, list, tuple)):
+            coeffs = list(coeffs)
+        c = np.array(coeffs, dtype=complex)
+        if c.ndim != 1 or not c.size:
             raise ValueError("a series needs at least its constant term")
+        c.flags.writeable = False
+        self.coeffs: np.ndarray = c
 
     @property
     def order(self) -> int:
@@ -32,74 +69,93 @@ class PowerSeries:
         """Coefficient of z**k; raises past the truncation order."""
         if not 0 <= k <= self.order:
             raise IndexError(f"order {k} outside stored range 0..{self.order}")
-        return self.coeffs[k]
+        return complex(self.coeffs[k])
 
     def truncated(self, order: int) -> "PowerSeries":
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
         return PowerSeries(self.coeffs[: order + 1])
 
+    def padded(self, order: int) -> "PowerSeries":
+        """Truncate or zero-extend to the exact order.  Extension treats the
+        stored coefficients as exact, which is right for prescribed
+        dilatations like monomials and for polynomial coefficient lists;
+        expanded approximations should arrive at full order."""
+        if self.order >= order:
+            return self.truncated(order)
+        c = np.zeros(order + 1, dtype=complex)
+        c[: self.order + 1] = self.coeffs
+        return PowerSeries(c)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, PowerSeries):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return bool(np.array_equal(self.coeffs, other.coeffs))
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash(tuple(self.coeffs.tolist()))
 
     def add(self, other: "PowerSeries") -> "PowerSeries":
         n = min(self.order, other.order)
-        return PowerSeries(
-            a + b for a, b in zip(self.coeffs[: n + 1], other.coeffs[: n + 1])
-        )
+        return PowerSeries(self.coeffs[: n + 1] + other.coeffs[: n + 1])
 
     def subtract(self, other: "PowerSeries") -> "PowerSeries":
         return self.add(other.scale(-1.0))
 
     def scale(self, c) -> "PowerSeries":
-        c = complex(c)
-        return PowerSeries(c * a for a in self.coeffs)
+        return PowerSeries(_product(self.coeffs, complex(c)))
 
     def multiply(self, other: "PowerSeries") -> "PowerSeries":
         """Cauchy product, truncated to the smaller operand order."""
         n = min(self.order, other.order)
-        a = np.asarray(self.coeffs[: n + 1])
-        b = np.asarray(other.coeffs[: n + 1])
-        return PowerSeries(np.convolve(a, b)[: n + 1])
+        return PowerSeries(
+            np.convolve(self.coeffs[: n + 1], other.coeffs[: n + 1])[: n + 1]
+        )
 
     def divide(self, other: "PowerSeries") -> "PowerSeries":
-        """Long division self/other; needs |other(0)| > DIVIDE_ATOL."""
+        """Long division self/other; needs |other(0)| > DIVIDE_ATOL.
+
+        q is filled back to front in qr (qr[n - k] = q[k]), so the reversed
+        prefix q[k-1], ..., q[0] is the contiguous tail qr[n-k+1:] and each
+        step is one full-length dot product with no reversed copy.
+        """
         n = min(self.order, other.order)
-        b0 = other.coeffs[0]
+        b0 = complex(other.coeffs[0])
         if abs(b0) <= DIVIDE_ATOL:
             raise ZeroDivisionError(
                 f"series division needs |b_0| > {DIVIDE_ATOL:g}, got {abs(b0):.3e}"
             )
-        a = np.asarray(self.coeffs[: n + 1])
-        b = np.asarray(other.coeffs[: n + 1])
-        q = np.empty(n + 1, dtype=complex)
-        q[0] = a[0] / b0
+        a, b = self.coeffs, other.coeffs
+        qr = np.empty(n + 1, dtype=complex)
+        qr[n] = a[0] / b0
         for k in range(1, n + 1):
-            q[k] = (a[k] - np.dot(b[1 : k + 1], q[:k][::-1])) / b0
-        return PowerSeries(q)
+            qr[n - k] = (a[k] - np.dot(b[1 : k + 1], qr[n - k + 1 :])) / b0
+        return PowerSeries(qr[::-1])
 
     def hadamard(self, other: "PowerSeries") -> "PowerSeries":
         """Coefficientwise product.  The series sum_{k>=1} z**k acts as the
         identity on anything with zero constant term."""
         n = min(self.order, other.order)
-        return PowerSeries(
-            a * b for a, b in zip(self.coeffs[: n + 1], other.coeffs[: n + 1])
-        )
+        return PowerSeries(_product(self.coeffs[: n + 1], other.coeffs[: n + 1]))
 
     def differentiate(self) -> "PowerSeries":
         if self.order == 0:
             return PowerSeries([0j])
-        return PowerSeries(k * c for k, c in enumerate(self.coeffs) if k)
+        return PowerSeries(_product(self.coeffs[1:], np.arange(1.0, self.order + 1)))
 
     def integrate(self) -> "PowerSeries":
-        """Termwise antiderivative with zero constant term."""
-        out = [0j]
-        out.extend(c / (k + 1) for k, c in enumerate(self.coeffs))
+        """Termwise antiderivative with zero constant term.
+
+        c / k for a Python complex c runs Smith's quotient with ratio 0,
+        ((re + im*0) / k, (im - re*0) / k); numpy's complex division
+        multiplies by a reciprocal instead, so the parts are divided here.
+        """
+        c = self.coeffs
+        k = np.arange(1.0, len(c) + 1)
+        out = np.zeros(len(c) + 1, dtype=complex)
+        with np.errstate(invalid="ignore"):
+            out.real[1:] = (c.real + c.imag * 0.0) / k
+            out.imag[1:] = (c.imag - c.real * 0.0) / k
         return PowerSeries(out)
 
     def evaluate(self, z):
@@ -109,18 +165,11 @@ class PowerSeries:
     __call__ = evaluate
 
     def on_circle(self, radius: float, m: int) -> np.ndarray:
-        """Values at radius * e^{2 pi i j/m}, j = 0..m-1, by one inverse FFT.
-
-        The scaled coefficients c_k radius**k are folded mod m first: the
-        root of unity e^{2 pi i j k/m} depends only on k mod m, so the fold
-        is exact and orders past m need no larger transform.
-        """
-        c = np.asarray(self.coeffs) * float(radius) ** np.arange(len(self.coeffs))
-        c = np.pad(c, (0, -len(c) % m))
-        return np.fft.ifft(c.reshape(-1, m).sum(axis=0)) * m
+        """Values at radius * e^{2 pi i j/m}, j = 0..m-1 (see ring_values)."""
+        return ring_values(self.coeffs, (radius,), m)[0]
 
     def __repr__(self) -> str:
-        return f"PowerSeries(order={self.order}, c1={self.coeffs[min(1, self.order)]:.6g})"
+        return f"PowerSeries(order={self.order}, c1={self.at_order(min(1, self.order)):.6g})"
 
 
 def monomial(k: int, order: int, coeff=1.0) -> PowerSeries:
@@ -157,12 +206,7 @@ def arctangent(order: int) -> PowerSeries:
 def rational_series(num, den, order: int) -> PowerSeries:
     """Expand num(z)/den(z), given by ascending coefficients, to the given
     order; den[0] must be invertible."""
-
-    def pad(cs):
-        cs = list(cs[: order + 1])
-        return PowerSeries(cs + [0j] * (order + 1 - len(cs)))
-
-    return pad(num).divide(pad(den))
+    return PowerSeries(num).padded(order).divide(PowerSeries(den).padded(order))
 
 
 def family_sum_polynomials(n: int, alpha: float) -> tuple[list[complex], list[complex]]:

@@ -121,8 +121,8 @@ class TestMapOperations:
         f1 = HarmonicMap(h=PowerSeries([0, 1, 2, 3]), g=PowerSeries([0, 4, 5, 6]))
         f2 = HarmonicMap(h=PowerSeries([0, 7, 8, 9]), g=PowerSeries([0, 1, -1, 1]))
         c = convolve(f1, f2)
-        assert c.h.coeffs == (0, 7, 16, 27)
-        assert c.g.coeffs == (0, 4, -5, 6)
+        np.testing.assert_array_equal(c.h.coeffs, [0, 7, 16, 27])
+        np.testing.assert_array_equal(c.g.coeffs, [0, 4, -5, 6])
 
     def test_geometric_pair_is_convolution_identity(self):
         f = f_a_alpha(0.3, 0.5, 16)

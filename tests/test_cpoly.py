@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from harmconv import cpoly
+from harmconv.convo import DiskGrid
 from harmconv.cpoly import (
     ComplexPolynomial,
     NumericFailure,
@@ -88,6 +89,43 @@ class TestArithmetic:
         p = ComplexPolynomial([1.0, -0.5j])
         assert p**3 == p * p * p
         assert (p**0).coeffs == (1.0 + 0j,)
+
+
+def temporary_horner(coeffs, z):
+    """Horner's scheme with a new accumulator per step."""
+    acc = z * 0j
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return acc
+
+
+class TestHorner:
+    POINTS = DiskGrid(radii=(0.3, 0.9), angles_per_ring=16)
+
+    @given(poly_coeffs)
+    def test_in_place_matches_the_temporary_form(self, cs):
+        for z in (self.POINTS.points, np.linspace(-1.5, 1.5, 7), EVAL_PTS):
+            got, want = cpoly.horner(cs, z), temporary_horner(cs, z)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            got = cpoly.horner(np.asarray(cs, dtype=complex), z)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_points_are_left_untouched(self):
+        pts = self.POINTS.points
+        before = pts.copy()
+        cpoly.horner((1.0, 2.0 - 1j, 0.5j), pts)
+        assert not pts.flags.writeable
+        assert np.array_equal(pts, before)
+        z = np.array([0.5, -0.25j])
+        cpoly.horner((1.0, 2.0), z)
+        np.testing.assert_array_equal(z, [0.5, -0.25j])
+
+    @pytest.mark.parametrize("z", [0.5, 0.5j, np.complex128(0.3 - 0.1j), np.float64(-2.0)])
+    def test_scalar_point(self, z):
+        got = cpoly.horner((1.0, 2.0, 3.0), z)
+        assert not isinstance(got, np.ndarray)
+        assert got == temporary_horner((1.0, 2.0, 3.0), z)
+        assert got == pytest.approx(1.0 + 2.0 * z + 3.0 * z * z)
 
 
 class TestReciprocalAdjoint:

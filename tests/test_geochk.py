@@ -5,7 +5,7 @@ for representative parameter slices of each case."""
 import numpy as np
 import pytest
 
-from harmconv import convo
+from harmconv import convo, geochk
 from harmconv.convo import convolve, mobius_power_dilatation
 from harmconv.geochk import (
     CASE_IDS,
@@ -58,6 +58,36 @@ class TestDiskGrid:
     def test_capped_grid_is_built_once(self):
         g = DiskGrid()
         assert g.capped(0.95) is g.capped(0.95)
+
+    @pytest.mark.parametrize("radii", [(0.5,), (0.2, 0.5, 0.9)])
+    @pytest.mark.parametrize("order", [5, 7, 8, 30])
+    def test_sample_is_each_rings_on_circle_bit_for_bit(self, radii, order):
+        # 8 angles per ring: orders below, at and past one fold
+        g = DiskGrid(radii=radii, angles_per_ring=8)
+        rng = np.random.default_rng(order)
+        cs = rng.normal(size=order + 1) + 1j * rng.normal(size=order + 1)
+        cs[::3] = complex(-0.0, -0.0)
+        F = PowerSeries(cs)
+        want = np.concatenate([F.on_circle(r, 8) for r in radii])
+        got = g.sample(F)
+        assert got.shape == g.points.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_sample_on_the_default_grid(self):
+        g = DiskGrid()
+        F = slanted_halfplane(0.0, monomial(2, 384), 384).h
+        want = np.concatenate([F.on_circle(r, g.angles_per_ring) for r in g.radii])
+        assert np.array_equal(g.sample(F).view(np.uint64), want.view(np.uint64))
+
+    def test_angles_per_ring_is_bounded_before_anything_is_allocated(self, monkeypatch):
+        def never(self):
+            raise AssertionError("grid points were computed")
+
+        monkeypatch.setattr(DiskGrid, "points", property(never))
+        with pytest.raises(ValueError, match="angles_per_ring must be at most 65536"):
+            DiskGrid(angles_per_ring=10**8)
+        edge = DiskGrid(radii=(0.5,), angles_per_ring=convo.MAX_ANGLES_PER_RING)
+        assert edge.angles_per_ring == 65536
 
 
 class TestInstruments:
@@ -381,6 +411,29 @@ class TestSweepReport:
         (row,) = sweep_report(case, params)
         assert row["verdict"] == "fail"
         assert says in row["note"]
+
+    def test_extremal_map_is_built_once_per_sweep(self, monkeypatch):
+        built = []
+
+        def counted(a, alpha, N):
+            built.append((a, alpha, N))
+            return f_a_alpha(a, alpha, N)
+
+        monkeypatch.setattr(geochk, "f_a_alpha", counted)
+        # three strip rows, each decided on the first rung, share f_{0,0}
+        rows = sweep_report("t2.5", {"a": [-0.5, 0.0, 0.5]})
+        assert [r["verdict"] for r in rows] == ["pass"] * 3
+        assert built == [(0.0, 0.0, geochk.CURVE_LADDER[0][1])]
+        # the cache lives for one sweep: a second sweep builds it again
+        sweep_report("t2.5", {"a": [0.5]})
+        assert len(built) == 2
+
+    def test_cached_extremal_map_is_the_built_one(self):
+        cache = _MapCache()
+        f = cache.extremal(0.3, 64)
+        assert cache.extremal(0.3, 64) is f
+        assert f == f_a_alpha(0.3, 0.0, 64)
+        assert cache.extremal(0.3, 32) == f_a_alpha(0.3, 0.0, 32)
 
     def test_rows_sorted_by_parameters(self):
         rows = sweep_report("t2.5", {"a": [0.5, -0.5, 0.0]})

@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from harmconv import harness
+from harmconv import convo, harness
 from harmconv.harness import (
     ConfigError,
     RunConfig,
@@ -263,6 +263,18 @@ class TestConfigFile:
         cfg = tmp_path / "run.json"
         cfg.write_text("{not json")
         assert main(["verify", "--config", str(cfg)]) == 1
+
+    def test_huge_angles_per_ring_is_one_before_allocating(self, tmp_path, capsys, monkeypatch):
+        touched = []
+        monkeypatch.setattr(convo.DiskGrid, "points", property(lambda self: touched.append(self)))
+        monkeypatch.setattr(convo, "ring_values", lambda *args: touched.append(args))
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"case": "t2.5", "params": {"a": [0.5]},
+                                   "outdir": str(tmp_path), "angles_per_ring": 10**8}))
+        assert main(["verify", "--config", str(cfg)]) == 1
+        assert "error: angles_per_ring must be at most 65536" in capsys.readouterr().err
+        assert touched == []
+        assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize(
         "setting, says",

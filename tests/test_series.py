@@ -3,7 +3,7 @@ coefficient product, and the named closed-form expansions."""
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harmconv.series import (
@@ -64,7 +64,7 @@ class TestBasics:
 
     def test_truncated_shortens_but_never_extends(self):
         s = PowerSeries([1.0, 2.0, 3.0])
-        assert s.truncated(1).coeffs == (1.0, 2.0)
+        np.testing.assert_array_equal(s.truncated(1).coeffs, [1.0, 2.0])
         with pytest.raises(ValueError):
             s.truncated(5)
 
@@ -146,7 +146,7 @@ class TestArithmetic:
     def test_derivative_of_geometric(self):
         # d/dz z/(1-z) has coefficients 1, 2, 3, ...
         d = geometric(6).differentiate()
-        assert d.coeffs == tuple(complex(k) for k in range(1, 7))
+        np.testing.assert_array_equal(d.coeffs, np.arange(1, 7))
 
     @given(series_coeffs)
     def test_evaluate_matches_polyval(self, cs):
@@ -171,7 +171,7 @@ class TestArithmetic:
 class TestFactories:
     def test_monomial_places_single_coefficient(self):
         m = monomial(2, 4, coeff=3.0)
-        assert m.coeffs == (0j, 0j, 3.0 + 0j, 0j, 0j)
+        np.testing.assert_array_equal(m.coeffs, [0j, 0j, 3.0 + 0j, 0j, 0j])
         with pytest.raises(ValueError):
             monomial(5, 4)
 
@@ -262,3 +262,105 @@ class TestNamedSeries:
         )
         np.testing.assert_allclose(s(SMALL_PTS), expect, atol=1e-12)
 
+
+
+# ---------------------------------------------------------------------------
+# The coefficient array against the tuple arithmetic it replaced: the same
+# operations on Python complex numbers, compared bit for bit.
+
+signed_part = st.one_of(
+    st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6, allow_nan=False)
+)
+signed_coefficient = st.builds(complex, signed_part, signed_part)
+signed_coeffs = st.lists(signed_coefficient, min_size=1, max_size=40)
+
+
+def bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=complex).view(np.uint64)
+
+
+def assert_same_bits(series, values):
+    assert np.array_equal(bits(series.coeffs), bits(values))
+
+
+def tuple_divide(a, b):
+    """Long division as it ran on tuple storage: a reversed-slice dot."""
+    n = min(len(a), len(b)) - 1
+    b0 = b[0]
+    a = np.asarray(a[: n + 1])
+    b = np.asarray(b[: n + 1])
+    q = np.empty(n + 1, dtype=complex)
+    q[0] = a[0] / b0
+    for k in range(1, n + 1):
+        q[k] = (a[k] - np.dot(b[1 : k + 1], q[:k][::-1])) / b0
+    return q
+
+
+def tuple_on_circle(coeffs, radius, m):
+    """One ring by a padded fold and a 1-d inverse FFT."""
+    c = np.asarray(coeffs) * float(radius) ** np.arange(len(coeffs))
+    c = np.pad(c, (0, -len(c) % m))
+    return np.fft.ifft(c.reshape(-1, m).sum(axis=0)) * m
+
+
+class TestArrayStorage:
+    def test_coefficients_are_one_read_only_complex_array(self):
+        s = PowerSeries([1, 2.5, 3j])
+        assert s.coeffs.dtype == np.complex128 and s.coeffs.ndim == 1
+        with pytest.raises(ValueError):
+            s.coeffs[0] = 0.0
+        assert not s.truncated(1).coeffs.flags.writeable
+        assert not s.integrate().coeffs.flags.writeable
+
+    def test_constructor_copies_its_input(self):
+        raw = np.array([1.0, 2.0, 3.0], dtype=complex)
+        s = PowerSeries(raw)
+        raw[0] = 9.0
+        assert s.at_order(0) == 1.0
+        assert s.coeffs.base is not raw
+
+    def test_constructor_takes_a_generator(self):
+        s = PowerSeries(k * 1j for k in range(3))
+        np.testing.assert_array_equal(s.coeffs, [0, 1j, 2j])
+
+    @given(signed_coeffs, signed_coeffs)
+    def test_add_and_hadamard(self, a, b):
+        n = min(len(a), len(b))
+        sa, sb = PowerSeries(a), PowerSeries(b)
+        assert_same_bits(sa.add(sb), [x + y for x, y in zip(a[:n], b[:n])])
+        assert_same_bits(sa.hadamard(sb), [x * y for x, y in zip(a[:n], b[:n])])
+
+    @given(signed_coeffs, signed_coefficient)
+    def test_scale_and_subtract(self, a, c):
+        assert_same_bits(PowerSeries(a).scale(c), [c * x for x in a])
+        assert_same_bits(PowerSeries(a).subtract(PowerSeries(a[::-1])),
+                         [x + complex(-1.0) * y for x, y in zip(a, a[::-1])])
+
+    @given(signed_coeffs)
+    def test_differentiate_and_integrate(self, a):
+        s = PowerSeries(a)
+        derived = [k * c for k, c in enumerate(a) if k] or [0j]
+        assert_same_bits(s.differentiate(), derived)
+        assert_same_bits(s.integrate(), [0j] + [c / (k + 1) for k, c in enumerate(a)])
+
+    @given(signed_coeffs, dominant_divisors())
+    def test_divide(self, a, b):
+        assert_same_bits(PowerSeries(a).divide(PowerSeries(b)), tuple_divide(a, b))
+
+    def test_divide_long_series(self):
+        rng = np.random.default_rng(17)
+        a = (rng.normal(size=300) + 1j * rng.normal(size=300)).tolist()
+        b = [3.0 + 0j] + (0.01 * rng.normal(size=299)).tolist()
+        assert_same_bits(PowerSeries(a).divide(PowerSeries(b)), tuple_divide(a, b))
+
+    @pytest.mark.parametrize("m", [8, 16])
+    @pytest.mark.parametrize("excess", [-5, -1, 0, 1, 9, 40])
+    @settings(max_examples=20)
+    @given(data=st.data())
+    def test_on_circle_keeps_the_padded_fold(self, m, excess, data):
+        # orders below, equal to and above the number of angles m
+        order = m + excess
+        cs = data.draw(st.lists(signed_coefficient, min_size=order + 1, max_size=order + 1))
+        radius = data.draw(st.sampled_from([0.1, 0.5, 0.95, 0.99]))
+        got = PowerSeries(cs).on_circle(radius, m)
+        assert np.array_equal(bits(got), bits(tuple_on_circle(cs, radius, m)))
