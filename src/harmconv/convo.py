@@ -671,8 +671,9 @@ def _grid_scan(r: RationalFunction, grid: DiskGrid) -> tuple[float, bool]:
     pole = np.abs(de) <= 1e-12 * den_scale
     if pole.all():
         return float("inf"), True
-    vals = np.abs(nu[~pole] / de[~pole])
-    return float(np.max(vals)), bool(pole.any())
+    if pole.any():
+        nu, de = nu[~pole], de[~pole]
+    return float(np.max(np.abs(nu / de))), bool(pole.any())
 
 
 def certify_bounded(r: RationalFunction, grid: DiskGrid = DEFAULT_GRID) -> BoundednessReport:

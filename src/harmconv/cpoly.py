@@ -41,30 +41,20 @@ class ReductionNotApplicable(Exception):
 
 
 class NumericFailure(Exception):
-    """The root iteration could not vouch for its output.
-
-    Carries the best iterate found so far in ``best``.
-    """
-
-    def __init__(self, message: str, best=None):
-        super().__init__(message)
-        self.best = best
+    """The root iteration could not vouch for its output."""
 
 
 def horner(coeffs, z):
     """sum coeffs[k] * z**k by Horner's scheme, at a scalar or numpy array.
 
-    At an array the accumulator, a fresh array, is updated in place: the
-    same multiply and add, without a temporary per coefficient.
+    At an array the accumulator, a fresh array, is updated in place, without
+    a temporary per coefficient; at a scalar the same statements rebind it
+    and round as acc * z + c does.
     """
     acc = z * 0j
-    if isinstance(acc, np.ndarray):
-        for c in coeffs[::-1]:
-            acc *= z
-            acc += c
-        return acc
-    for c in reversed(coeffs):
-        acc = acc * z + c
+    for c in coeffs[::-1]:
+        acc *= z
+        acc += c
     return acc
 
 
@@ -190,18 +180,18 @@ def cohn_reduce(p: ComplexPolynomial) -> ComplexPolynomial:
 class ZeroCountReport:
     """Where the zeros of a polynomial sit relative to the unit circle.
 
-    ``chain`` records the successive reduction outputs.  A complete chain
-    (method "cohn-chain") has length ``total``: each
-    entry drops the degree by exactly one, and the counts are proved.  On
-    a tie or a degree collapse the counts come from the root oracle
-    (method "roots") and the chain holds whatever prefix succeeded.
+    ``length`` counts the reduction steps taken.  A complete chain (method
+    "cohn-chain") has length ``total``: each step drops the degree by
+    exactly one, and the counts are proved.  On a tie or a degree collapse
+    the counts come from the root oracle (method "roots") and the length
+    is that of whatever prefix succeeded.
     """
 
     total: int
     inside: int
     on_circle: int
     method: str  # "cohn-chain" or "roots"
-    chain: tuple[ComplexPolynomial, ...]
+    length: int
 
     @property
     def outside(self) -> int:
@@ -220,8 +210,7 @@ def roots(p: ComplexPolynomial) -> np.ndarray:
     updates from guesses spread on a circle of radius 1 + max|c_k/c_n|,
     offset by 0.4 radians so no guess starts on the real axis.  Acceptance
     is a backward error test: |p(z)| must not exceed DK_RESIDUAL_RTOL *
-    sum|c_k||z|^k; violating roots raise NumericFailure with the best
-    iterate attached.
+    sum|c_k||z|^k; violating roots raise NumericFailure.
     """
     if p.degree < 1:
         return np.zeros(0, dtype=complex)
@@ -255,8 +244,7 @@ def roots(p: ComplexPolynomial) -> np.ndarray:
     if np.any(resid > DK_RESIDUAL_RTOL * bound):
         worst = float(np.max(resid / bound))
         raise NumericFailure(
-            f"root residual {worst:.3e} exceeds tolerance {DK_RESIDUAL_RTOL:.1e}",
-            best=np.concatenate([origin, guess]),
+            f"root residual {worst:.3e} exceeds tolerance {DK_RESIDUAL_RTOL:.1e}"
         )
     return np.concatenate([origin, guess])
 
@@ -289,8 +277,7 @@ def count_zeros_in_disk(p: ComplexPolynomial) -> ZeroCountReport:
         raise ValueError("zero polynomial has no zero count")
     total = p.degree
     cur = p
-    chain: list[ComplexPolynomial] = []
-    inside = reversals = 0
+    inside = reversals = steps = 0
     while cur.degree >= 1:
         try:
             nxt = cohn_reduce(cur)
@@ -303,9 +290,9 @@ def count_zeros_in_disk(p: ComplexPolynomial) -> ZeroCountReport:
         # Unscaled, the coefficient scale squares per step; scaling only
         # past a reversal keeps the tie decisions of reversal-free chains.
         cur = _unit_scaled(nxt) if reversals else nxt
-        chain.append(cur)
+        steps += 1
         inside += reversals % 2 == 0
-    degenerate = not (cur.degree == 0 and len(chain) == total)
+    degenerate = not (cur.degree == 0 and steps == total)
     on = 0
     if degenerate:
         # A step tied, or trimming collapsed the degree faster than one per
@@ -316,5 +303,5 @@ def count_zeros_in_disk(p: ComplexPolynomial) -> ZeroCountReport:
         inside=inside,
         on_circle=on,
         method="roots" if degenerate else "cohn-chain",
-        chain=tuple(chain),
+        length=steps,
     )

@@ -49,13 +49,12 @@ from .hmap import (
 DEFAULT_CURVE_RADIUS = 0.9
 DEFAULT_BOUNDARY_POINTS = 4096
 IMAGE_CURVE_POINTS = 512
-# Truncation order of a run: the image curves' order, and the floor of each
-# CURVE_LADDER rung's order.
+# Truncation order of the image curves; the curve ladder has its own.
 DEFAULT_ORDER = 128
-# (radius, minimum truncation order) rungs for the sweep drivers' curve
-# checks.  Each radius is paired with an order that keeps the series tail
-# a few orders of magnitude below the curve scale even for maps whose
-# coefficients grow like k^2 (the half-plane convolutions).
+# (radius, truncation order) rungs for the sweeps' curve checks.  Each
+# radius is paired with an order that keeps the series tail a few orders
+# of magnitude below the curve scale even for maps whose coefficients grow
+# like k^2 (the half-plane convolutions).
 CURVE_LADDER = ((0.95, 384), (0.9, 256), (0.98, 1024))
 SWEEP_LEVELS = 256
 LEVEL_TIE_ATOL = 1e-9
@@ -207,7 +206,7 @@ def convex_in_direction(
 
 
 def _curve_evidence(
-    build: Callable[[int], HarmonicMap], phi: float, order: int, grid: DiskGrid
+    build: Callable[[int], HarmonicMap], phi: float, grid: DiskGrid
 ) -> ConvexityReport:
     """Directional convexity evidence across the CURVE_LADDER radii.
 
@@ -222,12 +221,11 @@ def _curve_evidence(
     trusted, and an all-rung failure withholds the verdict rather than
     failing it; decisive failures must come from the algebraic side.
 
-    build(N) must return the map truncated at order N; it is called once
-    per rung with max(order, rung minimum).
+    build(N) returns the map truncated at order N, once per rung.
     """
     attempts: list[tuple[float, ConvexityReport]] = []
-    for r, min_order in CURVE_LADDER:
-        f = build(max(order, min_order))
+    for r, order in CURVE_LADDER:
+        f = build(order)
         rep = convex_in_direction(
             f, phi, grid=grid, r_max=r, gate_radius=min(r, 0.95)
         )
@@ -350,7 +348,7 @@ class Point:
 
 
 class _MapCache:
-    """Maps reused across t values, ladder rungs and rows of one sweep.
+    """Maps reused across t values and rows of one sweep.
 
     One cache lives as long as one sweep_report or image_curves call, never
     longer, so repeated runs in a process rebuild their maps.
@@ -679,9 +677,24 @@ def _t22_a(p) -> list[float]:
     return [threshold, mid, 0.95] + ([below] if below > -0.95 else [])
 
 
-def _n(*default: int) -> Axis:
-    return Axis("n", default, _count)
+def _n(most: int, *default: int) -> Axis:
+    """The n axis.  A row's cost grows fast with n, so a value above most is
+    refused before anything is built."""
 
+    def kind(name: str, v) -> int:
+        n = _count(name, v)
+        if n > most:
+            raise ValueError(f"{name} must be at most {most}, got {n}")
+        return n
+
+    return Axis("n", default, kind)
+
+
+# Largest n: the dyadic family's degree 2^(n+1) stays within twice the top
+# CURVE_LADDER order; the power cases build polynomials of degree about n,
+# and the oq2 and oq3 dilatations overflow the float range from n = 514.
+_FAMILY_N_MAX = 10
+_POWER_N_MAX = 256
 
 _THETA = Axis("theta", (0.0,))
 _T = Axis("t", (0.0, 0.25, 0.5, 0.75, 1.0))
@@ -702,7 +715,7 @@ _T310_PAIRS = Axis(
 CASES: dict[str, Case] = {
     "t2.2": Case(
         "slanted half-plane target, monomial dilatation e^{i theta} z^n",
-        (_n(1, 2, 3), Axis("gamma", (0.0,)), _THETA, Axis("a", _t22_a)),
+        (_n(_POWER_N_MAX, 1, 2, 3), Axis("gamma", (0.0,)), _THETA, Axis("a", _t22_a)),
         _halfplane(_t22_omega),
         _t22_point,
     ),
@@ -735,7 +748,7 @@ CASES: dict[str, Case] = {
     "t3.8": Case(
         "equal-weight family combinations, assorted bounded dilatations",
         (
-            _n(1, 2, 3),
+            _n(_FAMILY_N_MAX, 1, 2, 3),
             Axis("alpha", (-FAMILY_ALPHA_MAX, 0.0, FAMILY_ALPHA_MAX)),
             Axis(
                 "omega1 omega2",
@@ -749,37 +762,37 @@ CASES: dict[str, Case] = {
     ),
     "t3.9": Case(
         "family combinations with opposed monomial dilatations",
-        (_n(1, 2), _PAIRS, _T),
+        (_n(_FAMILY_N_MAX, 1, 2), _PAIRS, _T),
         _combined(_t39_members),
         _t39_point,
     ),
     "t3.10": Case(
         "family combinations with adjacent power dilatations (2 variants)",
-        (_n(1, 2), Axis("variant", (1, 2), _count), _T310_PAIRS, _T),
+        (_n(_FAMILY_N_MAX, 1, 2), Axis("variant", (1, 2), _count), _T310_PAIRS, _T),
         _combined(_t310_members),
         _t310_point,
     ),
     "t3.11": Case(
         "family combinations with quarter-power members, sextic certificate",
-        (_n(2, 3), _PAIRS, _T),
+        (_n(_FAMILY_N_MAX, 2, 3), _PAIRS, _T),
         _combined(_t311_members),
         _t311_point,
     ),
     "oq1": Case(
         "exploration: half-plane target, Moebius power dilatation",
-        (_n(3), _THETA, _A_EXPLORED, _B_EXPLORED),
+        (_n(_POWER_N_MAX, 3), _THETA, _A_EXPLORED, _B_EXPLORED),
         _halfplane(_mobius_power_b),
         _exploration_point(_mobius_power_b),
     ),
     "oq2": Case(
         "exploration: half-plane target, Blaschke power dilatation",
-        (_n(2), _THETA, _A_EXPLORED, _B_EXPLORED),
+        (_n(_POWER_N_MAX, 2), _THETA, _A_EXPLORED, _B_EXPLORED),
         _halfplane(_blaschke_power_b),
         _exploration_point(_blaschke_power_b),
     ),
     "oq3": Case(
         "exploration: strip target, Blaschke power dilatation",
-        (_n(1, 2, 3), _THETA, _A_EXPLORED),
+        (_n(_POWER_N_MAX, 1, 2, 3), _THETA, _A_EXPLORED),
         _strip(_blaschke_power_a),
         _oq3_point,
     ),
@@ -854,17 +867,14 @@ def sweep_report(
     case: str,
     params: Mapping | None = None,
     *,
-    order: int = DEFAULT_ORDER,
     grid: DiskGrid = DEFAULT_GRID,
 ) -> list[dict]:
     """Run one case's construction and certificates across a parameter grid.
 
     Returns verdict rows sorted by parameter tuple.  Rows outside a case's
     claimed hypothesis range, and all rows of the open-ended cases, carry
-    verdict "exploratory" and assert nothing.
-
-    order only floors the truncation of each CURVE_LADDER rung, which
-    otherwise uses the rung's own minimum order.
+    verdict "exploratory" and assert nothing.  Each CURVE_LADDER rung
+    builds the maps at its own truncation order.
     """
     key, spec = _case(case)
     cache = _MapCache()
@@ -873,9 +883,7 @@ def sweep_report(
     rows = []
     for p, pt in points:
         cert = convo.certify_bounded(pt.closed, grid)
-        conv = _curve_evidence(
-            lambda N: spec.build(p, N, cache), pt.phi, order, grid
-        )
+        conv = _curve_evidence(lambda N: spec.build(p, N, cache), pt.phi, grid)
         ok = _judge(cert, conv) if pt.identity else False
         note = pt.note + _describe(cert, conv, pt.phi_label)
         if pt.roots_in_w:

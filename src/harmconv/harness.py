@@ -239,7 +239,7 @@ def run(config: RunConfig) -> int:
     lets OSError from the writes escape to the caller.
     """
     try:
-        rows = sweep_report(config.case, config.params, order=config.order, grid=config.grid())
+        rows = sweep_report(config.case, config.params, grid=config.grid())
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -334,7 +334,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for p in _PARAM_NAMES:
         parser.add_argument(f"--{p}", metavar="V[,V...]", help=f"explicit {p} values")
         parser.add_argument(f"--{p}-range", metavar="LO:HI:STEP", help=f"swept {p} values")
-    parser.add_argument("--order", "-N", type=int, help="series truncation order")
+    parser.add_argument("--order", "-N", type=int, help="truncation order of the image curves")
     parser.add_argument("--outdir", help="artifact directory (default: .)")
     parser.add_argument("--formats", metavar="F[,F...]", help="subset of json,csv,svg")
     parser.add_argument("--config", metavar="PATH", help="JSON config file")

@@ -417,6 +417,15 @@ class TestCombinations:
 
 
 class TestCertifyBounded:
+    def test_grid_pole_is_masked(self):
+        # 1/(1 - 5z) has its pole at z = 0.2, a grid point
+        r = rational([1.0], [1.0, -5.0])
+        z = convo.DEFAULT_GRID.points
+        rest = z[z != 0.2]
+        assert convo._grid_scan(r, convo.DEFAULT_GRID) == (np.max(np.abs(1.0 / r.den(rest))), True)
+        rep = certify_bounded(r)
+        assert rep.verdict == "indeterminate" and "denominator vanishes" in rep.note
+
     def test_zero_function_is_trivially_certified(self):
         rep = certify_bounded(rational([0.0]))
         assert rep.certified and rep.shape == "zero"

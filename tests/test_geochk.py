@@ -347,6 +347,17 @@ class TestSweepReport:
         with pytest.raises(ValueError):
             sweep_report("t2.5", {"a": [1.2]})
 
+    @pytest.mark.parametrize(
+        "case, most",
+        [("t2.2", 256), ("t3.8", 10), ("t3.9", 10), ("t3.10", 10), ("t3.11", 10),
+         ("oq1", 256), ("oq2", 256), ("oq3", 256)],
+    )
+    def test_n_is_bounded_per_case(self, case, most):
+        # setting up the points builds no map, so the cap itself is cheap here
+        assert {p["n"] for p in CASES[case].points({"n": [most]})} == {most}
+        with pytest.raises(ValueError, match=f"n must be at most {most}, got {most + 1}"):
+            CASES[case].points({"n": [most + 1]})
+
     def test_t25_rows_pass_with_identity_note(self):
         rows = sweep_report("t2.5", {"a": [-0.5, 0.0, 0.5]})
         assert [r["params"]["a"] for r in rows] == [-0.5, 0.0, 0.5]

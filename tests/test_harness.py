@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from harmconv import convo, harness
+from harmconv import convo, geochk, harness
 from harmconv.harness import (
     ConfigError,
     RunConfig,
@@ -101,6 +101,25 @@ class TestRunConfig:
         assert report["config"]["radii"] == [0.1, 0.5]
         assert abs(report["rows"][0]["metrics"]["max_omega"] - 0.25) <= 1e-12
 
+    def test_order_sets_only_the_image_curves(self, tmp_path, monkeypatch):
+        # every rung withholds, so each is tried, and each builds at its own
+        # order; only the image curves are built at the run's order
+        built = []
+        f_a_alpha = geochk.f_a_alpha
+
+        def counting(a, alpha, N):
+            built.append(N)
+            return f_a_alpha(a, alpha, N)
+
+        monkeypatch.setattr(geochk, "f_a_alpha", counting)
+        monkeypatch.setattr(
+            geochk, "convex_in_direction", lambda *args, **kw: geochk._withheld("stub")
+        )
+        cfg = RunConfig(case="t2.5", params={"a": [0.5]}, order=512, outdir=str(tmp_path))
+        assert harness.run(cfg) == 3
+        assert built == [384, 256, 1024, 512]
+        assert json.loads((tmp_path / "report.json").read_text())["config"]["order"] == 512
+
 
 class TestMainExitCodes:
     def test_verify_pass_is_zero(self, tmp_path):
@@ -113,7 +132,7 @@ class TestMainExitCodes:
         assert (tmp_path / "t2.5.svg").exists()
 
     def test_failing_row_is_two(self, tmp_path, monkeypatch):
-        def fake(case, params, *, order, grid):
+        def fake(case, params, *, grid):
             return [{"case": case, "params": {}, "verdict": "fail",
                      "metrics": {}, "note": ""}]
 
@@ -124,7 +143,7 @@ class TestMainExitCodes:
         assert code == 2
 
     def test_indeterminate_row_is_three(self, tmp_path, monkeypatch):
-        def fake(case, params, *, order, grid):
+        def fake(case, params, *, grid):
             return [{"case": case, "params": {}, "verdict": "indeterminate",
                      "metrics": {}, "note": ""}]
 
@@ -216,6 +235,19 @@ class TestIntegerAxes:
         assert code == 0
         report = json.loads((tmp_path / "report.json").read_text())
         assert [r["params"]["n"] for r in report["rows"]] == [2]
+
+    @pytest.mark.parametrize("case, n, most", [("t3.9", "40", 10), ("t2.2", "1000000000", 256)])
+    def test_n_above_its_bound_is_one_before_building(
+        self, case, n, most, tmp_path, capsys, monkeypatch
+    ):
+        def refuse(*args):
+            raise AssertionError("an n above the bound must be refused before any build")
+
+        monkeypatch.setattr(geochk, "_monomial", refuse)
+        monkeypatch.setattr(convo, "monomial_convolution_dilatation", refuse)
+        assert main(["verify", case, "--n", n, "--outdir", str(tmp_path)]) == 1
+        assert f"error: n must be at most {most}, got {n}" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
 
 
 class TestRootOracleFailure:
