@@ -4,7 +4,7 @@
 One subdirectory of artifacts per case (report.json, samples.csv, SVG),
 one tally line per case on stdout, nonzero exit if any asserted row
 fails or lands indeterminate.  This is the full-reproduction driver:
-it should finish in a couple of minutes at the default order.
+it should finish in a couple of minutes.
 """
 
 import argparse
@@ -13,14 +13,13 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from harmconv.geochk import CASE_IDS, DEFAULT_ORDER
+from harmconv.geochk import CASE_IDS
 from harmconv.harness import RunConfig, run
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="artifacts", help="artifact tree root")
-    parser.add_argument("--order", "-N", type=int, default=DEFAULT_ORDER)
     parser.add_argument(
         "--skip-curves",
         action="store_true",
@@ -33,7 +32,6 @@ def main() -> int:
     for case in CASE_IDS:
         config = RunConfig(
             case=case,
-            order=args.order,
             outdir=str(Path(args.outdir) / case.replace(".", "_")),
             formats=formats,
         )

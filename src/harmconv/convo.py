@@ -667,8 +667,8 @@ def _grid_scan(r: RationalFunction, grid: DiskGrid) -> tuple[float, bool]:
     z = grid.points
     nu = r.num(z)
     de = r.den(z)
-    den_scale = max(float(np.max(np.abs(de))), 1e-300)
-    pole = np.abs(de) <= 1e-12 * den_scale
+    de_abs = np.abs(de)
+    pole = de_abs <= 1e-12 * max(float(np.max(de_abs)), 1e-300)
     if pole.all():
         return float("inf"), True
     if pole.any():

@@ -10,6 +10,7 @@ trimming) falls back to an explicit simultaneous root iteration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -210,7 +211,8 @@ def roots(p: ComplexPolynomial) -> np.ndarray:
     updates from guesses spread on a circle of radius 1 + max|c_k/c_n|,
     offset by 0.4 radians so no guess starts on the real axis.  Acceptance
     is a backward error test: |p(z)| must not exceed DK_RESIDUAL_RTOL *
-    sum|c_k||z|^k; violating roots raise NumericFailure.
+    sum|c_k||z|^k; a violating (or NaN) residual raises NumericFailure, and
+    so does a non-finite step as soon as one appears.
     """
     if p.degree < 1:
         return np.zeros(0, dtype=complex)
@@ -237,11 +239,14 @@ def roots(p: ComplexPolynomial) -> np.ndarray:
             continue
         step = np.polyval(desc, guess) / denom
         guess = guess - step
-        if np.max(np.abs(step)) < DK_STEP_TOL:
+        size = np.max(np.abs(step))
+        if size < DK_STEP_TOL:
             break
+        if not math.isfinite(size):
+            raise NumericFailure(f"Durand-Kerner step is {size}: the iteration overflowed")
     resid = np.abs(np.polyval(desc, guess))
     bound = np.polyval(np.abs(monic)[::-1], np.abs(guess))
-    if np.any(resid > DK_RESIDUAL_RTOL * bound):
+    if not np.all(resid <= DK_RESIDUAL_RTOL * bound):
         worst = float(np.max(resid / bound))
         raise NumericFailure(
             f"root residual {worst:.3e} exceeds tolerance {DK_RESIDUAL_RTOL:.1e}"

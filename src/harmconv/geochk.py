@@ -50,7 +50,7 @@ DEFAULT_CURVE_RADIUS = 0.9
 DEFAULT_BOUNDARY_POINTS = 4096
 IMAGE_CURVE_POINTS = 512
 # Truncation order of the image curves; the curve ladder has its own.
-DEFAULT_ORDER = 128
+IMAGE_CURVE_ORDER = 128
 # (radius, truncation order) rungs for the sweeps' curve checks.  Each
 # radius is paired with an order that keeps the series tail a few orders
 # of magnitude below the curve scale even for maps whose coefficients grow
@@ -205,9 +205,7 @@ def convex_in_direction(
     )
 
 
-def _curve_evidence(
-    build: Callable[[int], HarmonicMap], phi: float, grid: DiskGrid
-) -> ConvexityReport:
+def _curve_evidence(build: Callable[[int], HarmonicMap], phi: float) -> ConvexityReport:
     """Directional convexity evidence across the CURVE_LADDER radii.
 
     A map whose full-disk image is convex in a direction can still have
@@ -226,9 +224,7 @@ def _curve_evidence(
     attempts: list[tuple[float, ConvexityReport]] = []
     for r, order in CURVE_LADDER:
         f = build(order)
-        rep = convex_in_direction(
-            f, phi, grid=grid, r_max=r, gate_radius=min(r, 0.95)
-        )
+        rep = convex_in_direction(f, phi, r_max=r, gate_radius=min(r, 0.95))
         if rep.passed:
             return rep
         attempts.append((r, rep))
@@ -863,12 +859,7 @@ def _row_key(row: dict):
     return tuple(items)
 
 
-def sweep_report(
-    case: str,
-    params: Mapping | None = None,
-    *,
-    grid: DiskGrid = DEFAULT_GRID,
-) -> list[dict]:
+def sweep_report(case: str, params: Mapping | None = None) -> list[dict]:
     """Run one case's construction and certificates across a parameter grid.
 
     Returns verdict rows sorted by parameter tuple.  Rows outside a case's
@@ -882,8 +873,8 @@ def sweep_report(
     points = [(p, spec.point(p)) for p in spec.points(dict(params or {}))]
     rows = []
     for p, pt in points:
-        cert = convo.certify_bounded(pt.closed, grid)
-        conv = _curve_evidence(lambda N: spec.build(p, N, cache), pt.phi, grid)
+        cert = convo.certify_bounded(pt.closed)
+        conv = _curve_evidence(lambda N: spec.build(p, N, cache), pt.phi)
         ok = _judge(cert, conv) if pt.identity else False
         note = pt.note + _describe(cert, conv, pt.phi_label)
         if pt.roots_in_w:
@@ -918,14 +909,10 @@ def row_param_id(row: Mapping) -> str:
     return ",".join(parts)
 
 
-def image_curves(
-    case: str,
-    rows: Sequence[Mapping],
-    *,
-    order: int = DEFAULT_ORDER,
-) -> list[tuple[str, np.ndarray]]:
+def image_curves(case: str, rows: Sequence[Mapping]) -> list[tuple[str, np.ndarray]]:
     """Sampled image curves f(r e^{i theta}) for verdict rows, at
-    IMAGE_CURVE_POINTS equally spaced angles on r = DEFAULT_CURVE_RADIUS.
+    IMAGE_CURVE_POINTS equally spaced angles on r = DEFAULT_CURVE_RADIUS,
+    with each map truncated at IMAGE_CURVE_ORDER.
 
     Returns (param-id, curve) pairs in row order, for CSV and SVG export.
     """
@@ -934,5 +921,6 @@ def image_curves(
     zs = DEFAULT_CURVE_RADIUS * np.exp(1j * (2.0 * math.pi) * np.arange(m) / m)
     cache = _MapCache()
     return [
-        (row_param_id(row), spec.build(row["params"], order, cache)(zs)) for row in rows
+        (row_param_id(row), spec.build(row["params"], IMAGE_CURVE_ORDER, cache)(zs))
+        for row in rows
     ]

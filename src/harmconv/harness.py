@@ -6,9 +6,9 @@ Verbs:
     plot <case>      write only the curve artifacts (csv, svg)
 
 Every run writes into --outdir: report.json (verdict rows, deterministic
-and byte-identical across reruns of the same config), samples.csv (image
-curves, columns param-id, t-index, re, im) and <case>.svg (one autoscaled
-1000x1000 plot per run, one polyline per row).
+and byte-identical across reruns of the same case and parameters),
+samples.csv (image curves, columns param-id, t-index, re, im) and
+<case>.svg (one autoscaled 1000x1000 plot per run, one polyline per row).
 
 Exit codes: 0 all asserted rows pass (exploratory rows assert nothing),
 1 invalid configuration, 2 some asserted row failed, 3 no failures but
@@ -22,22 +22,18 @@ import csv
 import io
 import json
 import math
-import os
 import re
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .convo import DEFAULT_ANGLES_PER_RING, DEFAULT_RADII, DiskGrid
-from .geochk import CASE_IDS, CASES, DEFAULT_ORDER, image_curves, sweep_report
-from .geochk import _count, _frange, _real
+from .convo import DEFAULT_GRID
+from .geochk import CASE_IDS, CASES, IMAGE_CURVE_ORDER, _frange, image_curves, sweep_report
 
 # every parameter any case accepts, in table order
 _PARAM_NAMES = tuple(dict.fromkeys(k for c in CASES.values() for k in c.parameters))
-
-MIN_ORDER, MAX_ORDER = 16, 512
 
 _FORMATS = ("json", "csv", "svg")
 
@@ -56,43 +52,18 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One run's settings; the fields are also the config file's keys.
-    Values are checked, never coerced (128.0 is taken as 128, 128.7 or "128"
-    raise ConfigError), and case is kept stripped and lower-cased."""
+    """One run: a case, its parameter values, where the artifacts go and
+    which of them to write.  The sampling grid (DEFAULT_GRID) and the
+    image curves' truncation order (IMAGE_CURVE_ORDER) are the same for
+    every run; case is kept stripped and lower-cased."""
 
     case: str
     params: dict = field(default_factory=dict)
-    order: int = DEFAULT_ORDER
-    radii: tuple = DEFAULT_RADII
-    angles_per_ring: int = DEFAULT_ANGLES_PER_RING
     outdir: str = "."
     formats: tuple = _FORMATS
 
     def __post_init__(self):
-        if not isinstance(self.params, dict):
-            raise ConfigError(f"params must be an object, got {self.params!r}")
-        if not isinstance(self.radii, (list, tuple)):
-            raise ConfigError(f"radii must be a list of numbers, got {self.radii!r}")
-        if not isinstance(self.formats, (list, tuple)):
-            raise ConfigError(f"formats must be a list, got {self.formats!r}")
-        if not isinstance(self.outdir, (str, os.PathLike)):
-            raise ConfigError(f"outdir must be a path, got {self.outdir!r}")
-        try:
-            checked = {
-                "case": str(self.case).strip().lower(),
-                "order": _count("order", self.order),
-                "radii": tuple(_real("radii", r) for r in self.radii),
-                "angles_per_ring": _count("angles_per_ring", self.angles_per_ring),
-                "formats": tuple(self.formats),
-            }
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        for name, value in checked.items():
-            object.__setattr__(self, name, value)
-        if not (MIN_ORDER <= self.order <= MAX_ORDER):
-            raise ConfigError(
-                f"truncation order must lie in [{MIN_ORDER}, {MAX_ORDER}], got {self.order}"
-            )
+        object.__setattr__(self, "case", str(self.case).strip().lower())
         bad = sorted({str(f) for f in self.formats if f not in _FORMATS})
         if bad:
             raise ConfigError(
@@ -102,12 +73,6 @@ class RunConfig:
             raise ConfigError(
                 f"unknown case id {self.case!r}; known ids: {', '.join(CASE_IDS)}"
             )
-
-    def grid(self) -> DiskGrid:
-        try:
-            return DiskGrid(self.radii, self.angles_per_ring)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -158,9 +123,9 @@ def _write_report(config: RunConfig, rows, path: Path):
         {
             "case": config.case,
             "config": {
-                "order": config.order,
-                "radii": list(config.radii),
-                "angles_per_ring": config.angles_per_ring,
+                "order": IMAGE_CURVE_ORDER,
+                "radii": list(DEFAULT_GRID.radii),
+                "angles_per_ring": DEFAULT_GRID.angles_per_ring,
                 "params": config.params,
             },
             "note": _summary_note(rows),
@@ -239,7 +204,7 @@ def run(config: RunConfig) -> int:
     lets OSError from the writes escape to the caller.
     """
     try:
-        rows = sweep_report(config.case, config.params, grid=config.grid())
+        rows = sweep_report(config.case, config.params)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -248,7 +213,7 @@ def run(config: RunConfig) -> int:
     if "json" in config.formats:
         _write_report(config, rows, outdir / "report.json")
     if "csv" in config.formats or "svg" in config.formats:
-        curves = image_curves(config.case, rows, order=config.order)
+        curves = image_curves(config.case, rows)
         if "csv" in config.formats:
             _write_samples(curves, outdir / "samples.csv")
         if "svg" in config.formats:
@@ -334,38 +299,16 @@ def _build_parser() -> argparse.ArgumentParser:
     for p in _PARAM_NAMES:
         parser.add_argument(f"--{p}", metavar="V[,V...]", help=f"explicit {p} values")
         parser.add_argument(f"--{p}-range", metavar="LO:HI:STEP", help=f"swept {p} values")
-    parser.add_argument("--order", "-N", type=int, help="truncation order of the image curves")
     parser.add_argument("--outdir", help="artifact directory (default: .)")
     parser.add_argument("--formats", metavar="F[,F...]", help="subset of json,csv,svg")
-    parser.add_argument("--config", metavar="PATH", help="JSON config file")
     return parser
 
 
 def _config_from_args(args) -> RunConfig:
-    """The config file's settings, overridden by the options given; a
-    setting given nowhere keeps its RunConfig default."""
-    settings = {}
-    if args.config:
-        try:
-            settings = json.loads(Path(args.config).read_text())
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-        if not isinstance(settings, dict):
-            raise ConfigError("config file must hold a JSON object")
-        unknown = sorted(set(settings) - {f.name for f in fields(RunConfig)})
-        if unknown:
-            raise ConfigError(f"unknown config file key(s): {', '.join(unknown)}")
-    for key in ("case", "order", "outdir"):
-        if getattr(args, key) is not None:
-            settings[key] = getattr(args, key)
-    if not settings.get("case"):
-        raise ConfigError("no case id given (positional argument or config file)")
-    if args.formats is not None:
-        settings["formats"] = [f.strip() for f in args.formats.split(",") if f.strip()]
-    config = RunConfig(**settings)
-
+    """The run the options ask for; an option not given keeps its RunConfig
+    default, and plot never writes report.json."""
+    if not args.case:
+        raise ConfigError("no case id given")
     params = {}
     for p in _PARAM_NAMES:
         vals = getattr(args, p.replace("-", "_"))
@@ -376,10 +319,12 @@ def _config_from_args(args) -> RunConfig:
             params[p] = _parse_values(vals)
         elif rng is not None:
             params[p] = _parse_range(rng)
-    changes = {"params": {**config.params, **params}} if params else {}
+    formats = _FORMATS
+    if args.formats is not None:
+        formats = tuple(f.strip() for f in args.formats.split(",") if f.strip())
     if args.verb == "plot":
-        changes["formats"] = tuple(f for f in config.formats if f != "json") or ("svg",)
-    return replace(config, **changes) if changes else config
+        formats = tuple(f for f in formats if f != "json") or ("svg",)
+    return RunConfig(args.case, params, args.outdir or ".", formats)
 
 
 def main(argv: list[str] | None = None) -> int:

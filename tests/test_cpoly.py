@@ -229,6 +229,20 @@ class TestRoots:
         with pytest.raises(NumericFailure):
             roots(p)
 
+    def test_overflowing_iteration_is_a_failure_not_nan_roots(self):
+        # the core of the t2.2 dilatation at n = 64, a = 0.95: its Cohn chain
+        # ties, and the Durand-Kerner products overflow to inf and then NaN,
+        # whose residuals no "> tolerance" test rejects
+        n, a = 64, 0.95
+        c = np.zeros(n + 2, dtype=complex)
+        c[n + 1], c[n], c[1], c[0] = 1.0, -a, 0.5 * (2 - n + a * n), 0.5 * (n - 2 * a - a * n)
+        core = ComplexPolynomial(-c)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericFailure, match="step is nan"):
+                roots(core)
+            with pytest.raises(NumericFailure):
+                count_zeros_in_disk(core)
+
 
 class TestCountZeros:
     @given(st.lists(inside_root, min_size=1, max_size=7))

@@ -11,6 +11,7 @@ from harmconv.geochk import (
     CASE_IDS,
     CASES,
     DEFAULT_CURVE_RADIUS,
+    IMAGE_CURVE_ORDER,
     IMAGE_CURVE_POINTS,
     LEVEL_TIE_ATOL,
     DiskGrid,
@@ -458,7 +459,7 @@ class TestImageCurves:
 
     def test_curves_align_with_rows(self):
         rows = sweep_report("t2.5", {"a": [0.0, 0.5]})
-        curves = image_curves("t2.5", rows, order=64)
+        curves = image_curves("t2.5", rows)
         assert [pid for pid, _ in curves] == [row_param_id(r) for r in rows]
         for _, curve in curves:
             assert curve.shape == (IMAGE_CURVE_POINTS,)
@@ -466,10 +467,11 @@ class TestImageCurves:
 
     def test_curves_match_direct_reconstruction(self):
         rows = sweep_report("t2.3", {"a": [0.5]})
-        (_, curve), = image_curves("t2.3", rows, order=64)
+        (_, curve), = image_curves("t2.3", rows)
+        N = IMAGE_CURVE_ORDER
         f = convolve(
-            f_a_alpha(0.5, 0.0, 64),
-            slanted_halfplane(0.0, mobius_power_dilatation(0.5, 0.0, 2).series(64), 64),
+            f_a_alpha(0.5, 0.0, N),
+            slanted_halfplane(0.0, mobius_power_dilatation(0.5, 0.0, 2).series(N), N),
         )
         m = IMAGE_CURVE_POINTS
         zs = DEFAULT_CURVE_RADIUS * np.exp(1j * 2 * np.pi * np.arange(m) / m)

@@ -1,12 +1,14 @@
 """Golden reports: one small sweep per case, byte for byte.
 
 Each file under tests/golden/ is a report.json written by an earlier,
-independently structured version of the sweep drivers; its own "case" and
-"config" entries say how to rerun it.  The parameter slices cover every
-note branch: below-threshold and out-of-range rows, the t = 0 and t = 1
-endpoints, equal weights, both t3.10 variants, and the (z - 1)
-cancellation in the half-plane explorations.  These files are fixtures,
-not outputs: never regenerate them from the code under test.
+independently structured version of the sweep drivers; its "case" and
+"config.params" entries say how to rerun it, and the rest of "config"
+records the grid and image-curve order that every run uses.  The
+parameter slices cover every note branch: below-threshold and
+out-of-range rows, the t = 0 and t = 1 endpoints, equal weights, both
+t3.10 variants, and the (z - 1) cancellation in the half-plane
+explorations.  These files are fixtures, not outputs: never regenerate
+them from the code under test.
 """
 
 import json
@@ -28,15 +30,5 @@ def test_every_case_has_a_golden_report():
 def test_report_is_byte_identical(case, tmp_path):
     golden = GOLDEN / f"{case}.json"
     cfg = json.loads(golden.read_text())["config"]
-    run(
-        RunConfig(
-            case=case,
-            params=cfg["params"],
-            order=cfg["order"],
-            radii=tuple(cfg["radii"]),
-            angles_per_ring=cfg["angles_per_ring"],
-            outdir=str(tmp_path),
-            formats=("json",),
-        )
-    )
+    run(RunConfig(case, cfg["params"], str(tmp_path), ("json",)))
     assert (tmp_path / "report.json").read_bytes() == golden.read_bytes()

@@ -1,9 +1,10 @@
-"""Command-line harness: argument parsing, config precedence, exit codes,
-artifact schemas, and byte-identical reruns."""
+"""Command-line harness: argument parsing, exit codes, artifact schemas,
+and byte-identical reruns."""
 
 import csv
 import io
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -60,21 +61,16 @@ class TestGlueNegativeValues:
         ]
 
     def test_other_tokens_untouched(self):
-        argv = ["verify", "t2.5", "--order", "64"]
+        argv = ["verify", "t2.5", "--outdir", "out"]
         assert _glue_negative_values(argv) == argv
 
 
 class TestRunConfig:
     def test_defaults(self):
-        cfg = RunConfig(case="t2.5")
-        assert cfg.order == 128
+        assert [f.name for f in fields(RunConfig)] == ["case", "params", "outdir", "formats"]
+        cfg = RunConfig(case=" T2.5 ")
+        assert (cfg.case, cfg.params, cfg.outdir) == ("t2.5", {}, ".")
         assert cfg.formats == ("json", "csv", "svg")
-        cfg.grid()  # default grid is valid
-
-    @pytest.mark.parametrize("order", [15, 513])
-    def test_order_bounds(self, order):
-        with pytest.raises(ConfigError, match="order"):
-            RunConfig(case="t2.5", order=order)
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ConfigError, match="format"):
@@ -84,26 +80,10 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="case id"):
             RunConfig(case="t9.1")
 
-    def test_bad_grid_surfaces_as_config_error(self):
-        cfg = RunConfig(case="t2.5", radii=(0.9, 0.5))
-        with pytest.raises(ConfigError):
-            cfg.grid()
-
-    def test_certificate_scans_the_configured_grid(self, tmp_path):
-        # t2.5's dilatation is z^2, so its maximum over the rings 0.1 and
-        # 0.5 is 0.25; a scan of the default rings would read 0.99^2
-        cfg = RunConfig(
-            case="t2.5", params={"a": [0.5]}, radii=(0.1, 0.5),
-            outdir=str(tmp_path), formats=("json",),
-        )
-        assert harness.run(cfg) == 0
-        report = json.loads((tmp_path / "report.json").read_text())
-        assert report["config"]["radii"] == [0.1, 0.5]
-        assert abs(report["rows"][0]["metrics"]["max_omega"] - 0.25) <= 1e-12
-
     def test_order_sets_only_the_image_curves(self, tmp_path, monkeypatch):
         # every rung withholds, so each is tried, and each builds at its own
-        # order; only the image curves are built at the run's order
+        # order; only the image curves are built at IMAGE_CURVE_ORDER, which
+        # the report records with the default grid
         built = []
         f_a_alpha = geochk.f_a_alpha
 
@@ -115,10 +95,16 @@ class TestRunConfig:
         monkeypatch.setattr(
             geochk, "convex_in_direction", lambda *args, **kw: geochk._withheld("stub")
         )
-        cfg = RunConfig(case="t2.5", params={"a": [0.5]}, order=512, outdir=str(tmp_path))
+        cfg = RunConfig(case="t2.5", params={"a": [0.5]}, outdir=str(tmp_path))
         assert harness.run(cfg) == 3
-        assert built == [384, 256, 1024, 512]
-        assert json.loads((tmp_path / "report.json").read_text())["config"]["order"] == 512
+        assert built == [384, 256, 1024, geochk.IMAGE_CURVE_ORDER]
+        config = json.loads((tmp_path / "report.json").read_text())["config"]
+        assert config == {
+            "order": 128,
+            "radii": list(convo.DEFAULT_RADII),
+            "angles_per_ring": convo.DEFAULT_ANGLES_PER_RING,
+            "params": {"a": [0.5]},
+        }
 
 
 class TestMainExitCodes:
@@ -132,7 +118,7 @@ class TestMainExitCodes:
         assert (tmp_path / "t2.5.svg").exists()
 
     def test_failing_row_is_two(self, tmp_path, monkeypatch):
-        def fake(case, params, *, grid):
+        def fake(case, params):
             return [{"case": case, "params": {}, "verdict": "fail",
                      "metrics": {}, "note": ""}]
 
@@ -143,7 +129,7 @@ class TestMainExitCodes:
         assert code == 2
 
     def test_indeterminate_row_is_three(self, tmp_path, monkeypatch):
-        def fake(case, params, *, grid):
+        def fake(case, params):
             return [{"case": case, "params": {}, "verdict": "indeterminate",
                      "metrics": {}, "note": ""}]
 
@@ -166,6 +152,9 @@ class TestMainExitCodes:
         [
             ["verify", "t2.3", "--bogus", "1"],
             ["verify", "t2.3", "--a", "0.5", "--order", "abc"],
+            ["verify", "t2.5", "--a", "0.5", "--order", "64"],
+            ["verify", "t2.5", "--a", "0.5", "-N", "64"],
+            ["verify", "t2.5", "--config", "run.json"],
             [],
         ],
     )
@@ -265,99 +254,11 @@ class TestRootOracleFailure:
         assert capsys.readouterr().err == ""
 
 
-class TestConfigFile:
-    def test_config_file_supplies_case_and_params(self, tmp_path):
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"case": "t2.5", "params": {"a": [0.5]},
-                                   "order": 64, "outdir": str(tmp_path)}))
-        assert main(["verify", "--config", str(cfg)]) == 0
-        report = json.loads((tmp_path / "report.json").read_text())
-        assert report["config"]["order"] == 64
-
-    def test_cli_params_override_file(self, tmp_path):
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"case": "t2.5", "params": {"a": [0.1]}}))
-        code = main(
-            ["verify", "--config", str(cfg), "--a", "0.7",
-             "--outdir", str(tmp_path), "--formats", "json"]
-        )
-        assert code == 0
-        report = json.loads((tmp_path / "report.json").read_text())
-        assert report["config"]["params"]["a"] == [0.7]
-
-    def test_unknown_file_key_is_one(self, tmp_path, capsys):
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"case": "t2.5", "tolerance": 1e-9}))
-        assert main(["verify", "--config", str(cfg)]) == 1
-        assert "tolerance" in capsys.readouterr().err
-
-    def test_invalid_json_is_one(self, tmp_path, capsys):
-        cfg = tmp_path / "run.json"
-        cfg.write_text("{not json")
-        assert main(["verify", "--config", str(cfg)]) == 1
-
-    def test_huge_angles_per_ring_is_one_before_allocating(self, tmp_path, capsys, monkeypatch):
-        touched = []
-        monkeypatch.setattr(convo.DiskGrid, "points", property(lambda self: touched.append(self)))
-        monkeypatch.setattr(convo, "ring_values", lambda *args: touched.append(args))
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"case": "t2.5", "params": {"a": [0.5]},
-                                   "outdir": str(tmp_path), "angles_per_ring": 10**8}))
-        assert main(["verify", "--config", str(cfg)]) == 1
-        assert "error: angles_per_ring must be at most 65536" in capsys.readouterr().err
-        assert touched == []
-        assert not (tmp_path / "report.json").exists()
-
-    @pytest.mark.parametrize(
-        "setting, says",
-        [
-            ({"order": 128.7}, "order must be a positive integer, got 128.7"),
-            ({"angles_per_ring": 720.9}, "angles_per_ring must be a positive integer"),
-            ({"radii": ["0.5", "0.9"]}, "radii must be a finite number, got '0.5'"),
-            ({"order": "abc"}, "order must be a positive integer, got 'abc'"),
-            ({"angles_per_ring": "x"}, "angles_per_ring must be a positive integer, got 'x'"),
-            ({"radii": 0.5}, "radii must be a list of numbers"),
-            ({"params": [1, 2]}, "params must be an object"),
-            ({"formats": "json"}, "formats must be a list"),
-            ({"outdir": 5}, "outdir must be a path"),
-            ({"radii": [10**400]}, "radii must be a finite number"),
-        ],
-        ids=["fractional-order", "fractional-angles", "string-radii", "string-order",
-             "string-angles", "scalar-radii", "list-params", "string-formats",
-             "number-outdir", "huge-radius"],
-    )
-    def test_mistyped_value_is_one(self, setting, says, tmp_path, capsys):
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"case": "t2.5", "params": {"a": [0.5]},
-                                   "outdir": str(tmp_path), **setting}))
-        assert main(["verify", "--config", str(cfg)]) == 1
-        assert f"error: {says}" in capsys.readouterr().err
-        assert not (tmp_path / "report.json").exists()
-
-    def test_integral_float_is_taken_as_int(self, tmp_path):
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"case": "t2.5", "params": {"a": [0.5]},
-                                   "order": 64.0, "angles_per_ring": 360.0}))
-        code = main(["verify", "--config", str(cfg), "--outdir", str(tmp_path),
-                     "--formats", "json"])
-        assert code == 0
-        config = json.loads((tmp_path / "report.json").read_text())["config"]
-        assert (config["order"], config["angles_per_ring"]) == (64, 360)
-
-    def test_empty_value_list_is_one(self, tmp_path, capsys):
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"case": "t2.5", "params": {"a": []},
-                                   "formats": ["svg"]}))
-        assert main(["verify", "--config", str(cfg), "--outdir", str(tmp_path)]) == 1
-        assert "error: a needs at least one value" in capsys.readouterr().err
-
-
 @pytest.fixture(scope="module")
 def artifact_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("artifacts")
     code = main(
-        ["verify", "t2.5", "--a", "0.3,0.6", "--order", "64",
-         "--outdir", str(out)]
+        ["verify", "t2.5", "--a", "0.3,0.6", "--outdir", str(out)]
     )
     assert code == 0
     return out
@@ -408,8 +309,7 @@ class TestArtifacts:
 
     def test_rerun_is_byte_identical(self, artifact_dir, tmp_path):
         code = main(
-            ["verify", "t2.5", "--a", "0.3,0.6", "--order", "64",
-             "--outdir", str(tmp_path)]
+            ["verify", "t2.5", "--a", "0.3,0.6", "--outdir", str(tmp_path)]
         )
         assert code == 0
         for name in ("report.json", "samples.csv", "t2.5.svg"):

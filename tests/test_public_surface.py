@@ -21,6 +21,10 @@ REMOVED_NAMES = (
     "CERTIFY_ANGLES",
     "LEVEL_TIE_NUDGE",
     "fixtures",
+    # one image-curve order for every run
+    "DEFAULT_ORDER",
+    "MIN_ORDER",
+    "MAX_ORDER",
 )
 
 REMOVED_ATTRIBUTES = (
@@ -37,6 +41,8 @@ REMOVED_METHODS = (
     (convo.RationalFunction, "scale"),
     (cpoly.ComplexPolynomial, "rotate"),
     (series.PowerSeries, "rotate"),
+    # every run samples convo.DEFAULT_GRID
+    (harness.RunConfig, "grid"),
 )
 
 # parameters that only tests set to other than their default; each is now
@@ -57,6 +63,13 @@ REMOVED_PARAMETERS = (
     (geochk.sweep_report, "order"),
     # the root oracle's failing iterate, which nothing read
     (cpoly.NumericFailure, "best"),
+    # every run samples convo.DEFAULT_GRID and draws its image curves at
+    # geochk.IMAGE_CURVE_ORDER
+    (geochk.sweep_report, "grid"),
+    (geochk.image_curves, "order"),
+    (harness.RunConfig, "order"),
+    (harness.RunConfig, "radii"),
+    (harness.RunConfig, "angles_per_ring"),
 )
 
 
