@@ -20,20 +20,13 @@ from harmconv.harness import RunConfig, run
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="artifacts", help="artifact tree root")
-    parser.add_argument(
-        "--skip-curves",
-        action="store_true",
-        help="write report.json only (skips samples.csv and the SVGs)",
-    )
     args = parser.parse_args()
 
-    formats = ("json",) if args.skip_curves else ("json", "csv", "svg")
     worst = 0
     for case in CASE_IDS:
         config = RunConfig(
             case=case,
             outdir=str(Path(args.outdir) / case.replace(".", "_")),
-            formats=formats,
         )
         code = run(config)
         label = {0: "ok", 2: "FAIL", 3: "indeterminate"}.get(code, f"exit {code}")

@@ -604,7 +604,7 @@ class DiskGrid:
         return DiskGrid(kept, self.angles_per_ring)
 
 
-# The one default grid: the default of every function that samples the disk.
+# The one sampling grid: every run's certificate scan, gate and min_hs.
 DEFAULT_GRID = DiskGrid()
 
 
@@ -676,7 +676,7 @@ def _grid_scan(r: RationalFunction, grid: DiskGrid) -> tuple[float, bool]:
     return float(np.max(np.abs(nu / de))), bool(pole.any())
 
 
-def certify_bounded(r: RationalFunction, grid: DiskGrid = DEFAULT_GRID) -> BoundednessReport:
+def certify_bounded(r: RationalFunction) -> BoundednessReport:
     """Certify |r(z)| < 1 on the unit disk, structurally when possible.
 
     Path 1: the function has the Blaschke shape z**k * core / (c * core*)
@@ -689,16 +689,16 @@ def certify_bounded(r: RationalFunction, grid: DiskGrid = DEFAULT_GRID) -> Bound
     the boundary cases where core's zeros sit exactly on the circle, and
     holds whether or not the zero count succeeded.
 
-    Otherwise the verdict rests on the values at grid.points only: above
-    1 + GRID_ATOL is a witnessed excursion ("exceeds"); anything else is
-    "indeterminate", never a certificate.
+    Otherwise the verdict rests on the values at DEFAULT_GRID.points only:
+    above 1 + GRID_ATOL is a witnessed excursion ("exceeds"); anything else
+    is "indeterminate", never a certificate.
     """
     k, c, shape, zero_report, verdict = 0, None, "zero", None, None
     if r.num.is_zero:
         grid_max, pole = 0.0, False
         verdict, method, note = "certified", "trivial", "identically zero"
     else:
-        grid_max, pole = _grid_scan(r, grid)
+        grid_max, pole = _grid_scan(r, DEFAULT_GRID)
         k, core = _strip_monomial(r.num)
         adjoint = reciprocal_adjoint(core)
         c = _proportionality(adjoint, r.den)

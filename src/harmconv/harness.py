@@ -5,6 +5,11 @@ Verbs:
     explore <case>   same machinery; meant for the open-ended cases
     plot <case>      write only the curve artifacts (csv, svg)
 
+Each parameter a case accepts is one option, --<name>, which takes a
+comma-separated list of values or a range LO:HI:STEP (LO, LO + STEP, ...
+through HI); a value that starts with "-" goes after "=", as in
+--a=-0.9:0.9:0.1.  A sweep holds at most geochk.MAX_SWEEP_POINTS points.
+
 Every run writes into --outdir: report.json (verdict rows, deterministic
 and byte-identical across reruns of the same case and parameters),
 samples.csv (image curves, columns param-id, t-index, re, im) and
@@ -246,7 +251,10 @@ def _parse_range(text: str) -> list[float]:
         raise ConfigError(f"range step must be positive, got {step}")
     if hi < lo:
         raise ConfigError(f"range {text!r} is empty (hi < lo)")
-    return _frange(lo, hi, step)
+    try:
+        return _frange(lo, hi, step)
+    except ValueError as exc:
+        raise ConfigError(f"range {text!r}: {exc}") from exc
 
 
 def _parse_values(text: str) -> list[float]:
@@ -254,32 +262,6 @@ def _parse_values(text: str) -> list[float]:
         return [float(v) for v in text.split(",") if v != ""]
     except ValueError as exc:
         raise ConfigError(f"could not parse {text!r} as comma-separated numbers") from exc
-
-
-def _glue_negative_values(argv: list[str]) -> list[str]:
-    """Rewrite ['--a-range', '-0.9:0.9:0.1'] as ['--a-range=-0.9:0.9:0.1'].
-
-    argparse refuses option values that start with '-' unless they parse as
-    plain negative numbers, which the colon range syntax does not.
-    """
-    glued = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        nxt = argv[i + 1] if i + 1 < len(argv) else None
-        if (
-            tok.startswith("--")
-            and "=" not in tok
-            and nxt is not None
-            and nxt.startswith("-")
-            and (":" in nxt or "," in nxt)
-        ):
-            glued.append(f"{tok}={nxt}")
-            i += 2
-        else:
-            glued.append(tok)
-            i += 1
-    return glued
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -297,8 +279,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("case", nargs="?", help="case id (see list below)")
     for p in _PARAM_NAMES:
-        parser.add_argument(f"--{p}", metavar="V[,V...]", help=f"explicit {p} values")
-        parser.add_argument(f"--{p}-range", metavar="LO:HI:STEP", help=f"swept {p} values")
+        parser.add_argument(
+            f"--{p}", metavar="V[,V...]|LO:HI:STEP", help=f"{p} values, listed or swept"
+        )
     parser.add_argument("--outdir", help="artifact directory (default: .)")
     parser.add_argument("--formats", metavar="F[,F...]", help="subset of json,csv,svg")
     return parser
@@ -311,14 +294,9 @@ def _config_from_args(args) -> RunConfig:
         raise ConfigError("no case id given")
     params = {}
     for p in _PARAM_NAMES:
-        vals = getattr(args, p.replace("-", "_"))
-        rng = getattr(args, f"{p}_range")
-        if vals is not None and rng is not None:
-            raise ConfigError(f"give either --{p} or --{p}-range, not both")
-        if vals is not None:
-            params[p] = _parse_values(vals)
-        elif rng is not None:
-            params[p] = _parse_range(rng)
+        text = getattr(args, p)
+        if text is not None:
+            params[p] = _parse_range(text) if ":" in text else _parse_values(text)
     formats = _FORMATS
     if args.formats is not None:
         formats = tuple(f.strip() for f in args.formats.split(",") if f.strip())
@@ -328,9 +306,8 @@ def _config_from_args(args) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = _build_parser().parse_intermixed_args(_glue_negative_values(argv))
+        args = _build_parser().parse_intermixed_args(argv)
         config = _config_from_args(args)
         code = run(config)
     except ConfigError as exc:

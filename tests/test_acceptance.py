@@ -252,7 +252,7 @@ def test_7_sextic_roots_chain_and_convexity(announce):
                     family_f_alpha_n(alpha2, 2, w2s, order),
                     t,
                 )
-                rep = convex_in_direction(f, np.pi / 2.0, grid=GRID, r_max=0.9)
+                rep = convex_in_direction(f, np.pi / 2.0, r_max=0.9)
                 assert rep.passed is True, rep.note
 
 

@@ -8,7 +8,6 @@ import pytest
 from conftest import sample_points
 
 from harmconv.convo import (
-    DiskGrid,
     RationalFunction,
     adjacent_negative_cubic,
     adjacent_positive_quartic,
@@ -459,13 +458,14 @@ class TestCertifyBounded:
         assert rep.certified and rep.method == "self-inversive"
         assert rep.zero_report is None
 
-    def test_grid_max_scans_the_given_grid(self):
-        grid = DiskGrid((0.5,), 8)
+    def test_grid_max_scans_the_default_grid(self):
+        grid = convo.DEFAULT_GRID
         r = rational([0.3, 1.0, 0.2j], [1.0, -0.4])
-        rep = certify_bounded(r, grid)
+        rep = certify_bounded(r)
         assert rep.grid_max == pytest.approx(float(np.max(np.abs(r(grid.points)))), abs=1e-15)
-        # the default grid reaches r = 0.99, which this one does not
-        assert certify_bounded(r).grid_max > rep.grid_max + 0.1
+        # the scan reaches the outer ring, r = 0.99
+        inner = grid.capped(0.5).points
+        assert rep.grid_max > float(np.max(np.abs(r(inner)))) + 0.1
 
     def test_excursion_witnessed(self):
         rep = certify_bounded(rational([0.0, 1.2]))

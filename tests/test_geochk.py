@@ -226,13 +226,13 @@ class TestConvexInDirection:
     def test_halfplane_image_is_convex_everywhere(self):
         f = f_a_alpha(0.5, 0.0, 256)
         for phi in (0.0, np.pi / 2, 0.7):
-            rep = convex_in_direction(f, phi, grid=GRID)
+            rep = convex_in_direction(f, phi)
             assert rep.passed is True
             assert rep.crossing_max <= 2
 
     def test_imaginary_direction_reports_hs_functional(self):
         f = f_a_alpha(0.3, 0.0, 256)
-        rep = convex_in_direction(f, 0.0, grid=GRID)
+        rep = convex_in_direction(f, 0.0)
         assert rep.min_hs_value is not None
 
     def test_detects_nonconvex_subdisk_image(self):
@@ -243,13 +243,13 @@ class TestConvexInDirection:
             f_a_alpha(0.95, 0.0, 384),
             slanted_halfplane(0.0, monomial(2, 384), 384),
         )
-        rep = convex_in_direction(f, 0.0, grid=GRID, r_max=0.9)
+        rep = convex_in_direction(f, 0.0, r_max=0.9)
         assert rep.passed is False
         assert rep.crossing_max >= 4
 
     def test_sense_reversal_withholds_verdict(self):
         f = HarmonicMap(h=monomial(1, 8), g=monomial(1, 8, coeff=1.2))
-        rep = convex_in_direction(f, 0.0, grid=GRID)
+        rep = convex_in_direction(f, 0.0)
         assert rep.passed is None
         assert "> 1 at z = " in rep.note
         assert "sense-preserving" in rep.note
@@ -257,32 +257,32 @@ class TestConvexInDirection:
     def test_gate_accepts_ratio_just_below_one(self):
         c = 1.0 - 1e-12
         f = HarmonicMap(h=monomial(1, 8), g=monomial(1, 8, coeff=c))
-        rep = convex_in_direction(f, 0.0, grid=GRID)
+        rep = convex_in_direction(f, 0.0)
         assert rep.passed is True
 
     def test_gate_passes_analytic_map(self):
         f = HarmonicMap(h=geometric(32), g=PowerSeries([0.0] * 33))
-        rep = convex_in_direction(f, 0.0, grid=GRID)
+        rep = convex_in_direction(f, 0.0)
         assert rep.passed is not None
 
     def test_gate_reads_mobius_dilatation_modulus(self):
         # |(a-z)/(1-az)| over |z| <= r peaks at z = -r, so scaling g by
         # (1 +- 1e-6) / that peak puts the gate's maximum at 1 +- 1e-6
-        a, r = 0.5, GRID.radii[-1]
+        a, r = 0.5, convo.DEFAULT_GRID.capped(DEFAULT_CURVE_RADIUS).radii[-1]
         f = f_a_alpha(a, 0.0, 256)
         peak = (a + r) / (1 + a * r)
         over = HarmonicMap(h=f.h, g=f.g.scale((1.0 + 1e-6) / peak))
-        rep = convex_in_direction(over, 0.0, grid=GRID)
+        rep = convex_in_direction(over, 0.0)
         assert rep.passed is None
         assert f"> 1 at z = {complex(-r, 0.0):.6f}; not sense-preserving" in rep.note
         under = HarmonicMap(h=f.h, g=f.g.scale((1.0 - 1e-6) / peak))
-        rep = convex_in_direction(under, 0.0, grid=GRID)
+        rep = convex_in_direction(under, 0.0)
         assert rep.passed is not None
 
     def test_gate_withholds_on_vanishing_derivative(self):
         # h' = 1 - 5z vanishes at z = 0.2, a grid point
         f = HarmonicMap(h=PowerSeries([0.0, 1.0, -2.5]), g=PowerSeries([0.0] * 3))
-        rep = convex_in_direction(f, 0.0, grid=DiskGrid(radii=(0.2,), angles_per_ring=4))
+        rep = convex_in_direction(f, 0.0)
         assert rep.passed is None
         assert "at z = 0.200000+0.000000j; local univalence unresolved" in rep.note
 
@@ -293,7 +293,7 @@ class TestConvexInDirection:
         f = HarmonicMap(h=PowerSeries(cs), g=PowerSeries([0.0] * 5))
         if part == "g":
             f = HarmonicMap(h=monomial(1, 4), g=PowerSeries([0.0, 0.1, 0.0, 0.0, bad]))
-        rep = convex_in_direction(f, 0.0, grid=GRID)
+        rep = convex_in_direction(f, 0.0)
         assert rep.passed is None
         assert "non-finite" in rep.note
 
@@ -305,7 +305,7 @@ class TestConvexInDirection:
         f = HarmonicMap(h=h, g=PowerSeries([0.0] * 2001))
         assert np.isfinite(hengartner_schober(h, DiskGrid(radii=(0.2,))))
         with np.errstate(over="ignore", invalid="ignore"):
-            rep = convex_in_direction(f, 0.0, grid=GRID, r_max=0.99, gate_radius=0.2)
+            rep = convex_in_direction(f, 0.0, r_max=0.99, gate_radius=0.2)
         assert rep.passed is None
         assert "non-finite boundary" in rep.note
 

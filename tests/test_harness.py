@@ -4,6 +4,7 @@ and byte-identical reruns."""
 import csv
 import io
 import json
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -13,7 +14,6 @@ from harmconv import convo, geochk, harness
 from harmconv.harness import (
     ConfigError,
     RunConfig,
-    _glue_negative_values,
     _parse_range,
     _parse_values,
     main,
@@ -45,24 +45,40 @@ class TestParseRange:
         with pytest.raises(ConfigError):
             _parse_values("0.1,zebra")
 
+    def test_value_count_is_bounded(self):
+        most = geochk.MAX_SWEEP_POINTS
+        assert len(_parse_range(f"1:{most}:1")) == most
+        with pytest.raises(ConfigError, match=f"{most + 1} values; a sweep holds at most {most}"):
+            _parse_range(f"0:{most}:1")
+        for text in ("0:1e308:1e-300", "1e999:1e999:1"):
+            with pytest.raises(ConfigError, match="a sweep holds at most"):
+                _parse_range(text)
 
-class TestGlueNegativeValues:
-    def test_negative_range_value_is_glued(self):
-        assert _glue_negative_values(["--a-range", "-0.9:0.9:0.1"]) == [
-            "--a-range=-0.9:0.9:0.1"
-        ]
 
-    def test_plain_negative_number_left_alone(self):
-        assert _glue_negative_values(["--a", "-0.5"]) == ["--a", "-0.5"]
+def _params(argv: list[str]) -> dict:
+    """config.params for a verify call of t2.2 with these options."""
+    args = harness._build_parser().parse_intermixed_args(["verify", "t2.2", *argv])
+    return harness._config_from_args(args).params
 
-    def test_comma_list_is_glued(self):
-        assert _glue_negative_values(["--alpha1", "-0.5,0.5"]) == [
-            "--alpha1=-0.5,0.5"
-        ]
 
-    def test_other_tokens_untouched(self):
-        argv = ["verify", "t2.5", "--outdir", "out"]
-        assert _glue_negative_values(argv) == argv
+class TestParamOptions:
+    def test_one_option_per_parameter(self):
+        options = [a for a in harness._build_parser()._actions if a.option_strings]
+        assert len(options) == 13  # --help, one per parameter, --outdir, --formats
+
+    @pytest.mark.parametrize("name", harness._PARAM_NAMES)
+    def test_list_and_range_through_one_option(self, name):
+        # the values --<name> and --<name>-range gave before the two merged
+        assert _params([f"--{name}", "0.25,0.5"]) == {name: [0.25, 0.5]}
+        assert _params([f"--{name}", "-0.5"]) == {name: [-0.5]}
+        assert _params([f"--{name}=-0.5,0.25"]) == {name: [-0.5, 0.25]}
+        assert _params([f"--{name}", "0:1:0.25"]) == {name: [0.0, 0.25, 0.5, 0.75, 1.0]}
+        assert _params([f"--{name}=-0.9:0.9:0.1"]) == {name: _parse_range("-0.9:0.9:0.1")}
+
+    @pytest.mark.parametrize("name", harness._PARAM_NAMES)
+    def test_range_suffix_is_one(self, name, capsys):
+        assert main(["verify", "t2.2", f"--{name}-range", "0:1:0.5"]) == 1
+        assert f"unrecognized arguments: --{name}-range" in capsys.readouterr().err
 
 
 class TestRunConfig:
@@ -174,11 +190,6 @@ class TestMainExitCodes:
         assert "error: a needs at least one value" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
-    def test_conflicting_param_styles_is_one(self, capsys):
-        code = main(["verify", "t2.5", "--a", "0.5", "--a-range", "0:1:0.5"])
-        assert code == 1
-        assert "not both" in capsys.readouterr().err
-
     def test_out_of_domain_value_is_one(self, tmp_path, capsys):
         code = main(["verify", "t2.5", "--a", "1.5", "--outdir", str(tmp_path)])
         assert code == 1
@@ -239,6 +250,38 @@ class TestIntegerAxes:
         assert not (tmp_path / "report.json").exists()
 
 
+class TestSweepBound:
+    def test_huge_range_is_one_before_expanding(self, tmp_path, capsys):
+        code = main(["verify", "t2.3", "--a", "0:0.9:1e-9", "--outdir", str(tmp_path)])
+        assert code == 1
+        most = geochk.MAX_SWEEP_POINTS
+        assert (
+            f"error: range '0:0.9:1e-9': it has 900000001 values; a sweep holds at most {most}"
+            in capsys.readouterr().err
+        )
+        assert not (tmp_path / "report.json").exists()
+
+    def test_crossed_axes_stop_at_the_bound(self, monkeypatch):
+        calls = []
+
+        def fifty(point):
+            calls.append(point)
+            return range(50)
+
+        case = geochk.Case("", (geochk.Axis("x", range(50)), geochk.Axis("y", fifty)), None, None)
+        monkeypatch.setattr(geochk, "MAX_SWEEP_POINTS", 100)
+        with pytest.raises(ValueError, match="more than 100 points"):
+            case.points({})
+        # 50 x 50 points, but the third x value already crosses past 100
+        assert len(calls) == 3
+
+    def test_crossed_sweep_above_the_bound_is_one(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(geochk, "MAX_SWEEP_POINTS", 100)  # t3.8 crosses to 180
+        assert main(["verify", "t3.8", "--outdir", str(tmp_path)]) == 1
+        assert "error: the sweep crosses to more than 100 points" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+
 class TestRootOracleFailure:
     def test_clustered_zeros_are_indeterminate(self, tmp_path, capsys):
         # the t2.4 quartic has three zeros clustered at z = 1 here, and the
@@ -252,6 +295,20 @@ class TestRootOracleFailure:
         assert row["verdict"] == "indeterminate"
         assert "dilatation indeterminate (grid)" in row["note"]
         assert capsys.readouterr().err == ""
+
+    def test_overflowing_iteration_warns_nothing(self, tmp_path):
+        # the zero count of this row's core ends in the root oracle, whose
+        # iteration overflows and raises NumericFailure; numpy's warnings
+        # stay inside it, so the row is indeterminate (grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["verify", "t2.2", "--n", "64", "--a", "0.95", "--formats", "json",
+                         "--outdir", str(tmp_path)])
+        assert code == 3
+        (row,) = json.loads((tmp_path / "report.json").read_text())["rows"]
+        assert row["note"] == (
+            "dilatation indeterminate (grid); convexity phi=-gamma=0: passed, max 2 crossings"
+        )
 
 
 @pytest.fixture(scope="module")

@@ -25,6 +25,8 @@ REMOVED_NAMES = (
     "DEFAULT_ORDER",
     "MIN_ORDER",
     "MAX_ORDER",
+    # argparse takes --name=value itself; no argv rewriting
+    "_glue_negative_values",
 )
 
 REMOVED_ATTRIBUTES = (
@@ -70,6 +72,8 @@ REMOVED_PARAMETERS = (
     (harness.RunConfig, "order"),
     (harness.RunConfig, "radii"),
     (harness.RunConfig, "angles_per_ring"),
+    (convo.certify_bounded, "grid"),
+    (geochk.convex_in_direction, "grid"),
 )
 
 
