@@ -272,6 +272,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "constructions on planar harmonic mappings",
         epilog="cases:\n" + case_lines,
         formatter_class=argparse.RawDescriptionHelpFormatter,
+        allow_abbrev=False,
     )
     parser.add_argument(
         "verb", choices=("verify", "explore", "plot"),

@@ -106,6 +106,96 @@ class TestInstruments:
         assert np.isnan(hengartner_schober(s, GRID))
 
 
+def full_grid_hengartner_schober(F, grid):
+    """Horner at every grid point: the computation the screened
+    hengartner_schober must reproduce bit for bit."""
+    p = grid.points
+    vals = (1 - p * p) * F.differentiate()(p)
+    if not np.isfinite(vals).all():
+        return float("nan")
+    return float(np.min(vals.real))
+
+
+@pytest.fixture
+def screens(monkeypatch):
+    """Each _hs_candidates result of the test, None for the full grid."""
+    seen = []
+    screen = geochk._hs_candidates
+
+    def spy(*args):
+        seen.append(screen(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(geochk, "_hs_candidates", spy)
+    return seen
+
+
+# the curve ladder's gate grid, the full default grid and the small one
+SCREEN_GRIDS = {
+    "gate": convo.DEFAULT_GRID.capped(0.95),
+    "default": convo.DEFAULT_GRID,
+    "small": GRID,
+}
+
+
+class TestHengartnerSchoberScreen:
+    """The FFT screen must leave every bit of the full-grid minimum, and of
+    its NaN rule, unchanged."""
+
+    @pytest.mark.parametrize("grid", SCREEN_GRIDS)
+    @pytest.mark.parametrize("kind", ["dense", "sparse", "k2"])
+    @pytest.mark.parametrize("order", [8, 9, 64, 255, 384, 1024])
+    def test_random_series_match_full_grid(self, order, kind, grid, screens):
+        g = SCREEN_GRIDS[grid]
+        rng = np.random.default_rng([order, len(kind), len(g.radii)])
+        c = rng.normal(size=order + 1) + 1j * rng.normal(size=order + 1)
+        if kind == "sparse":
+            c[rng.random(order + 1) < 0.9] = 0.0
+        if kind == "k2":
+            c *= np.arange(order + 1) ** 2.0
+        F = PowerSeries(c)
+        got = hengartner_schober(F, g)
+        assert repr(got) == repr(full_grid_hengartner_schober(F, g))
+        assert len(screens[0]) >= 2
+
+    @pytest.mark.parametrize("grid", ["gate", "small"])
+    def test_unique_minimum_is_evaluated_twice(self, grid, screens):
+        # Re((1+z)/(1-z)) is least at z = -r on the outer ring alone (at
+        # r = 0.99 the order-512 truncation ties two points instead)
+        g = SCREEN_GRIDS[grid]
+        F = geometric(512)
+        assert repr(hengartner_schober(F, g)) == repr(full_grid_hengartner_schober(F, g))
+        (keep,) = screens
+        assert len(keep) == 2 and keep[0] == keep[1]
+        assert g.points[keep[0]] == pytest.approx(-g.radii[-1])
+
+    @pytest.mark.parametrize("grid", SCREEN_GRIDS)
+    def test_symmetric_tie_keeps_both_points(self, grid, screens):
+        # 1 - Re z^2 is least at z = r and z = -r on the outer ring
+        g = SCREEN_GRIDS[grid]
+        F = monomial(1, 8)
+        assert repr(hengartner_schober(F, g)) == repr(full_grid_hengartner_schober(F, g))
+        np.testing.assert_allclose(
+            g.points[screens[0]], [g.radii[-1], -g.radii[-1]], atol=1e-15
+        )
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_coefficient_takes_the_full_grid(self, bad, screens):
+        F = PowerSeries([0.0, 1.0, 0.5, bad])
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert np.isnan(hengartner_schober(F, GRID))
+        assert screens == [None]
+
+    def test_slack_past_its_bound_takes_the_full_grid(self, screens):
+        # every value is near 1e305, finite, but the slack at r = 1 is past
+        # HS_SLACK_MAX
+        F = PowerSeries([0.0, 1e305, -3e304j, 1e304])
+        got = hengartner_schober(F, convo.DEFAULT_GRID)
+        assert np.isfinite(got)
+        assert repr(got) == repr(full_grid_hengartner_schober(F, convo.DEFAULT_GRID))
+        assert screens == [None]
+
+
 # the dense reference nudges samples within LEVEL_TIE_ATOL of a level off it
 NUDGE = 1e-8
 

@@ -172,9 +172,14 @@ class TestMainExitCodes:
             ["verify", "t2.5", "--a", "0.5", "-N", "64"],
             ["verify", "t2.5", "--config", "run.json"],
             [],
+            # an option's prefix is not a second spelling of it
+            ["verify", "t3.10", "--var", "2", "--n", "1", "--t", "0.5",
+             "--formats", "json", "--out", "DIR"],
         ],
     )
-    def test_malformed_command_line_is_one(self, argv, capsys):
+    def test_malformed_command_line_is_one(self, argv, capsys, tmp_path, monkeypatch):
+        # a command line that did run would write into the working directory
+        monkeypatch.chdir(tmp_path)
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
