@@ -60,10 +60,6 @@ CURVE_LADDER = ((0.95, 384), (0.9, 256), (0.98, 1024))
 SWEEP_LEVELS = 256
 LEVEL_TIE_ATOL = 1e-9
 HP_VANISH_ATOL = 1e-12
-# Slack factor and ceiling of the Hengartner-Schober screen; the bound
-# they set is derived in hengartner_schober.
-HS_SLACK = 64
-HS_SLACK_MAX = 1e290
 
 
 def hengartner_schober(F, grid: DiskGrid) -> float:
@@ -71,64 +67,15 @@ def hengartner_schober(F, grid: DiskGrid) -> float:
 
     Positivity of this functional (plus a boundary normalization that has
     no finite-sample analogue and is not checked here) forces F to be
-    convex in the direction of the imaginary axis.  NaN when any sampled
-    value is not finite, since the minimum would then hide it.
-
-    The result is, bit for bit, the minimum of (1 - p*p) * F'(p) over
-    grid.points with F' evaluated by Horner, but Horner runs only where
-    that minimum can lie.  One row-wise FFT (DiskGrid.sample) estimates F'
-    at every point.  On the ring of radius r the estimate e of
-    Re((1 - p^2) F'(p)) is within s_r = HS_SLACK (n + 1) eps 2 S_r of
-    Horner's value h, where F' = sum a_k z^k has order n and
-    S_r = sum |a_k| r^k bounds |F'| on the ring.  In units of eps S_r:
-    complex Horner errs by at most about 2n; the grid point p lies within
-    about 11 eps r of r e^{2 pi i j/m}, the point the FFT evaluates, which
-    moves F'(p) by at most about 11n; the FFT of the r^k-scaled
-    coefficients, folded into a vector of 1-norm at most S_r, errs by a
-    few units per radix stage, under 100 for m <= 65536 (a few in all
-    when n = 0: every twiddle the lone term meets is 1).  |1 - p^2| < 2
-    doubles that sum, the products with 1 - p^2 add a few units, and
-    64 (n + 1) exceeds the total for every n.  So every point where h is
-    least has e - s_r <= min(e + s_r) over the grid; Horner runs on those
-    points alone, and their least h is the grid's.  numpy rounds a complex
-    product on a length-1 array by a scalar path that can differ from the
-    array path in the last bit, so a lone candidate is passed twice.
-
-    The full grid is taken, unchanged, when the bound at r = 1 is not
-    finite or exceeds HS_SLACK_MAX.  Below that ceiling S_1, which bounds
-    every Horner accumulator and every FFT sum, is under 1e304, so every
-    estimate, every s_r and every value on the grid is finite and the NaN
-    rule cannot apply.  A zero minimum is also taken over the full grid,
-    since which of 0.0 and -0.0 np.min returns depends on the order in
-    which it reduces.
+    convex in the direction of the imaginary axis.  F' is sampled by the
+    grid's row-wise FFT (DiskGrid.sample).  NaN when any sampled value is
+    not finite, since the minimum would then hide it.
     """
-    D = F.differentiate()
     pts = grid.points
-    w = 1.0 - pts * pts
-    keep = _hs_candidates(D, w, grid)
-    if keep is not None:
-        low = float(np.min((w[keep] * D(pts[keep])).real))
-        if low != 0.0:
-            return low
-    vals = w * D(pts)
+    vals = (1.0 - pts * pts) * grid.sample(F.differentiate())
     if not np.isfinite(vals).all():
         return math.nan
     return float(np.min(vals.real))
-
-
-def _hs_candidates(D, w: np.ndarray, grid: DiskGrid) -> np.ndarray | None:
-    """Indices of the grid points where Re(w D) can be least, at least
-    two of them (see hengartner_schober), or None to take the full grid."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        a = np.abs(D.coeffs)
-        unit = HS_SLACK * len(a) * np.finfo(float).eps * 2.0
-        if not unit * a.sum() <= HS_SLACK_MAX:
-            return None
-        est = (w * grid.sample(D)).real
-    s_r = unit * (a * np.asarray(grid.radii)[:, None] ** np.arange(len(a))).sum(axis=1)
-    slack = np.repeat(s_r, grid.angles_per_ring)
-    keep = np.flatnonzero(est - slack <= np.min(est + slack))
-    return np.repeat(keep, 2) if len(keep) == 1 else keep
 
 
 def line_crossing_counts(
@@ -215,16 +162,9 @@ def convex_in_direction(
     value.
     The gate uses the derivative series, which loses accuracy faster than
     the curve itself, so callers pushing r_max outward can keep the gate on
-    a safer ring.  The gate rings (DiskGrid.sample, one row-wise FFT) and
-    the boundary circle (PowerSeries.on_circle) are evaluated by FFT.  The
-    Hengartner-Schober minimum is the full-grid Horner value bit for bit,
-    but one more FFT over the gate rings screens it first: Horner runs
-    only at the points whose FFT estimate, less the per-ring rounding
-    slack HS_SLACK (n + 1) eps 2 sum |a_k| r^k, is at most the least
-    estimate plus its slack (two points at least; a lone candidate is
-    passed twice).  A series whose slack at r = 1 is not finite or exceeds
-    HS_SLACK_MAX, or a zero minimum, takes the full grid, so the
-    non-finite rule above decides as it did without the screen.
+    a safer ring.  The gate rings (DiskGrid.sample, one row-wise FFT), the
+    Hengartner-Schober minimum on the same rings and the boundary circle
+    (PowerSeries.on_circle) are all evaluated by FFT.
     """
     gate = DEFAULT_GRID.capped(r_max if gate_radius is None else gate_radius)
     pts = gate.points

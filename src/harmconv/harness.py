@@ -74,6 +74,10 @@ class RunConfig:
             raise ConfigError(
                 f"unknown output format(s) {', '.join(bad)}; choose from {', '.join(_FORMATS)}"
             )
+        if not self.formats:
+            raise ConfigError(f"no output format given; choose from {', '.join(_FORMATS)}")
+        if self.outdir == "":
+            raise ConfigError("empty output directory; use . for the working directory")
         if self.case not in CASE_IDS:
             raise ConfigError(
                 f"unknown case id {self.case!r}; known ids: {', '.join(CASE_IDS)}"
@@ -301,9 +305,11 @@ def _config_from_args(args) -> RunConfig:
     formats = _FORMATS
     if args.formats is not None:
         formats = tuple(f.strip() for f in args.formats.split(",") if f.strip())
+        if args.verb == "plot" and "json" in formats:
+            raise ConfigError("plot writes no report.json; its formats are csv and svg")
     if args.verb == "plot":
-        formats = tuple(f for f in formats if f != "json") or ("svg",)
-    return RunConfig(args.case, params, args.outdir or ".", formats)
+        formats = tuple(f for f in formats if f != "json")
+    return RunConfig(args.case, params, "." if args.outdir is None else args.outdir, formats)
 
 
 def main(argv: list[str] | None = None) -> int:

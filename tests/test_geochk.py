@@ -107,8 +107,8 @@ class TestInstruments:
 
 
 def full_grid_hengartner_schober(F, grid):
-    """Horner at every grid point: the computation the screened
-    hengartner_schober must reproduce bit for bit."""
+    """Horner at every grid point: the reference for the FFT-sampled
+    hengartner_schober."""
     p = grid.points
     vals = (1 - p * p) * F.differentiate()(p)
     if not np.isfinite(vals).all():
@@ -116,22 +116,18 @@ def full_grid_hengartner_schober(F, grid):
     return float(np.min(vals.real))
 
 
-@pytest.fixture
-def screens(monkeypatch):
-    """Each _hs_candidates result of the test, None for the full grid."""
-    seen = []
-    screen = geochk._hs_candidates
-
-    def spy(*args):
-        seen.append(screen(*args))
-        return seen[-1]
-
-    monkeypatch.setattr(geochk, "_hs_candidates", spy)
-    return seen
+def hs_rounding_bound(F, grid):
+    """64 (n + 1) eps 2 max_r sum |a_k| r^k for F' = sum a_k z^k of order
+    n: |1 - p^2| < 2 times S_r = sum |a_k| r^k, which bounds |F'| on the
+    ring of radius r, times a generous count of rounding units for Horner,
+    the FFT and the rounding of the grid points."""
+    a = np.abs(F.differentiate().coeffs)
+    s_r = (a * np.asarray(grid.radii)[:, None] ** np.arange(len(a))).sum(axis=1)
+    return 64 * len(a) * np.finfo(float).eps * 2.0 * s_r.max()
 
 
 # the curve ladder's gate grid, the full default grid and the small one
-SCREEN_GRIDS = {
+HS_GRIDS = {
     "gate": convo.DEFAULT_GRID.capped(0.95),
     "default": convo.DEFAULT_GRID,
     "small": GRID,
@@ -139,14 +135,14 @@ SCREEN_GRIDS = {
 
 
 class TestHengartnerSchoberScreen:
-    """The FFT screen must leave every bit of the full-grid minimum, and of
-    its NaN rule, unchanged."""
+    """The FFT-sampled minimum agrees with full-grid Horner within the
+    rounding bound, and keeps its NaN rule."""
 
-    @pytest.mark.parametrize("grid", SCREEN_GRIDS)
+    @pytest.mark.parametrize("grid", HS_GRIDS)
     @pytest.mark.parametrize("kind", ["dense", "sparse", "k2"])
     @pytest.mark.parametrize("order", [8, 9, 64, 255, 384, 1024])
-    def test_random_series_match_full_grid(self, order, kind, grid, screens):
-        g = SCREEN_GRIDS[grid]
+    def test_random_series_match_full_grid(self, order, kind, grid):
+        g = HS_GRIDS[grid]
         rng = np.random.default_rng([order, len(kind), len(g.radii)])
         c = rng.normal(size=order + 1) + 1j * rng.normal(size=order + 1)
         if kind == "sparse":
@@ -155,45 +151,21 @@ class TestHengartnerSchoberScreen:
             c *= np.arange(order + 1) ** 2.0
         F = PowerSeries(c)
         got = hengartner_schober(F, g)
-        assert repr(got) == repr(full_grid_hengartner_schober(F, g))
-        assert len(screens[0]) >= 2
-
-    @pytest.mark.parametrize("grid", ["gate", "small"])
-    def test_unique_minimum_is_evaluated_twice(self, grid, screens):
-        # Re((1+z)/(1-z)) is least at z = -r on the outer ring alone (at
-        # r = 0.99 the order-512 truncation ties two points instead)
-        g = SCREEN_GRIDS[grid]
-        F = geometric(512)
-        assert repr(hengartner_schober(F, g)) == repr(full_grid_hengartner_schober(F, g))
-        (keep,) = screens
-        assert len(keep) == 2 and keep[0] == keep[1]
-        assert g.points[keep[0]] == pytest.approx(-g.radii[-1])
-
-    @pytest.mark.parametrize("grid", SCREEN_GRIDS)
-    def test_symmetric_tie_keeps_both_points(self, grid, screens):
-        # 1 - Re z^2 is least at z = r and z = -r on the outer ring
-        g = SCREEN_GRIDS[grid]
-        F = monomial(1, 8)
-        assert repr(hengartner_schober(F, g)) == repr(full_grid_hengartner_schober(F, g))
-        np.testing.assert_allclose(
-            g.points[screens[0]], [g.radii[-1], -g.radii[-1]], atol=1e-15
-        )
+        assert abs(got - full_grid_hengartner_schober(F, g)) <= hs_rounding_bound(F, g)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-    def test_non_finite_coefficient_takes_the_full_grid(self, bad, screens):
+    def test_non_finite_coefficient_is_nan(self, bad):
         F = PowerSeries([0.0, 1.0, 0.5, bad])
         with np.errstate(invalid="ignore", over="ignore"):
             assert np.isnan(hengartner_schober(F, GRID))
-        assert screens == [None]
 
-    def test_slack_past_its_bound_takes_the_full_grid(self, screens):
-        # every value is near 1e305, finite, but the slack at r = 1 is past
-        # HS_SLACK_MAX
+    def test_series_near_overflow_stays_finite(self):
+        # every value is near 1e305, finite
         F = PowerSeries([0.0, 1e305, -3e304j, 1e304])
-        got = hengartner_schober(F, convo.DEFAULT_GRID)
+        g = convo.DEFAULT_GRID
+        got = hengartner_schober(F, g)
         assert np.isfinite(got)
-        assert repr(got) == repr(full_grid_hengartner_schober(F, convo.DEFAULT_GRID))
-        assert screens == [None]
+        assert abs(got - full_grid_hengartner_schober(F, g)) <= hs_rounding_bound(F, g)
 
 
 # the dense reference nudges samples within LEVEL_TIE_ATOL of a level off it

@@ -175,6 +175,12 @@ class TestMainExitCodes:
             # an option's prefix is not a second spelling of it
             ["verify", "t3.10", "--var", "2", "--n", "1", "--t", "0.5",
              "--formats", "json", "--out", "DIR"],
+            # a format list that names no format, json for plot, an empty
+            # directory name
+            ["verify", "t2.5", "--a", "0.5", "--formats", ","],
+            ["verify", "t2.5", "--a", "0.5", "--formats", ""],
+            ["plot", "t2.5", "--a", "0.5", "--formats", "json"],
+            ["verify", "t2.5", "--a", "0.5", "--formats", "json", "--outdir="],
         ],
     )
     def test_malformed_command_line_is_one(self, argv, capsys, tmp_path, monkeypatch):
@@ -182,6 +188,7 @@ class TestMainExitCodes:
         monkeypatch.chdir(tmp_path)
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error: ")
+        assert not any(tmp_path.iterdir())
 
     def test_help_is_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
