@@ -4,9 +4,11 @@ The algebraic certificates (Cohn chains, Blaschke shape detection) live in
 cpoly and convo.  This module adds the disk-sampling side: dilatation
 bounds on grids, the Hengartner-Schober positivity functional, directional
 convexity of image curves, and the CASES table.  Each entry defines one
-named construction: its parameter axes, its harmonic map (build) and what
-each parameter point certifies and asserts (point).  sweep_report runs an
-entry across its parameter grid and returns verdict rows.
+named construction: its parameter axes, its harmonic map (build), what
+each parameter point certifies (point) and what the case claims (claim:
+the direction of convexity and the hypothesis under which a row asserts
+it).  sweep_report runs an entry across its parameter grid, decides from
+the claim which rows assert, and returns verdict rows.
 
 Adding a case takes one CASES entry, plus its build and point helpers when
 the existing ones (_halfplane, _strip, _combined; _quartic_point,
@@ -22,8 +24,10 @@ from __future__ import annotations
 
 import math
 import numbers
+import re
 import sys
 from dataclasses import dataclass, replace
+from functools import cache, partial
 from itertools import islice
 from typing import Callable, Mapping, Sequence
 
@@ -122,21 +126,18 @@ def line_crossing_counts(
 class ConvexityReport:
     """Outcome of the directional convexity check.
 
-    passed is None when the verdict was withheld: local univalence could
-    not be confirmed on the sampled grid (the note then names the offending
-    point), or a sample was not finite.  Otherwise passed ==
-    (crossing_max <= 2), counted on the one curve Im(e^{-i phi} A) of the
-    analytic reduction, which is also the height of the harmonic image.
+    passed is None when the verdict was withheld (the default): local
+    univalence could not be confirmed on the sampled grid (the note then
+    names the offending point), or a sample was not finite.  Otherwise
+    passed == (crossing_max <= 2), counted on the one curve Im(e^{-i phi} A)
+    of the analytic reduction, which is also the height of the harmonic
+    image.
     """
 
-    passed: bool | None
-    crossing_max: int | None
-    min_hs_value: float | None
+    passed: bool | None = None
+    crossing_max: int | None = None
+    min_hs_value: float | None = None
     note: str = ""
-
-
-def _withheld(note: str) -> ConvexityReport:
-    return ConvexityReport(passed=None, crossing_max=None, min_hs_value=None, note=note)
 
 
 def convex_in_direction(
@@ -171,20 +172,21 @@ def convex_in_direction(
     hv = gate.sample(f.h.differentiate())
     gv = gate.sample(f.g.differentiate())
     if not (np.isfinite(hv).all() and np.isfinite(gv).all()):
-        return _withheld("non-finite h' or g' samples on the grid, convexity verdict withheld")
+        return ConvexityReport(
+            note="non-finite h' or g' samples on the grid, convexity verdict withheld"
+        )
     small = np.abs(hv) < HP_VANISH_ATOL
     if small.any():
         i = int(np.argmax(small))
-        return _withheld(
-            f"|h'| = {abs(hv[i]):.3e} at z = {pts[i]:.6f}; local "
+        return ConvexityReport(
+            note=f"|h'| = {abs(hv[i]):.3e} at z = {pts[i]:.6f}; local "
             "univalence unresolved, convexity verdict withheld"
         )
     ratio = np.abs(gv) / np.abs(hv)
     i = int(np.argmax(ratio))
-    worst_ratio = float(ratio[i])
-    if worst_ratio > 1.0 + GRID_ATOL:
-        return _withheld(
-            f"|g'/h'| = {worst_ratio:.6f} > 1 at z = {pts[i]:.6f}; not "
+    if ratio[i] > 1.0 + GRID_ATOL:
+        return ConvexityReport(
+            note=f"|g'/h'| = {ratio[i]:.6f} > 1 at z = {pts[i]:.6f}; not "
             "sense-preserving on the grid, convexity verdict withheld"
         )
 
@@ -192,8 +194,8 @@ def convex_in_direction(
     min_hs = hengartner_schober(A.scale(np.exp(1j * (math.pi / 2.0 - phi))), gate)
     ys = (A.on_circle(r_max, DEFAULT_BOUNDARY_POINTS) * np.exp(-1j * phi)).imag
     if not (math.isfinite(min_hs) and np.isfinite(ys).all()):
-        return _withheld(
-            "non-finite boundary or Hengartner-Schober samples, convexity "
+        return ConvexityReport(
+            note="non-finite boundary or Hengartner-Schober samples, convexity "
             "verdict withheld"
         )
     _, counts = line_crossing_counts(ys)
@@ -225,27 +227,19 @@ def _curve_evidence(build: Callable[[int], HarmonicMap], phi: float) -> Convexit
     """
     attempts: list[tuple[float, ConvexityReport]] = []
     for r, order in CURVE_LADDER:
-        f = build(order)
-        rep = convex_in_direction(f, phi, r_max=r, gate_radius=min(r, 0.95))
+        rep = convex_in_direction(build(order), phi, r_max=r, gate_radius=min(r, 0.95))
         if rep.passed:
             return rep
         attempts.append((r, rep))
-    bits = []
-    for r, rep in attempts:
-        if rep.passed is None:
-            bits.append(f"|z|={r:g}: withheld")
-        else:
-            bits.append(f"|z|={r:g}: {rep.crossing_max} crossings")
-    last = attempts[-1][1]
+    bits = ", ".join(
+        f"|z|={r:g}: " + ("withheld" if rep.passed is None else f"{rep.crossing_max} crossings")
+        for r, rep in attempts
+    )
     return replace(
-        last,
+        attempts[-1][1],
         passed=None,
-        note=(
-            "no sampled radius gave a two-crossing curve ("
-            + ", ".join(bits)
-            + "); interior samples cannot decide the full-image claim, "
-            "verdict withheld"
-        ),
+        note=f"no sampled radius gave a two-crossing curve ({bits}); interior samples "
+        "cannot decide the full-image claim, verdict withheld",
     )
 
 
@@ -338,67 +332,112 @@ class Axis:
 
 @dataclass(frozen=True)
 class Point:
-    """What one parameter point certifies, reports and asserts.
-
-    closed is the dilatation handed to certify_bounded, and roots_of the
-    polynomial whose zeros the row reports (in the substituted variable w
-    when roots_in_w).  note opens the row's note: why nothing is asserted,
-    which reduction was certified, how the identity check came out.  A
-    failed algebraic identity (identity False) fails the row.
+    """What one parameter point certifies and reports; what it asserts is
+    its case's claim.  closed is the dilatation handed to certify_bounded,
+    roots_of the polynomial whose zeros the row reports (in the substituted
+    variable w when roots_in_w), and note says which reduction was
+    certified and how the identity check came out.  A failed identity
+    (identity False) fails the row.
     """
 
     closed: RationalFunction
     roots_of: ComplexPolynomial | None
-    phi: float
-    phi_label: str
-    asserted: bool = True
     note: str = ""
     identity: bool = True
     roots_in_w: bool = False
 
 
-class _MapCache:
-    """Maps reused across t values and rows of one sweep.
+# Claim expressions: Python syntax in the parameters, with abs and pi,
+# compiled once and evaluated in floats.
+_compiled = cache(lambda expr: compile(expr, expr, "eval"))
 
-    One cache lives as long as one sweep_report or image_curves call, never
-    longer, so repeated runs in a process rebuild their maps.
-    """
+
+def _value(expr: str, p: Mapping):
+    return eval(_compiled(expr), {"__builtins__": {}, "abs": abs, "pi": math.pi}, p)
+
+
+@dataclass(frozen=True)
+class Constraint:
+    """One inequality of a claim's hypothesis, text "lhs op rhs": op is <,
+    <=, > or >=, and rhs the exact edge, such as (n - 2)/(n + 2).  It binds
+    the points where the expression when holds (all, when empty); unmet
+    opens the note of a row that misses it.  The float sides are compared
+    once against EDGE_ATOL: on the edge a non-strict constraint holds and a
+    strict one does not."""
+
+    text: str
+    unmet: str
+    when: str = ""
+
+    @property
+    def sides(self) -> list[str]:  # [lhs, op, rhs]
+        return re.split(r" ([<>]=?) ", self.text)
+
+    @property
+    def strict(self) -> bool:
+        return self.sides[1] in ("<", ">")
+
+    def holds(self, p: Mapping) -> bool:
+        if self.when and not _value(self.when, p):
+            return True
+        lhs, op, rhs = self.sides
+        margin = _value(lhs, p) - _value(rhs, p)
+        margin = -margin if op[0] == "<" else margin
+        return margin > EDGE_ATOL if self.strict else margin >= -EDGE_ATOL
+
+
+@dataclass(frozen=True)
+class Claim:
+    """What a case asserts: convexity in the direction phi, an exact
+    expression such as -gamma, at each point that meets every constraint
+    of its hypothesis.  The open-ended cases have hypothesis None: they
+    name the direction they test and assert nothing."""
+
+    direction: str
+    hypothesis: tuple[Constraint, ...] | None = ()
+
+    def unmet(self, p: Mapping) -> str | None:
+        """The note opening of a row that asserts nothing; None if it asserts."""
+        if self.hypothesis is None:
+            return "exploratory: no assertion; "
+        return next((c.unmet for c in self.hypothesis if not c.holds(p)), None)
+
+    def phi(self, p: Mapping) -> tuple[float, str]:
+        """The direction at p, and its label, which adds the value when the
+        direction names a parameter."""
+        phi = float(_value(self.direction, p))
+        named = set(_compiled(self.direction).co_names) - {"pi"}
+        return phi, f"phi={self.direction}" + (f"={phi + 0.0:g}" if named else "")
+
+
+class _MapCache:
+    """Maps reused across t values and rows of one sweep: the family
+    members, and f_{a,0}, the half-plane and strip cases' convolution
+    partner.  One cache lives as long as one sweep_report or image_curves
+    call, never longer, so repeated runs in a process rebuild their maps."""
 
     def __init__(self):
-        self._store: dict = {}
-
-    def _get(self, key: tuple, make: Callable[[], HarmonicMap]) -> HarmonicMap:
-        if key not in self._store:
-            self._store[key] = make()
-        return self._store[key]
-
-    def family(
-        self, alpha: float, n: int, omega: RationalFunction, order: int
-    ) -> HarmonicMap:
-        return self._get(
-            ("family", alpha, n, omega, order),
-            lambda: family_f_alpha_n(alpha, n, omega.series(order), order),
+        self.family = cache(
+            lambda alpha, n, omega, order: family_f_alpha_n(alpha, n, omega.series(order), order)
         )
-
-    def extremal(self, a: float, order: int) -> HarmonicMap:
-        """f_{a,0}, the convolution partner of the half-plane and strip
-        cases."""
-        return self._get(("extremal", a, order), lambda: f_a_alpha(a, 0.0, order))
+        self.extremal = cache(lambda a, order: f_a_alpha(a, 0.0, order))
 
 
 @dataclass(frozen=True)
 class Case:
     """One construction, swept across its parameter axes.
 
-    build(params, N, cache) is the only definition of the case's harmonic
+    build(params, N, maps) is the only definition of the case's harmonic
     map, truncated at order N; it serves the curve ladder and the image
-    curves alike.  point(params) says what the row certifies and asserts.
+    curves alike.  point(params) says what the row certifies, and claim
+    what it asserts.
     """
 
     blurb: str
     axes: tuple[Axis, ...]
     build: Callable[[dict, int, _MapCache], HarmonicMap]
     point: Callable[[dict], Point]
+    claim: Claim
 
     @property
     def parameters(self) -> list[str]:
@@ -429,9 +468,6 @@ def _monomial(power: int, coeff) -> RationalFunction:
     )
 
 
-_Z2 = _monomial(2, 1.0)
-
-
 def _core(closed: RationalFunction) -> ComplexPolynomial:
     """The numerator with its power of z split off."""
     return convo._strip_monomial(closed.num)[1]
@@ -442,48 +478,32 @@ def _w_poly(closed: RationalFunction) -> ComplexPolynomial:
     return ComplexPolynomial((-1.0 * closed.num).coeffs[1:])
 
 
-# The maps: each build(params, N, cache) below is a case's harmonic map.
+# The maps: a case's build is one of these with its first argument bound.
 
 
-def _halfplane(omega):
+def _halfplane(omega, p: dict, N: int, maps: _MapCache) -> HarmonicMap:
     """f_{a,0} convolved with the gamma-slanted half-plane map sheared by
     omega(params)."""
-
-    def build(p: dict, N: int, cache: _MapCache) -> HarmonicMap:
-        return convo.convolve(
-            cache.extremal(p["a"], N),
-            slanted_halfplane(p.get("gamma", 0.0), omega(p).series(N), N),
-        )
-
-    return build
+    return convo.convolve(
+        maps.extremal(p["a"], N),
+        slanted_halfplane(p.get("gamma", 0.0), omega(p).series(N), N),
+    )
 
 
-def _strip(omega):
+def _strip(omega, p: dict, N: int, maps: _MapCache) -> HarmonicMap:
     """f_{0,0} convolved with the strip map sheared by omega(params)."""
-
-    def build(p: dict, N: int, cache: _MapCache) -> HarmonicMap:
-        return convo.convolve(cache.extremal(0.0, N), strip_map(omega(p).series(N), N))
-
-    return build
+    return convo.convolve(maps.extremal(0.0, N), strip_map(omega(p).series(N), N))
 
 
-def _combined(members):
+def _combined(members, p: dict, N: int, maps: _MapCache) -> HarmonicMap:
     """t f1 + (1 - t) f2 for the dyadic-family members
     members(params) = ((alpha1, omega1), (alpha2, omega2))."""
-
-    def build(p: dict, N: int, cache: _MapCache) -> HarmonicMap:
-        (alpha1, w1), (alpha2, w2) = members(p)
-        return convo.combination(
-            cache.family(alpha1, p["n"], w1, N),
-            cache.family(alpha2, p["n"], w2, N),
-            p["t"],
-        )
-
-    return build
-
-
-def _t22_omega(p):
-    return _monomial(p["n"], np.exp(1j * p["theta"]))
+    (alpha1, w1), (alpha2, w2) = members(p)
+    return convo.combination(
+        maps.family(alpha1, p["n"], w1, N),
+        maps.family(alpha2, p["n"], w2, N),
+        p["t"],
+    )
 
 
 def _even_mobius(p):
@@ -549,66 +569,61 @@ def _t311_members(p):
     )
 
 
-# What each parameter point certifies and asserts.
+# What each parameter point certifies.
 
 
 def _t22_point(p) -> Point:
     sp = SlantParams(gamma=p["gamma"], theta=p["theta"], n=p["n"], a=p["a"])
     closed = convo.monomial_convolution_dilatation(sp)
-    asserted = sp.a >= sp.a_threshold - EDGE_ATOL
-    note = "" if asserted else "below the monomial threshold, no claim made; "
-    label = f"phi=-gamma={-sp.gamma + 0.0:g}"
-    return Point(closed, _core(closed), -sp.gamma, label, asserted, note)
+    return Point(closed, _core(closed))
 
 
-def _quartic_point(omega, reduced, quartic):
+def _quartic_point(omega, reduced, p) -> Point:
     """The two coupled quartic convolutions.
 
-    The certificate runs on the reduced quartic form, not on the rational
-    the general half-plane formula assembles: at gamma = 0 that assembly
-    keeps a removable (1 - z) in both numerator and denominator, and its
-    circle zero defeats the structural routes.  The two forms are checked
-    against each other at random points so the reduction itself is part of
-    the verdict.  reduced(a) also enforces the case's range of a.
+    The certificate runs on the reduced quartic form p/p* (the row reports
+    the zeros of p), not on the rational the general half-plane formula
+    assembles: at gamma = 0 that assembly keeps a removable (1 - z) in both
+    numerator and denominator, and its circle zero defeats the structural
+    routes.  The two forms are checked against each other at random points
+    so the reduction itself is part of the verdict.  reduced(a) also
+    enforces the case's range of a.
     """
-
-    def point(p) -> Point:
-        closed = reduced(p["a"])
-        assembled = convo.halfplane_convolution_dilatation(p["a"], 0.0, omega(p))
-        agree = convo.rationals_equal(assembled, closed)
-        note = (
-            "assembled dilatation matches the reduced quartic form; "
-            if agree
-            else "assembled dilatation DISAGREES with the reduced quartic form; "
-        )
-        return Point(closed, quartic(p["a"]), 0.0, "phi=0", note=note, identity=agree)
-
-    return point
+    closed = reduced(p["a"])
+    assembled = convo.halfplane_convolution_dilatation(p["a"], 0.0, omega(p))
+    agree = convo.rationals_equal(assembled, closed)
+    verb = "matches" if agree else "DISAGREES with"
+    note = f"assembled dilatation {verb} the reduced quartic form; "
+    return Point(closed, closed.num, note, identity=agree)
 
 
 def _t25_point(p) -> Point:
     closed = convo.strip_convolution_dilatation(_even_mobius(p))
-    identity = convo.rationals_equal(closed, _Z2)
+    identity = convo.rationals_equal(closed, _monomial(2, 1.0))
     note = "dilatation collapses to z^2; " if identity else "z^2 identity FAILED; "
-    return Point(closed, None, 0.0, "phi=0", note=note, identity=identity)
+    return Point(closed, None, note, identity)
 
 
-def _combination_point(p, w1, w2, closed, roots_of=None, asserted=True, note="") -> Point:
-    """Combination rows, convexity in direction pi/2.
+def _combination_point(p, w1, w2, closed, roots_of=None, ordered=False) -> Point:
+    """Combination rows.
 
-    At t = 0 or t = 1 the combination is a single member and its dilatation
-    equals that member's omega exactly, while the assembled rational keeps
-    removable factors that can defeat the shape detector; certify the pure
-    factor instead and say so.
+    With equal weights the displayed polynomial of an ordered case (t3.9,
+    t3.11) keeps a self-inversive factor that cancels against its
+    reflection; certify the shared-target reduction, which is that
+    cancellation carried out.  At t = 0 or t = 1 the combination is a
+    single member and its dilatation equals that member's omega exactly,
+    while the assembled rational keeps removable factors that can defeat
+    the shape detector; certify the pure factor instead and say so.
     """
+    note = ""
+    if ordered and abs(p["alpha1"] - p["alpha2"]) <= EDGE_ATOL:
+        closed = convo.shared_target_combination_dilatation(w1, w2, p["t"])
+        note = "equal weights: certified via the shared-target reduction; "
     if p["t"] <= EDGE_ATOL:
         closed, note = w2, note + "endpoint t=0: dilatation is omega2 itself; "
     elif p["t"] >= 1.0 - EDGE_ATOL:
         closed, note = w1, note + "endpoint t=1: dilatation is omega1 itself; "
-    return Point(
-        closed, roots_of, math.pi / 2.0, "phi=pi/2", asserted, note,
-        roots_in_w=roots_of is not None,
-    )
+    return Point(closed, roots_of, note, roots_in_w=roots_of is not None)
 
 
 def _t38_point(p) -> Point:
@@ -617,38 +632,17 @@ def _t38_point(p) -> Point:
     return _combination_point(p, w1, w2, closed)
 
 
-def _ordered_point(p, w1, w2, closed, roots_of) -> Point:
-    """The claim for alpha1 <= alpha2.  With equal weights the displayed
-    polynomial keeps a self-inversive factor that cancels against its
-    reflection; certify the shared-target reduction, which is that
-    cancellation carried out."""
-    asserted = p["alpha1"] <= p["alpha2"] + EDGE_ATOL
-    note = "" if asserted else "alpha1 > alpha2, outside the claimed range; "
-    if abs(p["alpha1"] - p["alpha2"]) <= EDGE_ATOL:
-        closed = convo.shared_target_combination_dilatation(w1, w2, p["t"])
-        note += "equal weights: certified via the shared-target reduction; "
-    return _combination_point(p, w1, w2, closed, roots_of, asserted, note)
-
-
 def _t39_point(p) -> Point:
     (alpha1, w1), (alpha2, w2) = _t39_members(p)
     closed = convo.opposed_monomial_cubic(alpha1, alpha2, p["t"])
-    return _ordered_point(p, w1, w2, closed, _w_poly(closed))
+    return _combination_point(p, w1, w2, closed, _w_poly(closed), ordered=True)
 
 
 def _t310_point(p) -> Point:
     (alpha1, w1), (alpha2, w2) = _t310_members(p)
-    if p["variant"] == 1:
-        closed = convo.adjacent_negative_cubic(alpha1, alpha2, p["t"])
-        asserted = alpha1 < alpha2 - EDGE_ATOL
-        reason = "needs alpha1 < alpha2 strictly; "
-    else:
-        closed = convo.adjacent_positive_quartic(alpha1, alpha2, p["t"])
-        asserted = abs(alpha1) > abs(alpha2) + EDGE_ATOL and alpha1 * alpha2 > EDGE_ATOL
-        reason = "needs |alpha1| > |alpha2| and alpha1*alpha2 > 0; "
-    return _combination_point(
-        p, w1, w2, closed, _w_poly(closed), asserted, "" if asserted else reason
-    )
+    reduce = {1: convo.adjacent_negative_cubic, 2: convo.adjacent_positive_quartic}
+    closed = reduce[p["variant"]](alpha1, alpha2, p["t"])
+    return _combination_point(p, w1, w2, closed, _w_poly(closed))
 
 
 def _t311_point(p) -> Point:
@@ -657,35 +651,35 @@ def _t311_point(p) -> Point:
     (alpha1, w1), (alpha2, w2) = _t311_members(p)
     closed = convo.quarter_power_sextic(alpha1, alpha2, p["t"])
     sextic = convo.quarter_power_sextic_poly(alpha1, alpha2, p["t"])
-    return _ordered_point(p, w1, w2, closed, sextic)
+    return _combination_point(p, w1, w2, closed, sextic, ordered=True)
 
 
-def _exploration_point(omega):
-    """The open-ended half-plane explorations, which assert nothing.  A
-    shared (z - 1) factor of the gamma = 0 assembly is cancelled first."""
-
-    def point(p) -> Point:
-        closed = convo.halfplane_convolution_dilatation(p["a"], 0.0, omega(p))
-        note = "exploratory: no assertion; "
-        reduced = convo.cancel_unit_root(closed)
-        if reduced is not None:
-            closed, note = reduced, note + "shared (z - 1) factor cancelled; "
-        return Point(closed, _core(closed), 0.0, "phi=0", asserted=False, note=note)
-
-    return point
+def _exploration_point(omega, p) -> Point:
+    """The open-ended half-plane explorations.  A shared (z - 1) factor of
+    the gamma = 0 assembly is cancelled first."""
+    closed = convo.halfplane_convolution_dilatation(p["a"], 0.0, omega(p))
+    reduced = convo.cancel_unit_root(closed)
+    if reduced is None:
+        return Point(closed, _core(closed))
+    return Point(reduced, _core(reduced), "shared (z - 1) factor cancelled; ")
 
 
 def _oq3_point(p) -> Point:
     closed = convo.strip_convolution_dilatation(_blaschke_power_a(p))
-    return Point(
-        closed, _core(closed), 0.0, "phi=0", asserted=False,
-        note="exploratory: no assertion; ",
-    )
+    return Point(closed, _core(closed))
+
+
+# The monomial-dilatation convolution is locally univalent from here on.
+_T22_THRESHOLD = Constraint("a >= (n - 2)/(n + 2)", "below the monomial threshold, no claim made; ")
+_ORDERED = Claim(
+    "pi/2", (Constraint("alpha1 <= alpha2", "alpha1 > alpha2, outside the claimed range; "),)
+)
+_T310_V2_UNMET = "needs |alpha1| > |alpha2| and alpha1*alpha2 > 0; "
 
 
 def _t22_a(p) -> list[float]:
     """The threshold (n-2)/(n+2), two values above it, and one below it."""
-    threshold = (p["n"] - 2.0) / (p["n"] + 2.0)
+    threshold = _value(_T22_THRESHOLD.sides[2], p)
     below = round(threshold - 0.15, 10)
     mid = round((threshold + 0.95) / 2.0, 10)
     return [threshold, mid, 0.95] + ([below] if below > -0.95 else [])
@@ -730,34 +724,30 @@ CASES: dict[str, Case] = {
     "t2.2": Case(
         "slanted half-plane target, monomial dilatation e^{i theta} z^n",
         (_n(_POWER_N_MAX, 1, 2, 3), Axis("gamma", (0.0,)), _THETA, Axis("a", _t22_a)),
-        _halfplane(_t22_omega),
+        partial(_halfplane, lambda p: _monomial(p["n"], np.exp(1j * p["theta"]))),
         _t22_point,
+        Claim("-gamma", (_T22_THRESHOLD,)),
     ),
     "t2.3": Case(
         "half-plane target, even Moebius dilatation, quartic certificate",
         (Axis("a", _frange(0.05, 0.95, 0.05)),),
-        _halfplane(_even_mobius),
-        _quartic_point(
-            _even_mobius,
-            convo.even_mobius_convolution_dilatation,
-            convo.even_mobius_quartic,
-        ),
+        partial(_halfplane, _even_mobius),
+        partial(_quartic_point, _even_mobius, convo.even_mobius_convolution_dilatation),
+        Claim("0"),
     ),
     "t2.4": Case(
         "half-plane target, negated squared-Blaschke dilatation",
         (Axis("a", _frange(0.05, 0.95, 0.05)),),
-        _halfplane(_negated_square),
-        _quartic_point(
-            _negated_square,
-            convo.negated_square_convolution_dilatation,
-            convo.negated_square_quartic,
-        ),
+        partial(_halfplane, _negated_square),
+        partial(_quartic_point, _negated_square, convo.negated_square_convolution_dilatation),
+        Claim("0"),
     ),
     "t2.5": Case(
         "strip target, even Moebius dilatation collapsing to z^2",
         (Axis("a", _frange(-0.9, 0.9, 0.1)),),
-        _strip(_even_mobius),
+        partial(_strip, _even_mobius),
         _t25_point,
+        Claim("0"),
     ),
     "t3.8": Case(
         "equal-weight family combinations, assorted bounded dilatations",
@@ -771,44 +761,58 @@ CASES: dict[str, Case] = {
             ),
             _T,
         ),
-        _combined(_t38_members),
+        partial(_combined, _t38_members),
         _t38_point,
+        Claim("pi/2"),
     ),
     "t3.9": Case(
         "family combinations with opposed monomial dilatations",
         (_n(_FAMILY_N_MAX, 1, 2), _PAIRS, _T),
-        _combined(_t39_members),
+        partial(_combined, _t39_members),
         _t39_point,
+        _ORDERED,
     ),
     "t3.10": Case(
         "family combinations with adjacent power dilatations (2 variants)",
         (_n(_FAMILY_N_MAX, 1, 2), Axis("variant", (1, 2), _count), _T310_PAIRS, _T),
-        _combined(_t310_members),
+        partial(_combined, _t310_members),
         _t310_point,
+        Claim(
+            "pi/2",
+            (
+                Constraint("alpha1 < alpha2", "needs alpha1 < alpha2 strictly; ", "variant == 1"),
+                Constraint("abs(alpha1) > abs(alpha2)", _T310_V2_UNMET, "variant == 2"),
+                Constraint("alpha1*alpha2 > 0", _T310_V2_UNMET, "variant == 2"),
+            ),
+        ),
     ),
     "t3.11": Case(
         "family combinations with quarter-power members, sextic certificate",
         (_n(_FAMILY_N_MAX, 2, 3), _PAIRS, _T),
-        _combined(_t311_members),
+        partial(_combined, _t311_members),
         _t311_point,
+        _ORDERED,
     ),
     "oq1": Case(
         "exploration: half-plane target, Moebius power dilatation",
         (_n(_POWER_N_MAX, 3), _THETA, _A_EXPLORED, _B_EXPLORED),
-        _halfplane(_mobius_power_b),
-        _exploration_point(_mobius_power_b),
+        partial(_halfplane, _mobius_power_b),
+        partial(_exploration_point, _mobius_power_b),
+        Claim("0", hypothesis=None),
     ),
     "oq2": Case(
         "exploration: half-plane target, Blaschke power dilatation",
         (_n(_POWER_N_MAX, 2), _THETA, _A_EXPLORED, _B_EXPLORED),
-        _halfplane(_blaschke_power_b),
-        _exploration_point(_blaschke_power_b),
+        partial(_halfplane, _blaschke_power_b),
+        partial(_exploration_point, _blaschke_power_b),
+        Claim("0", hypothesis=None),
     ),
     "oq3": Case(
         "exploration: strip target, Blaschke power dilatation",
         (_n(_POWER_N_MAX, 1, 2, 3), _THETA, _A_EXPLORED),
-        _strip(_blaschke_power_a),
+        partial(_strip, _blaschke_power_a),
         _oq3_point,
+        Claim("0", hypothesis=None),
     ),
 }
 
@@ -831,76 +835,60 @@ def _root_pairs(poly: ComplexPolynomial | None) -> list[list[float]] | None:
     if poly is None or poly.degree < 1 or poly.degree > 24:
         return None
     try:
-        values = roots(poly)
+        return sorted([float(v.real), float(v.imag)] for v in roots(poly))
     except NumericFailure:
         return None
-    pairs = sorted((float(v.real), float(v.imag)) for v in values)
-    return [[re, im] for re, im in pairs]
 
 
-def _judge(cert: BoundednessReport, conv: ConvexityReport) -> bool | None:
-    """Collapse certificate + convexity into pass (True), fail (False) or
-    indeterminate (None)."""
-    if cert.verdict == "exceeds":
-        return False
-    if not cert.certified or conv.passed is None:
-        return None
-    return True
-
-
-def _verdict_of(asserted: bool, ok: bool | None) -> str:
+def _verdict(asserted: bool, pt: Point, cert: BoundednessReport, conv: ConvexityReport) -> str:
+    """A row that asserts passes on a certificate, a sampled convexity pass
+    and a holding identity, fails on a failed identity or a witnessed
+    dilatation excursion, and is indeterminate otherwise."""
     if not asserted:
         return "exploratory"
-    if ok is None:
+    if not pt.identity or cert.verdict == "exceeds":
+        return "fail"
+    if not cert.certified or conv.passed is None:
         return "indeterminate"
-    return "pass" if ok else "fail"
-
-
-def _describe(cert: BoundednessReport, conv: ConvexityReport, phi_label: str) -> str:
-    bits = [f"dilatation {cert.verdict} ({cert.method})"]
-    if conv.passed is None:
-        bits.append(f"convexity {phi_label}: withheld ({conv.note})")
-    else:
-        bits.append(f"convexity {phi_label}: passed, max {conv.crossing_max} crossings")
-    return "; ".join(bits)
+    return "pass"
 
 
 def _row_key(row: dict):
-    items = []
-    for k in sorted(row["params"]):
-        v = row["params"][k]
-        if isinstance(v, (int, float)):
-            items.append((k, 0, float(v), ""))
-        else:
-            items.append((k, 1, 0.0, str(v)))
-    return tuple(items)
+    """Numbers by value, then labels (t3.8's omegas) as text."""
+    return tuple((k, isinstance(v, str), v) for k, v in sorted(row["params"].items()))
 
 
 def sweep_report(case: str, params: Mapping | None = None) -> list[dict]:
     """Run one case's construction and certificates across a parameter grid.
 
-    Returns verdict rows sorted by parameter tuple.  Rows outside a case's
-    claimed hypothesis range, and all rows of the open-ended cases, carry
-    verdict "exploratory" and assert nothing.  Each CURVE_LADDER rung
-    builds the maps at its own truncation order.
+    Returns verdict rows sorted by parameter tuple.  The case's claim,
+    evaluated once per point, decides what a row asserts: rows outside its
+    hypothesis, and all rows of the open-ended cases, carry verdict
+    "exploratory", assert nothing and open their note with why.  Each
+    CURVE_LADDER rung builds the maps at its own truncation order.
     """
     key, spec = _case(case)
-    cache = _MapCache()
+    maps = _MapCache()
     # Every point is set up (and its parameters validated) before any runs.
     points = [(p, spec.point(p)) for p in spec.points(dict(params or {}))]
     rows = []
     for p, pt in points:
+        unmet = spec.claim.unmet(p)
+        phi, phi_label = spec.claim.phi(p)
         cert = convo.certify_bounded(pt.closed)
-        conv = _curve_evidence(lambda N: spec.build(p, N, cache), pt.phi)
-        ok = _judge(cert, conv) if pt.identity else False
-        note = pt.note + _describe(cert, conv, pt.phi_label)
+        conv = _curve_evidence(lambda N: spec.build(p, N, maps), phi)
+        convexity = f"passed, max {conv.crossing_max} crossings"
+        if conv.passed is None:
+            convexity = f"withheld ({conv.note})"
+        note = f"{unmet or ''}{pt.note}dilatation {cert.verdict} ({cert.method}); "
+        note += f"convexity {phi_label}: {convexity}"
         if pt.roots_in_w:
             note += "; roots reported in the substituted variable w"
         rows.append(
             {
                 "case": key,
                 "params": p,
-                "verdict": _verdict_of(pt.asserted, ok),
+                "verdict": _verdict(unmet is None, pt, cert, conv),
                 "metrics": {
                     "max_omega": cert.grid_max,
                     "min_hs": conv.min_hs_value,
@@ -919,11 +907,10 @@ def sweep_report(case: str, params: Mapping | None = None) -> list[dict]:
 
 def row_param_id(row: Mapping) -> str:
     """Compact deterministic label for one verdict row's parameter point."""
-    parts = []
-    for k in sorted(row["params"]):
-        v = row["params"][k]
-        parts.append(f"{k}={v:.10g}" if isinstance(v, float) else f"{k}={v}")
-    return ",".join(parts)
+    return ",".join(
+        f"{k}={v:.10g}" if isinstance(v, float) else f"{k}={v}"
+        for k, v in sorted(row["params"].items())
+    )
 
 
 def image_curves(case: str, rows: Sequence[Mapping]) -> list[tuple[str, np.ndarray]]:
@@ -936,8 +923,8 @@ def image_curves(case: str, rows: Sequence[Mapping]) -> list[tuple[str, np.ndarr
     _, spec = _case(case)
     m = IMAGE_CURVE_POINTS
     zs = DEFAULT_CURVE_RADIUS * np.exp(1j * (2.0 * math.pi) * np.arange(m) / m)
-    cache = _MapCache()
+    maps = _MapCache()
     return [
-        (row_param_id(row), spec.build(row["params"], IMAGE_CURVE_ORDER, cache)(zs))
+        (row_param_id(row), spec.build(row["params"], IMAGE_CURVE_ORDER, maps)(zs))
         for row in rows
     ]

@@ -29,6 +29,7 @@ import json
 import math
 import re
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -117,9 +118,7 @@ def _dump_json(obj, path: Path):
 
 
 def _summary_note(rows) -> str:
-    counts: dict[str, int] = {}
-    for r in rows:
-        counts[r["verdict"]] = counts.get(r["verdict"], 0) + 1
+    counts = Counter(r["verdict"] for r in rows)
     tally = ", ".join(f"{k}={counts[k]}" for k in sorted(counts))
     return (
         f"verdicts: {tally}; certificates are algebraic, curve and grid "
@@ -261,20 +260,42 @@ def _parse_range(text: str) -> list[float]:
         raise ConfigError(f"range {text!r}: {exc}") from exc
 
 
+def _items(text: str, what: str) -> list[str]:
+    """The stripped comma-separated items of text; ConfigError names the
+    first empty one, unless all are (the caller says what is missing)."""
+    items = [v.strip() for v in text.split(",")]
+    if any(items) and not all(items):
+        raise ConfigError(f"{what} {text!r}: item {items.index('') + 1} is empty")
+    return [v for v in items if v]
+
+
 def _parse_values(text: str) -> list[float]:
+    items = _items(text, "value list")
     try:
-        return [float(v) for v in text.split(",") if v != ""]
+        return [float(v) for v in items]
     except ValueError as exc:
         raise ConfigError(f"could not parse {text!r} as comma-separated numbers") from exc
 
 
+def _case_help(cid: str) -> str:
+    """A case in --help: its blurb, then the claim its rows assert."""
+    claim = CASES[cid].claim
+    said = f"claim: convex in direction phi = {claim.direction}"
+    if claim.hypothesis is None:
+        said = f"exploratory: tests direction phi = {claim.direction}, asserts nothing"
+    lines = [f"  {cid:<6} {CASES[cid].blurb}", said]
+    for c in claim.hypothesis or ():
+        lines.append(f"  needs {c.text}" + (f" when {c.when}" if c.when else ""))
+    return "\n         ".join(lines)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    case_lines = "\n".join(f"  {cid:<6} {CASES[cid].blurb}" for cid in CASE_IDS)
+    case_lines = "\n".join(map(_case_help, CASE_IDS))
     parser = _ArgumentParser(
         prog="harmconv",
         description="numerically certify convolution and combination "
         "constructions on planar harmonic mappings",
-        epilog="cases:\n" + case_lines,
+        epilog="cases, each with the claim its rows assert:\n" + case_lines,
         formatter_class=argparse.RawDescriptionHelpFormatter,
         allow_abbrev=False,
     )
@@ -304,7 +325,7 @@ def _config_from_args(args) -> RunConfig:
             params[p] = _parse_range(text) if ":" in text else _parse_values(text)
     formats = _FORMATS
     if args.formats is not None:
-        formats = tuple(f.strip() for f in args.formats.split(",") if f.strip())
+        formats = tuple(_items(args.formats, "format list"))
         if args.verb == "plot" and "json" in formats:
             raise ConfigError("plot writes no report.json; its formats are csv and svg")
     if args.verb == "plot":
@@ -315,17 +336,14 @@ def _config_from_args(args) -> RunConfig:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_intermixed_args(argv)
-        config = _config_from_args(args)
-        code = run(config)
+        code = run(_config_from_args(args))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
-    if args.verb == "plot":
-        return 0
-    return code
+    return 0 if args.verb == "plot" else code
 
 
 if __name__ == "__main__":

@@ -68,12 +68,6 @@ class SlantParams:
         if not -1.0 < self.a < 1.0:
             raise ValueError(f"need -1 < a < 1, got a={self.a}")
 
-    @property
-    def a_threshold(self) -> float:
-        """Smallest a for which the monomial-dilatation convolution stays
-        locally univalent, (n-2)/(n+2)."""
-        return (self.n - 2.0) / (self.n + 2.0)
-
 
 @dataclass(frozen=True)
 class FamilyParams:

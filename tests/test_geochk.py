@@ -23,7 +23,7 @@ from harmconv.geochk import (
     row_param_id,
     sweep_report,
 )
-from harmconv.hmap import HarmonicMap, f_a_alpha, slanted_halfplane
+from harmconv.hmap import EDGE_ATOL, HarmonicMap, f_a_alpha, slanted_halfplane
 from harmconv.series import PowerSeries, geometric, monomial
 
 # smaller than the default grid; plenty for unit-level assertions
@@ -512,6 +512,130 @@ class TestSweepReport:
     def test_rows_sorted_by_parameters(self):
         rows = sweep_report("t2.5", {"a": [0.5, -0.5, 0.0]})
         assert [r["params"]["a"] for r in rows] == [-0.5, 0.0, 0.5]
+
+
+# One probe per constraint of every claim: the constraint's text, whether
+# it is strict, a point on its edge, the parameter that moves, and the step
+# that parts the constraint's two sides by 2 EDGE_ATOL (toward inside when
+# added, outside when subtracted).  The other constraints that bind the
+# point hold throughout.
+EDGE_PROBES = [
+    *(
+        ("t2.2", "a >= (n - 2)/(n + 2)", False,
+         {"n": n, "gamma": 0.0, "theta": 0.0, "a": (n - 2) / (n + 2)}, "a", 2 * EDGE_ATOL)
+        for n in range(1, 6)
+    ),
+    ("t3.9", "alpha1 <= alpha2", False, {"n": 1, "alpha1": 0.3, "alpha2": 0.3, "t": 0.5},
+     "alpha2", 2 * EDGE_ATOL),
+    ("t3.11", "alpha1 <= alpha2", False, {"n": 2, "alpha1": -0.5, "alpha2": -0.5, "t": 0.5},
+     "alpha2", 2 * EDGE_ATOL),
+    ("t3.10", "alpha1 < alpha2", True,
+     {"n": 1, "variant": 1, "alpha1": 0.3, "alpha2": 0.3, "t": 0.5}, "alpha2", 2 * EDGE_ATOL),
+    ("t3.10", "abs(alpha1) > abs(alpha2)", True,
+     {"n": 1, "variant": 2, "alpha1": 0.5, "alpha2": 0.5, "t": 0.5}, "alpha1", 2 * EDGE_ATOL),
+    # alpha1 * alpha2 moves by 0.5 * 4 EDGE_ATOL
+    ("t3.10", "alpha1*alpha2 > 0", True,
+     {"n": 1, "variant": 2, "alpha1": 0.5, "alpha2": 0.0, "t": 0.5}, "alpha2", 4 * EDGE_ATOL),
+]
+
+
+def _constraint(case, text):
+    (c,) = [c for c in CASES[case].claim.hypothesis if c.text == text]
+    return c
+
+
+class TestClaims:
+    def test_every_constraint_is_probed(self):
+        stated = {
+            (case, c.text)
+            for case, spec in CASES.items()
+            for c in spec.claim.hypothesis or ()
+        }
+        assert stated == {(case, text) for case, text, *_ in EDGE_PROBES}
+
+    # side: (the step's share, whether the row asserts); within EDGE_ATOL of
+    # the edge (a quarter step) counts as on it
+    SIDES = {
+        "edge": (0.0, None),
+        "within-tolerance-inside": (0.25, None),
+        "within-tolerance-outside": (-0.25, None),
+        "inside": (1.0, True),
+        "outside": (-1.0, False),
+    }
+
+    @pytest.mark.parametrize("side", SIDES)
+    @pytest.mark.parametrize(
+        "case, text, strict, edge, name, step", EDGE_PROBES,
+        ids=[f"{case}-{text}-{edge['n']}" for case, text, _, edge, *_ in EDGE_PROBES],
+    )
+    def test_edges_assert_as_the_constraint_says(
+        self, case, text, strict, edge, name, step, side
+    ):
+        constraint = _constraint(case, text)
+        assert constraint.strict is strict
+        share, asserts = self.SIDES[side]
+        if asserts is None:
+            asserts = not strict
+        p = {**edge, name: edge[name] + share * step}
+        assert constraint.holds(p) is asserts
+        assert (CASES[case].claim.unmet(p) is None) is asserts
+
+    def test_constraint_binds_only_where_it_says(self):
+        # variant 1's strict ordering says nothing about variant 2's points
+        v1 = _constraint("t3.10", "alpha1 < alpha2")
+        p = {"n": 1, "alpha1": 0.8, "alpha2": 0.3, "t": 0.5}
+        assert not v1.holds({**p, "variant": 1})
+        assert v1.holds({**p, "variant": 2})
+        assert CASES["t3.10"].claim.unmet({**p, "variant": 2}) is None
+
+    def test_unmet_hypothesis_opens_the_note(self):
+        p = {"n": 1, "alpha1": 0.5, "alpha2": 0.5, "t": 0.5}
+        claim = CASES["t3.10"].claim
+        assert claim.unmet({**p, "variant": 1}) == "needs alpha1 < alpha2 strictly; "
+        assert claim.unmet({**p, "variant": 2}) == (
+            "needs |alpha1| > |alpha2| and alpha1*alpha2 > 0; "
+        )
+        assert CASES["t3.9"].claim.unmet({**p, "alpha1": 0.6}) == (
+            "alpha1 > alpha2, outside the claimed range; "
+        )
+
+    @pytest.mark.parametrize("case", ["oq1", "oq2", "oq3"])
+    def test_open_ended_cases_assert_nothing(self, case):
+        claim = CASES[case].claim
+        assert claim.hypothesis is None
+        for p in CASES[case].points({}):
+            assert claim.unmet(p) == "exploratory: no assertion; "
+            assert claim.phi(p) == (0.0, "phi=0")
+
+    @pytest.mark.parametrize(
+        "case, p, phi, label",
+        [
+            ("t2.2", {"gamma": 0.0}, 0.0, "phi=-gamma=0"),
+            ("t2.2", {"gamma": 0.25}, -0.25, "phi=-gamma=-0.25"),
+            ("t2.3", {"a": 0.5}, 0.0, "phi=0"),
+            ("t3.8", {"t": 0.5}, np.pi / 2, "phi=pi/2"),
+        ],
+    )
+    def test_direction_and_label(self, case, p, phi, label):
+        assert CASES[case].claim.phi(p) == (phi, label)
+
+    def test_slant_threshold_values(self):
+        edge = _constraint("t2.2", "a >= (n - 2)/(n + 2)").sides[2]
+        assert geochk._value(edge, {"n": 1}) == pytest.approx(-1 / 3)
+        assert geochk._value(edge, {"n": 2}) == 0.0
+        assert geochk._value(edge, {"n": 4}) == pytest.approx(1 / 3)
+
+    def test_default_thresholds_keep_their_bits(self):
+        for n in range(1, 257):
+            a = [p["a"] for p in CASES["t2.2"].points({"n": [n]})]
+            assert a[0].hex() == ((n - 2.0) / (n + 2.0)).hex()
+
+    def test_t22_rows_at_the_threshold_edge(self):
+        rows = sweep_report("t2.2", {"n": [3], "a": [0.2 - 2e-12, 0.2, 0.2 + 2e-12]})
+        assert [r["verdict"] for r in rows] == ["exploratory", "pass", "pass"]
+        below = "below the monomial threshold, no claim made; dilatation "
+        assert rows[0]["note"].startswith(below)
+        assert all(r["note"].startswith("dilatation certified") for r in rows[1:])
 
 
 class TestImageCurves:

@@ -109,7 +109,7 @@ class TestRunConfig:
 
         monkeypatch.setattr(geochk, "f_a_alpha", counting)
         monkeypatch.setattr(
-            geochk, "convex_in_direction", lambda *args, **kw: geochk._withheld("stub")
+            geochk, "convex_in_direction", lambda *args, **kw: geochk.ConvexityReport(note="stub")
         )
         cfg = RunConfig(case="t2.5", params={"a": [0.5]}, outdir=str(tmp_path))
         assert harness.run(cfg) == 3
@@ -181,6 +181,9 @@ class TestMainExitCodes:
             ["verify", "t2.5", "--a", "0.5", "--formats", ""],
             ["plot", "t2.5", "--a", "0.5", "--formats", "json"],
             ["verify", "t2.5", "--a", "0.5", "--formats", "json", "--outdir="],
+            # an empty item in a value list or a format list
+            ["verify", "t2.5", "--a", "0.5,,0.6", "--formats", "json"],
+            ["verify", "t2.5", "--a", "0.5", "--formats", "json,,csv"],
         ],
     )
     def test_malformed_command_line_is_one(self, argv, capsys, tmp_path, monkeypatch):
@@ -194,6 +197,31 @@ class TestMainExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--help"])
         assert exc.value.code == 0
+
+    def test_help_shows_every_claim(self):
+        epilog = harness._build_parser().epilog
+        for spec in geochk.CASES.values():
+            assert spec.blurb in epilog
+            assert f"phi = {spec.claim.direction}" in epilog
+            for c in spec.claim.hypothesis or ():
+                assert f"needs {c.text}" + (f" when {c.when}" if c.when else "") in epilog
+        assert epilog.count("asserts nothing") == 3  # oq1-oq3
+
+    @pytest.mark.parametrize(
+        "option, text, says",
+        [
+            ("--a", "0.5,,0.6", "value list '0.5,,0.6': item 2 is empty"),
+            ("--a", "0.5,", "value list '0.5,': item 2 is empty"),
+            ("--formats", "json,,csv", "format list 'json,,csv': item 2 is empty"),
+            ("--formats", " ,json", "format list ' ,json': item 1 is empty"),
+        ],
+    )
+    def test_empty_item_is_named(self, option, text, says, tmp_path, capsys):
+        argv = ["verify", "t2.5", "--a", "0.5", "--formats", "json", "--outdir", str(tmp_path)]
+        argv[argv.index(option) + 1] = text
+        assert main(argv) == 1
+        assert f"error: {says}" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_empty_value_list_is_one(self, tmp_path, capsys):
         code = main(["verify", "t2.3", "--a", ",", "--formats", "json",
@@ -280,7 +308,13 @@ class TestSweepBound:
             calls.append(point)
             return range(50)
 
-        case = geochk.Case("", (geochk.Axis("x", range(50)), geochk.Axis("y", fifty)), None, None)
+        case = geochk.Case(
+            blurb="",
+            axes=(geochk.Axis("x", range(50)), geochk.Axis("y", fifty)),
+            build=None,
+            point=None,
+            claim=None,
+        )
         monkeypatch.setattr(geochk, "MAX_SWEEP_POINTS", 100)
         with pytest.raises(ValueError, match="more than 100 points"):
             case.points({})

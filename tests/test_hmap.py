@@ -176,11 +176,6 @@ class TestNamedTargets:
 
 
 class TestParams:
-    def test_slant_threshold_values(self):
-        assert SlantParams(0.0, 0.0, 1, 0.0).a_threshold == pytest.approx(-1 / 3)
-        assert SlantParams(0.0, 0.0, 2, 0.0).a_threshold == 0.0
-        assert SlantParams(0.0, 0.0, 4, 0.0).a_threshold == pytest.approx(1 / 3)
-
     def test_slant_validation(self):
         with pytest.raises(ValueError):
             SlantParams(0.0, 0.0, 0, 0.5)

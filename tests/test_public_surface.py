@@ -45,6 +45,8 @@ REMOVED_METHODS = (
     (series.PowerSeries, "rotate"),
     # every run samples convo.DEFAULT_GRID
     (harness.RunConfig, "grid"),
+    # the t2.2 threshold is the edge of that case's claim
+    (hmap.SlantParams, "a_threshold"),
 )
 
 # parameters that only tests set to other than their default; each is now
@@ -124,6 +126,10 @@ REMOVED_FIELDS = (
     (geochk.ConvexityReport, "univalence_failure"),
     (cpoly.ZeroCountReport, "degenerate"),
     (cpoly.ZeroCountReport, "chain"),
+    # what a row asserts, and in which direction, is its case's claim
+    (geochk.Point, "asserted"),
+    (geochk.Point, "phi"),
+    (geochk.Point, "phi_label"),
 )
 
 
