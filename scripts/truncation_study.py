@@ -60,7 +60,7 @@ def dilatation_table(a: float, gamma: float, omega: RationalFunction, label: str
     header(f"max |series dilatation - closed form|, a={a:g}, gamma={gamma:g}, {label}")
     for order in ORDERS:
         f = convolve(
-            f_a_alpha(a, 0.0, order), slanted_halfplane(gamma, omega.series(order), order)
+            f_a_alpha(a, 0.0, order), slanted_halfplane(gamma, omega.series(order))
         )
         ws = dilatation_series(f)
         cells = []
@@ -82,7 +82,7 @@ def positivity_table(alpha: float, n: int) -> None:
         f"family alpha={alpha:g}, n={n}"
     )
     for order in ORDERS:
-        f = family_f_alpha_n(alpha, n, omega.series(order), order)
+        f = family_f_alpha_n(alpha, n, omega.series(order))
         series = f.h.add(f.g).differentiate()
         cells = []
         for r in RADII:

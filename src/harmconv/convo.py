@@ -43,11 +43,7 @@ UNIMODULAR_ATOL = 1e-10
 GRID_ATOL = 1e-9
 
 DEFAULT_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99)
-DEFAULT_ANGLES_PER_RING = 720
-# A grid holds radii x angles complex values (about 17 GB at 1e8 angles on
-# the 11 default rings), so DiskGrid refuses more angles than this, 91
-# times the default, before it allocates any.
-MAX_ANGLES_PER_RING = 65536
+ANGLES_PER_RING = 720
 
 _Z = ComplexPolynomial([0.0, 1.0])
 _ONE = ComplexPolynomial([1.0])
@@ -551,40 +547,28 @@ def quarter_power_cohn_chain(
 
 @dataclass(frozen=True)
 class DiskGrid:
-    """Concentric sampling rings inside the unit disk.
+    """The DEFAULT_RADII rings at or inside radius, ANGLES_PER_RING angles
+    on each.
 
     One grid serves a whole run: the certificate's scan of |omega~|, the
     univalence gate and the Hengartner-Schober minimum all sample it.
     """
 
-    radii: tuple[float, ...] = DEFAULT_RADII
-    angles_per_ring: int = DEFAULT_ANGLES_PER_RING
+    radius: float = DEFAULT_RADII[-1]
 
     def __post_init__(self):
-        radii = tuple(float(r) for r in self.radii)
-        if not radii:
-            raise ValueError("grid needs at least one radius")
-        if radii[0] <= 0.0 or radii[-1] >= 1.0:
-            raise ValueError("grid radii must lie strictly inside (0, 1)")
-        if any(b <= a for a, b in zip(radii, radii[1:])):
-            raise ValueError("grid radii must be strictly increasing")
-        if self.angles_per_ring < 4:
-            raise ValueError("angles_per_ring must be at least 4")
-        if self.angles_per_ring > MAX_ANGLES_PER_RING:
-            raise ValueError(
-                f"angles_per_ring must be at most {MAX_ANGLES_PER_RING}, got "
-                f"{self.angles_per_ring}: the grid holds radii x angles complex "
-                "values, and more angles only refine sampled evidence"
-            )
-        object.__setattr__(self, "radii", radii)
+        if not self.radii:
+            raise ValueError(f"a grid of radius {self.radius} holds no ring of DEFAULT_RADII")
+
+    @cached_property
+    def radii(self) -> tuple[float, ...]:
+        return tuple(r for r in DEFAULT_RADII if r <= self.radius + EDGE_ATOL)
 
     @cached_property
     def points(self) -> np.ndarray:
-        """Ring by ring, angles 2 pi j / angles_per_ring; read-only, since
+        """Ring by ring, angles 2 pi j / ANGLES_PER_RING; read-only, since
         every caller shares the one cached array."""
-        ang = np.exp(
-            1j * (2.0 * np.pi) * np.arange(self.angles_per_ring) / self.angles_per_ring
-        )
+        ang = np.exp(1j * (2.0 * np.pi) * np.arange(ANGLES_PER_RING) / ANGLES_PER_RING)
         pts = (np.asarray(self.radii)[:, None] * ang[None, :]).ravel()
         pts.flags.writeable = False
         return pts
@@ -592,16 +576,13 @@ class DiskGrid:
     def sample(self, F: PowerSeries) -> np.ndarray:
         """F at self.points, in the same order, by one row-wise FFT over
         all rings (series.ring_values)."""
-        return ring_values(F.coeffs, self.radii, self.angles_per_ring).ravel()
+        return ring_values(F.coeffs, self.radii, ANGLES_PER_RING).ravel()
 
     @lru_cache(maxsize=64)
     def capped(self, r_max: float) -> "DiskGrid":
-        """The sub-grid of rings with radius <= r_max (at least one ring),
-        memoised so each run builds it, and its points, once."""
-        kept = tuple(r for r in self.radii if r <= r_max + EDGE_ATOL)
-        if not kept:
-            kept = (float(r_max),)
-        return DiskGrid(kept, self.angles_per_ring)
+        """The sub-grid of rings with radius <= r_max, memoised so each run
+        builds it, and its points, once."""
+        return DiskGrid(min(self.radius, r_max))
 
 
 # The one sampling grid: every run's certificate scan, gate and min_hs.
@@ -663,14 +644,15 @@ def _proportionality(
 
 
 def _grid_scan(r: RationalFunction, grid: DiskGrid) -> tuple[float, bool]:
-    """(max |r| over the grid, pole detected) with pole points masked."""
+    """(max |r| over the grid's points off the poles, pole detected); the
+    maximum is NaN when every point is a pole."""
     z = grid.points
     nu = r.num(z)
     de = r.den(z)
     de_abs = np.abs(de)
     pole = de_abs <= 1e-12 * max(float(np.max(de_abs)), 1e-300)
     if pole.all():
-        return float("inf"), True
+        return float("nan"), True
     if pole.any():
         nu, de = nu[~pole], de[~pole]
     return float(np.max(np.abs(nu / de))), bool(pole.any())
@@ -690,8 +672,9 @@ def certify_bounded(r: RationalFunction) -> BoundednessReport:
     holds whether or not the zero count succeeded.
 
     Otherwise the verdict rests on the values at DEFAULT_GRID.points only:
-    above 1 + GRID_ATOL is a witnessed excursion ("exceeds"); anything else
-    is "indeterminate", never a certificate.
+    above 1 + GRID_ATOL at a point off the poles is a witnessed excursion
+    ("exceeds"), even when the denominator vanishes elsewhere on the grid;
+    anything else is "indeterminate", never a certificate.
     """
     k, c, shape, zero_report, verdict = 0, None, "zero", None, None
     if r.num.is_zero:
@@ -731,12 +714,12 @@ def certify_bounded(r: RationalFunction) -> BoundednessReport:
                 )
     if verdict is None:
         method = "grid"
-        if pole:
-            verdict = "indeterminate"
-            note = "denominator vanishes on the sample grid; certificate withheld"
-        elif grid_max > 1.0 + GRID_ATOL:
+        if grid_max > 1.0 + GRID_ATOL:
             verdict = "exceeds"
             note = f"grid maximum {grid_max:.6g} exceeds 1; {detail}"
+        elif pole:
+            verdict = "indeterminate"
+            note = "denominator vanishes on the sample grid; certificate withheld"
         else:
             verdict = "indeterminate"
             note = f"grid maximum {grid_max:.6g} stays at or below 1 but proves nothing; {detail}"

@@ -46,6 +46,7 @@ from .hmap import (
     slanted_halfplane,
     strip_map,
 )
+from .series import ring_values
 
 # Boundary curves are sampled on a circle strictly inside the disk.  The
 # radius default stays at 0.9 because the maps arrive as truncated series:
@@ -157,15 +158,15 @@ def convex_in_direction(
     horizontal levels.  A closed curve bounding a region convex in that
     direction meets each line at most twice.
 
-    Local univalence is sampled first on DEFAULT_GRID, capped at
-    gate_radius (r_max when not given); failure withholds the verdict, and
-    so does any non-finite gate value, boundary sample or Hengartner-Schober
-    value.
+    Local univalence is sampled first on the rings of DEFAULT_GRID at or
+    inside gate_radius (r_max when not given), which must reach the
+    innermost ring; failure withholds the verdict, and so does any
+    non-finite gate value, boundary sample or Hengartner-Schober value.
     The gate uses the derivative series, which loses accuracy faster than
     the curve itself, so callers pushing r_max outward can keep the gate on
-    a safer ring.  The gate rings (DiskGrid.sample, one row-wise FFT), the
-    Hengartner-Schober minimum on the same rings and the boundary circle
-    (PowerSeries.on_circle) are all evaluated by FFT.
+    a safer ring.  The gate rings, the Hengartner-Schober minimum on the
+    same rings and the boundary circle are all evaluated by FFT
+    (series.ring_values, behind DiskGrid.sample).
     """
     gate = DEFAULT_GRID.capped(r_max if gate_radius is None else gate_radius)
     pts = gate.points
@@ -192,7 +193,8 @@ def convex_in_direction(
 
     A = f.h.subtract(f.g.scale(np.exp(2j * phi)))
     min_hs = hengartner_schober(A.scale(np.exp(1j * (math.pi / 2.0 - phi))), gate)
-    ys = (A.on_circle(r_max, DEFAULT_BOUNDARY_POINTS) * np.exp(-1j * phi)).imag
+    boundary = ring_values(A.coeffs, (r_max,), DEFAULT_BOUNDARY_POINTS)[0]
+    ys = (boundary * np.exp(-1j * phi)).imag
     if not (math.isfinite(min_hs) and np.isfinite(ys).all()):
         return ConvexityReport(
             note="non-finite boundary or Hengartner-Schober samples, convexity "
@@ -282,6 +284,15 @@ def _real(name: str, v) -> float:
     raise ValueError(f"{name} must be a finite number, got {v!r}")
 
 
+def _unit(name: str, v) -> float:
+    """v as a float strictly inside (-1, 1), the range of a disk automorphism's
+    parameter."""
+    v = _real(name, v)
+    if not -1.0 < v < 1.0:
+        raise ValueError(f"need -1 < {name} < 1, got {name}={v}")
+    return v
+
+
 def _count(name: str, v) -> int:
     """v as an int; an integral float such as 2.0 counts, 2.5 or "2" does not."""
     if isinstance(v, float) and v.is_integer() or isinstance(v, numbers.Integral):
@@ -316,9 +327,14 @@ class Axis:
             vals = self.default(point) if callable(self.default) else self.default
             rows = [v if len(keys) > 1 else (v,) for v in vals]
         else:
-            cols = [[self.kind(k, v) for v in _listed(params.get(k, []))] for k in keys]
+            missing = [k for k in keys if k not in params]
+            if missing:
+                raise ValueError(
+                    f"{' and '.join(missing)} is missing: {' and '.join(keys)} are set together"
+                )
+            cols = [[self.kind(k, v) for v in _listed(params[k])] for k in keys]
             for k, col in zip(keys, cols):
-                if k in params and not col:
+                if not col:
                     raise ValueError(f"{k} needs at least one value")
             size = max(len(c) for c in cols)
             if any(len(c) not in (1, size) for c in cols):
@@ -418,7 +434,7 @@ class _MapCache:
 
     def __init__(self):
         self.family = cache(
-            lambda alpha, n, omega, order: family_f_alpha_n(alpha, n, omega.series(order), order)
+            lambda alpha, n, omega, order: family_f_alpha_n(alpha, n, omega.series(order))
         )
         self.extremal = cache(lambda a, order: f_a_alpha(a, 0.0, order))
 
@@ -486,13 +502,13 @@ def _halfplane(omega, p: dict, N: int, maps: _MapCache) -> HarmonicMap:
     omega(params)."""
     return convo.convolve(
         maps.extremal(p["a"], N),
-        slanted_halfplane(p.get("gamma", 0.0), omega(p).series(N), N),
+        slanted_halfplane(p.get("gamma", 0.0), omega(p).series(N)),
     )
 
 
 def _strip(omega, p: dict, N: int, maps: _MapCache) -> HarmonicMap:
     """f_{0,0} convolved with the strip map sheared by omega(params)."""
-    return convo.convolve(maps.extremal(0.0, N), strip_map(omega(p).series(N), N))
+    return convo.convolve(maps.extremal(0.0, N), strip_map(omega(p).series(N)))
 
 
 def _combined(members, p: dict, N: int, maps: _MapCache) -> HarmonicMap:
@@ -707,7 +723,7 @@ _POWER_N_MAX = 256
 _THETA = Axis("theta", (0.0,))
 _T = Axis("t", (0.0, 0.25, 0.5, 0.75, 1.0))
 _A_EXPLORED = Axis("a", (0.25, 0.5, 0.75))
-_B_EXPLORED = Axis("b", lambda p: (p["a"],))
+_B_EXPLORED = Axis("b", lambda p: (p["a"],), _unit)
 _PAIRS = Axis(
     "alpha1 alpha2", ((-0.5, 0.5), (-0.8, -0.2), (0.0, 0.8), (0.3, 0.3), (0.5, -0.5))
 )

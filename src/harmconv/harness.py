@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .convo import DEFAULT_GRID
+from .convo import ANGLES_PER_RING, DEFAULT_GRID
 from .geochk import CASE_IDS, CASES, IMAGE_CURVE_ORDER, _frange, image_curves, sweep_report
 
 # every parameter any case accepts, in table order
@@ -133,7 +133,7 @@ def _write_report(config: RunConfig, rows, path: Path):
             "config": {
                 "order": IMAGE_CURVE_ORDER,
                 "radii": list(DEFAULT_GRID.radii),
-                "angles_per_ring": DEFAULT_GRID.angles_per_ring,
+                "angles_per_ring": ANGLES_PER_RING,
                 "params": config.params,
             },
             "note": _summary_note(rows),

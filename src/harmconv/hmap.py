@@ -6,7 +6,8 @@ and co-analytic parts satisfy h' = F'/(1 + e^{-2i gamma} omega) and
 g' = omega * h', so that h + e^{-2i gamma} g reproduces F.  The named
 families below are all instances of this with specific targets: a slanted
 half-plane, a vertical strip, and a dyadic-product family convolved against
-log(1/(1-z)).
+log(1/(1-z)).  Each builds its target to its dilatation series' order, so
+a map's order is its dilatation's.
 
 Closed rational forms are expanded by series division rather than by typing
 out their coefficients; the independently coded coefficient formulas in
@@ -91,15 +92,13 @@ class FamilyParams:
             raise ValueError(f"combination weight t must lie in [0, 1], got {self.t}")
 
 
-def shear(F: PowerSeries, omega: PowerSeries, gamma: float, N: int | None = None) -> HarmonicMap:
+def shear(F: PowerSeries, omega: PowerSeries, gamma: float) -> HarmonicMap:
     """Shear the analytic target F into a harmonic map with dilatation omega.
 
     Solves h' = F' / (1 + e^{-2i gamma} omega), g' = omega h', integrating
     both with zero constant term, so h + e^{-2i gamma} g = F and f(0) = 0.
+    h and g have order min(F.order, omega.order + 1).
     """
-    if N is not None:
-        F = F.truncated(min(N, F.order))
-        omega = omega.padded(N)
     if abs(F.at_order(0)) > SHEAR_ATOL:
         raise ValueError(f"target must vanish at 0, got F(0)={F.at_order(0):.3e}")
     phase = complex(np.exp(-2j * gamma))
@@ -129,26 +128,26 @@ def f_a_alpha(a: float, alpha: float, N: int) -> HarmonicMap:
     return HarmonicMap(h=h, g=g)
 
 
-def slanted_halfplane(gamma: float, omega: PowerSeries, N: int) -> HarmonicMap:
+def slanted_halfplane(gamma: float, omega: PowerSeries) -> HarmonicMap:
     """Shear of the slanted half-plane target z/(1 - e^{i gamma} z)."""
-    return shear(geometric(N, gamma), omega, gamma, N)
+    return shear(geometric(omega.order, gamma), omega, gamma)
 
 
-def strip_map(omega: PowerSeries, N: int) -> HarmonicMap:
+def strip_map(omega: PowerSeries) -> HarmonicMap:
     """Shear of the vertical strip target (1/2i) log((1+iz)/(1-iz))."""
-    return shear(arctangent(N), omega, 0.0, N)
+    return shear(arctangent(omega.order), omega, 0.0)
 
 
-def family_f_alpha_n(alpha: float, n: int, omega: PowerSeries, N: int) -> HarmonicMap:
+def family_f_alpha_n(alpha: float, n: int, omega: PowerSeries) -> HarmonicMap:
     """Shear of the dyadic-product family target.
 
     The target is the coefficientwise product of the family-sum rational
     prefactor with log(1/(1-z)), per the family's defining display.
     """
     FamilyParams(alpha=alpha, n=n)  # range validation
-    prefactor = rational_series(*family_sum_polynomials(n, alpha), N)
-    F = prefactor.hadamard(log_inverse(N))
-    return shear(F, omega, 0.0, N)
+    prefactor = rational_series(*family_sum_polynomials(n, alpha), omega.order)
+    F = prefactor.hadamard(log_inverse(omega.order))
+    return shear(F, omega, 0.0)
 
 
 def dilatation_series(f: HarmonicMap) -> PowerSeries:

@@ -78,9 +78,8 @@ class PowerSeries:
 
     def padded(self, order: int) -> "PowerSeries":
         """Truncate or zero-extend to the exact order.  Extension treats the
-        stored coefficients as exact, which is right for prescribed
-        dilatations like monomials and for polynomial coefficient lists;
-        expanded approximations should arrive at full order."""
+        stored coefficients as exact, which is right for the polynomial
+        coefficient lists rational_series expands."""
         if self.order >= order:
             return self.truncated(order)
         c = np.zeros(order + 1, dtype=complex)
@@ -164,19 +163,16 @@ class PowerSeries:
 
     __call__ = evaluate
 
-    def on_circle(self, radius: float, m: int) -> np.ndarray:
-        """Values at radius * e^{2 pi i j/m}, j = 0..m-1 (see ring_values)."""
-        return ring_values(self.coeffs, (radius,), m)[0]
-
     def __repr__(self) -> str:
         return f"PowerSeries(order={self.order}, c1={self.at_order(min(1, self.order)):.6g})"
 
 
-def monomial(k: int, order: int, coeff=1.0) -> PowerSeries:
+def monomial(k: int, order: int) -> PowerSeries:
+    """z**k to the given order."""
     if k > order:
         raise ValueError("monomial degree beyond truncation order")
     c = [0j] * (order + 1)
-    c[k] = complex(coeff)
+    c[k] = 1.0
     return PowerSeries(c)
 
 

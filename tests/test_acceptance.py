@@ -101,7 +101,7 @@ def test_1_strip_convolution_collapses_to_square(announce):
         for a in np.arange(-0.9, 0.95, 0.1):
             omega = mobius_power_dilatation(float(a), 0.0, 2)
             f = convolve(
-                f_a_alpha(0.0, 0.0, 64), strip_map(omega.series(64), 64)
+                f_a_alpha(0.0, 0.0, 64), strip_map(omega.series(64))
             )
             w = dilatation_series(f)  # order 63 after differentiation
             dev = np.max(np.abs(np.asarray(w.coeffs) - e2))
@@ -194,7 +194,7 @@ def test_5_halfplane_closed_form_concordance(announce):
                 closed = halfplane_convolution_dilatation(a, gamma, omega)
                 f = convolve(
                     f_a_alpha(a, 0.0, order),
-                    slanted_halfplane(gamma, omega.series(order), order),
+                    slanted_halfplane(gamma, omega.series(order)),
                 )
                 ws = dilatation_series(f)
                 z = sample_points(closed, rng)
@@ -223,7 +223,7 @@ def test_6_family_target_positivity(announce):
                 # the N = 128 series route must concur on the rings where
                 # its truncation tail is far below the minimum itself
                 omega = monomial_rf(2 ** (n - 1), -1.0)
-                f = family_f_alpha_n(alpha, n, omega.series(128), 128)
+                f = family_f_alpha_n(alpha, n, omega.series(128))
                 low_series = hengartner_schober(f.h.add(f.g), GRID.capped(0.9))
                 assert low_series > 0.0, (
                     f"series min {low_series:.3e} at alpha={alpha:.4f}, n={n}"
@@ -248,8 +248,8 @@ def test_7_sextic_roots_chain_and_convexity(announce):
                 # (t in {0,1}, alpha1 = alpha2), so the chain must replay
                 replay_chain(quarter_power_cohn_chain(alpha1, alpha2, t), rtol=1e-11)
                 f = combination(
-                    family_f_alpha_n(alpha1, 2, w1s, order),
-                    family_f_alpha_n(alpha2, 2, w2s, order),
+                    family_f_alpha_n(alpha1, 2, w1s),
+                    family_f_alpha_n(alpha2, 2, w2s),
                     t,
                 )
                 rep = convex_in_direction(f, np.pi / 2.0, r_max=0.9)

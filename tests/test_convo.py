@@ -3,6 +3,8 @@ independent series route (build the maps, convolve coefficientwise, divide
 the derivatives), the displayed reduction chains are replayed step by step,
 and the boundedness certifier is exercised on each of its paths."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from conftest import sample_points
@@ -81,7 +83,7 @@ def halfplane_series_dilatation(a, gamma, omega, order=N):
     """The series route: build both maps, convolve, divide derivatives."""
     f = convolve(
         f_a_alpha(a, 0.0, order),
-        slanted_halfplane(gamma, omega.series(order), order),
+        slanted_halfplane(gamma, omega.series(order)),
     )
     return dilatation_series(f)
 
@@ -254,7 +256,7 @@ class TestStripConvolution:
     @pytest.mark.parametrize("label,omega", OMEGAS)
     def test_closed_form_matches_series_route(self, label, omega, rng):
         closed = strip_convolution_dilatation(omega)
-        f = convolve(f_a_alpha(0.0, 0.0, N), strip_map(omega.series(N), N))
+        f = convolve(f_a_alpha(0.0, 0.0, N), strip_map(omega.series(N)))
         ws = dilatation_series(f)
         z = sample_points(closed, rng)
         np.testing.assert_allclose(ws(z), closed(z), atol=1e-9)
@@ -317,8 +319,8 @@ class TestCombinations:
             FamilyParams(alpha1, n), FamilyParams(alpha2, n), w1, w2, t
         )
         f = combination(
-            family_f_alpha_n(alpha1, n, w1.series(N), N),
-            family_f_alpha_n(alpha2, n, w2.series(N), N),
+            family_f_alpha_n(alpha1, n, w1.series(N)),
+            family_f_alpha_n(alpha2, n, w2.series(N)),
             t,
         )
         z = sample_points(closed, rng)
@@ -331,8 +333,8 @@ class TestCombinations:
             FamilyParams(alpha1, 2), FamilyParams(alpha2, 1), w1, w2, t
         )
         f = combination(
-            family_f_alpha_n(alpha1, 2, w1.series(N), N),
-            family_f_alpha_n(alpha2, 1, w2.series(N), N),
+            family_f_alpha_n(alpha1, 2, w1.series(N)),
+            family_f_alpha_n(alpha2, 1, w2.series(N)),
             t,
         )
         z = sample_points(closed, rng)
@@ -422,6 +424,25 @@ class TestCertifyBounded:
         z = convo.DEFAULT_GRID.points
         rest = z[z != 0.2]
         assert convo._grid_scan(r, convo.DEFAULT_GRID) == (np.max(np.abs(1.0 / r.den(rest))), True)
+        # the masked pole does not hide the excursion next to it
+        rep = certify_bounded(r)
+        assert rep.verdict == "exceeds" and rep.grid_max > 1.0
+        assert rep.note.startswith(f"grid maximum {rep.grid_max:.6g} exceeds 1")
+
+    def test_grid_pole_without_excursion_stays_indeterminate(self):
+        # 0.5 (1 - 5z)/(1 - 5z): both sides vanish at the grid point 0.2,
+        # and the quotient is 0.5 everywhere else
+        r = rational([0.5, -2.5], [1.0, -5.0])
+        assert convo._grid_scan(r, convo.DEFAULT_GRID) == (0.5, True)
+        rep = certify_bounded(r)
+        assert rep.verdict == "indeterminate" and "denominator vanishes" in rep.note
+
+    def test_grid_of_poles_only_is_no_excursion(self, monkeypatch):
+        r = rational([1.0], [1.0, -5.0])
+        poles = SimpleNamespace(points=np.full(4, 0.2 + 0j))
+        grid_max, pole = convo._grid_scan(r, poles)
+        assert np.isnan(grid_max) and pole
+        monkeypatch.setattr(convo, "DEFAULT_GRID", poles)
         rep = certify_bounded(r)
         assert rep.verdict == "indeterminate" and "denominator vanishes" in rep.note
 

@@ -106,7 +106,7 @@ def bits(x) -> list[int]:
 
 
 class TestHorner:
-    POINTS = DiskGrid(radii=(0.3, 0.9), angles_per_ring=16)
+    POINTS = DiskGrid(0.9)
 
     @given(poly_coeffs)
     def test_in_place_matches_the_temporary_form(self, cs):

@@ -24,71 +24,45 @@ from harmconv.geochk import (
     sweep_report,
 )
 from harmconv.hmap import EDGE_ATOL, HarmonicMap, f_a_alpha, slanted_halfplane
-from harmconv.series import PowerSeries, geometric, monomial
+from harmconv.series import PowerSeries, geometric, monomial, ring_values
 
 # smaller than the default grid; plenty for unit-level assertions
-GRID = DiskGrid(radii=(0.2, 0.5, 0.8, 0.9), angles_per_ring=180)
+GRID = DiskGrid(0.9)
 
 
 class TestDiskGrid:
-    def test_points_cover_rings(self):
-        g = DiskGrid(radii=(0.5, 0.9), angles_per_ring=8)
-        assert g.points.shape == (16,)
+    def test_points_cover_the_rings_inside_the_radius(self):
+        g = DiskGrid(0.5)
+        assert g.radii == (0.1, 0.2, 0.3, 0.4, 0.5)
+        assert g.points.shape == (5 * convo.ANGLES_PER_RING,)
         np.testing.assert_allclose(
-            sorted(set(np.round(np.abs(g.points), 12))), [0.5, 0.9]
+            sorted(set(np.round(np.abs(g.points), 12))), g.radii
         )
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            DiskGrid(radii=())
-        with pytest.raises(ValueError):
-            DiskGrid(radii=(0.0, 0.5))
-        with pytest.raises(ValueError):
-            DiskGrid(radii=(0.5, 1.0))
-        with pytest.raises(ValueError):
-            DiskGrid(radii=(0.5, 0.5))
-        with pytest.raises(ValueError):
-            DiskGrid(radii=(0.5,), angles_per_ring=3)
+    def test_default_grid_is_every_ring(self):
+        assert DiskGrid() == convo.DEFAULT_GRID
+        assert convo.DEFAULT_GRID.radii == convo.DEFAULT_RADII
+        # a ring a rounding step past the radius still counts
+        assert DiskGrid(0.95 - 1e-13).radii[-1] == 0.95
+
+    def test_radius_inside_the_innermost_ring_is_refused(self):
+        with pytest.raises(ValueError, match="holds no ring"):
+            DiskGrid(0.05)
 
     def test_capped_keeps_inner_rings(self):
-        g = DiskGrid(radii=(0.2, 0.5, 0.9))
-        assert g.capped(0.6).radii == (0.2, 0.5)
-        # capping below the innermost ring falls back to a single ring
-        assert g.capped(0.1).radii == (0.1,)
+        assert convo.DEFAULT_GRID.capped(0.6).radii == (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
+        assert GRID.capped(0.95) == GRID
 
     def test_capped_grid_is_built_once(self):
         g = DiskGrid()
         assert g.capped(0.95) is g.capped(0.95)
 
-    @pytest.mark.parametrize("radii", [(0.5,), (0.2, 0.5, 0.9)])
-    @pytest.mark.parametrize("order", [5, 7, 8, 30])
-    def test_sample_is_each_rings_on_circle_bit_for_bit(self, radii, order):
-        # 8 angles per ring: orders below, at and past one fold
-        g = DiskGrid(radii=radii, angles_per_ring=8)
-        rng = np.random.default_rng(order)
-        cs = rng.normal(size=order + 1) + 1j * rng.normal(size=order + 1)
-        cs[::3] = complex(-0.0, -0.0)
-        F = PowerSeries(cs)
-        want = np.concatenate([F.on_circle(r, 8) for r in radii])
-        got = g.sample(F)
-        assert got.shape == g.points.shape
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-
     def test_sample_on_the_default_grid(self):
         g = DiskGrid()
-        F = slanted_halfplane(0.0, monomial(2, 384), 384).h
-        want = np.concatenate([F.on_circle(r, g.angles_per_ring) for r in g.radii])
+        F = slanted_halfplane(0.0, monomial(2, 384)).h
+        m = convo.ANGLES_PER_RING
+        want = np.concatenate([ring_values(F.coeffs, (r,), m)[0] for r in g.radii])
         assert np.array_equal(g.sample(F).view(np.uint64), want.view(np.uint64))
-
-    def test_angles_per_ring_is_bounded_before_anything_is_allocated(self, monkeypatch):
-        def never(self):
-            raise AssertionError("grid points were computed")
-
-        monkeypatch.setattr(DiskGrid, "points", property(never))
-        with pytest.raises(ValueError, match="angles_per_ring must be at most 65536"):
-            DiskGrid(angles_per_ring=10**8)
-        edge = DiskGrid(radii=(0.5,), angles_per_ring=convo.MAX_ANGLES_PER_RING)
-        assert edge.angles_per_ring == 65536
 
 
 class TestInstruments:
@@ -303,14 +277,14 @@ class TestConvexInDirection:
         # the full-disk image is convex in the real direction
         f = convolve(
             f_a_alpha(0.95, 0.0, 384),
-            slanted_halfplane(0.0, monomial(2, 384), 384),
+            slanted_halfplane(0.0, monomial(2, 384)),
         )
         rep = convex_in_direction(f, 0.0, r_max=0.9)
         assert rep.passed is False
         assert rep.crossing_max >= 4
 
     def test_sense_reversal_withholds_verdict(self):
-        f = HarmonicMap(h=monomial(1, 8), g=monomial(1, 8, coeff=1.2))
+        f = HarmonicMap(h=monomial(1, 8), g=monomial(1, 8).scale(1.2))
         rep = convex_in_direction(f, 0.0)
         assert rep.passed is None
         assert "> 1 at z = " in rep.note
@@ -318,7 +292,7 @@ class TestConvexInDirection:
 
     def test_gate_accepts_ratio_just_below_one(self):
         c = 1.0 - 1e-12
-        f = HarmonicMap(h=monomial(1, 8), g=monomial(1, 8, coeff=c))
+        f = HarmonicMap(h=monomial(1, 8), g=monomial(1, 8).scale(c))
         rep = convex_in_direction(f, 0.0)
         assert rep.passed is True
 
@@ -365,7 +339,7 @@ class TestConvexInDirection:
         # sums to about 2.6e308, past the largest double
         h = PowerSeries([0.0] * 10 + [1.4e308 / k for k in range(10, 2001)])
         f = HarmonicMap(h=h, g=PowerSeries([0.0] * 2001))
-        assert np.isfinite(hengartner_schober(h, DiskGrid(radii=(0.2,))))
+        assert np.isfinite(hengartner_schober(h, DiskGrid(0.2)))
         with np.errstate(over="ignore", invalid="ignore"):
             rep = convex_in_direction(f, 0.0, r_max=0.99, gate_radius=0.2)
         assert rep.passed is None
@@ -386,7 +360,7 @@ class TestConvexInDirection:
         zs = 0.9 * np.exp(2j * np.pi * np.arange(m) / m)
         image = (f(zs) * np.exp(-1j * phi)).imag
         A = f.h.subtract(f.g.scale(np.exp(2j * phi)))
-        reduction = (A.on_circle(0.9, m) * np.exp(-1j * phi)).imag
+        reduction = (ring_values(A.coeffs, (0.9,), m)[0] * np.exp(-1j * phi)).imag
         assert np.max(np.abs(image - reduction)) <= 1e-12 * np.max(np.abs(image))
 
 
@@ -466,8 +440,19 @@ class TestSweepReport:
     def test_paired_axes_need_matching_lengths(self):
         with pytest.raises(ValueError, match="paired, not crossed"):
             sweep_report("t3.9", {"alpha1": [0.1, 0.2], "alpha2": [0.3, 0.4, 0.5]})
-        with pytest.raises(ValueError, match="paired, not crossed"):
-            sweep_report("t3.9", {"alpha1": [0.1]})
+
+    @pytest.mark.parametrize(
+        "case, params, missing",
+        [
+            ("t3.9", {"alpha1": [0.1]}, "alpha2"),
+            ("t3.11", {"alpha2": [0.1]}, "alpha1"),
+            ("t3.10", {"variant": [1], "alpha1": [-0.5]}, "alpha2"),
+        ],
+    )
+    def test_half_of_a_paired_axis_names_the_missing_half(self, case, params, missing):
+        with pytest.raises(ValueError) as err:
+            sweep_report(case, params)
+        assert str(err.value) == f"{missing} is missing: alpha1 and alpha2 are set together"
 
     def test_menu_axis_is_not_a_parameter(self):
         with pytest.raises(ValueError, match="omega1"):
@@ -657,7 +642,7 @@ class TestImageCurves:
         N = IMAGE_CURVE_ORDER
         f = convolve(
             f_a_alpha(0.5, 0.0, N),
-            slanted_halfplane(0.0, mobius_power_dilatation(0.5, 0.0, 2).series(N), N),
+            slanted_halfplane(0.0, mobius_power_dilatation(0.5, 0.0, 2).series(N)),
         )
         m = IMAGE_CURVE_POINTS
         zs = DEFAULT_CURVE_RADIUS * np.exp(1j * 2 * np.pi * np.arange(m) / m)

@@ -118,7 +118,7 @@ class TestRunConfig:
         assert config == {
             "order": 128,
             "radii": list(convo.DEFAULT_RADII),
-            "angles_per_ring": convo.DEFAULT_ANGLES_PER_RING,
+            "angles_per_ring": convo.ANGLES_PER_RING,
             "params": {"a": [0.5]},
         }
 
@@ -184,6 +184,11 @@ class TestMainExitCodes:
             # an empty item in a value list or a format list
             ["verify", "t2.5", "--a", "0.5,,0.6", "--formats", "json"],
             ["verify", "t2.5", "--a", "0.5", "--formats", "json,,csv"],
+            # b outside (-1, 1); half of a paired axis
+            ["explore", "oq1", "--b", "1.5", "--a", "0.5"],
+            ["explore", "oq2", "--b=-1"],
+            ["verify", "t3.11", "--alpha2", "0.1"],
+            ["verify", "t3.10", "--variant", "1", "--alpha1=-0.5"],
         ],
     )
     def test_malformed_command_line_is_one(self, argv, capsys, tmp_path, monkeypatch):
@@ -221,6 +226,23 @@ class TestMainExitCodes:
         argv[argv.index(option) + 1] = text
         assert main(argv) == 1
         assert f"error: {says}" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv, says",
+        [
+            (["explore", "oq1", "--b", "1.5", "--a", "0.5"], "need -1 < b < 1, got b=1.5"),
+            (["explore", "oq2", "--b=-1"], "need -1 < b < 1, got b=-1.0"),
+            (["verify", "t3.11", "--alpha2", "0.1"],
+             "alpha1 is missing: alpha1 and alpha2 are set together"),
+            (["verify", "t3.10", "--variant", "1", "--alpha1=-0.5"],
+             "alpha2 is missing: alpha1 and alpha2 are set together"),
+        ],
+        ids=["b-above-1", "b-at-minus-1", "lone-alpha2", "lone-alpha1"],
+    )
+    def test_error_names_the_parameter_set(self, argv, says, capsys, tmp_path):
+        assert main(argv + ["--outdir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {says}\n"
         assert not any(tmp_path.iterdir())
 
     def test_empty_value_list_is_one(self, tmp_path, capsys):
@@ -355,6 +377,27 @@ class TestRootOracleFailure:
         assert row["note"] == (
             "dilatation indeterminate (grid); convexity phi=-gamma=0: passed, max 2 crossings"
         )
+
+
+class TestPoleOnTheGrid:
+    # each dilatation's denominator vanishes at a grid point (z = -0.8 for
+    # the first), and the grid witnesses an excursion elsewhere
+    @pytest.mark.parametrize(
+        "argv, max_omega",
+        [
+            (["oq2", "--n", "2", "--a", "0.1", "--b=-0.5"], 19.29),
+            (["oq1", "--n", "3", "--a=-0.5", "--b=-0.8"], 31.26),
+            (["oq2", "--n", "3", "--a", "0", "--b=-0.5"], 12.38),
+        ],
+        ids=["oq2-n2", "oq1-n3", "oq2-n3"],
+    )
+    def test_excursion_is_exceeds(self, argv, max_omega, tmp_path):
+        code = main(["explore", *argv, "--formats", "json", "--outdir", str(tmp_path)])
+        assert code == 0
+        (row,) = json.loads((tmp_path / "report.json").read_text())["rows"]
+        assert row["verdict"] == "exploratory"
+        assert "dilatation exceeds (grid)" in row["note"]
+        assert row["metrics"]["max_omega"] == pytest.approx(max_omega, abs=0.005)
 
 
 @pytest.fixture(scope="module")

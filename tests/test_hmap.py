@@ -61,7 +61,7 @@ def dilatations(draw, order=10):
 
 class TestHarmonicMap:
     def test_call_conjugates_coanalytic_part(self):
-        f = HarmonicMap(h=monomial(1, 4), g=monomial(2, 4, coeff=0.5j))
+        f = HarmonicMap(h=monomial(1, 4), g=monomial(2, 4).scale(0.5j))
         z = 0.3 + 0.2j
         assert f(z) == pytest.approx(z + np.conjugate(0.5j * z * z))
 
@@ -97,13 +97,10 @@ class TestShear:
         with pytest.raises(ValueError, match="denominator"):
             shear(geometric(2), omega, gamma)
 
-    def test_truncation_argument_pads_short_dilatations(self):
-        f = shear(geometric(32), monomial(2, 2), 0.0, N=32)
-        assert f.h.order == f.g.order == 32
-        # the monomial's implicit zero tail is exact, so the full-order
-        # construction agrees with the padded one
-        g = shear(geometric(32), monomial(2, 32), 0.0)
-        assert f == g
+    @pytest.mark.parametrize("F_order, omega_order, order", [(32, 32, 32), (32, 8, 9), (8, 32, 8)])
+    def test_order_follows_the_shorter_input(self, F_order, omega_order, order):
+        f = shear(geometric(F_order), monomial(2, omega_order), 0.0)
+        assert f.h.order == f.g.order == order
 
 
 class TestHalfplaneExtremal:
@@ -155,24 +152,34 @@ class TestHalfplaneExtremal:
 
 
 class TestNamedTargets:
+    @pytest.mark.parametrize("order", [4, 17, 64])
+    def test_order_is_the_dilatations(self, order):
+        omega = monomial(1, order)
+        for f in (
+            slanted_halfplane(0.3, omega),
+            strip_map(omega),
+            family_f_alpha_n(0.5, 2, omega),
+        ):
+            assert f.h.order == f.g.order == order
+
     def test_slanted_halfplane_normalization(self):
-        f = slanted_halfplane(0.7, monomial(1, 16), 16)
+        f = slanted_halfplane(0.7, monomial(1, 16))
         assert (f.h.at_order(0), f.g.at_order(0), f.g.at_order(1)) == (0, 0, 0)
         assert f.h.at_order(1) == pytest.approx(1.0)
 
     def test_strip_map_target(self):
-        f = strip_map(monomial(2, 20), 20)
+        f = strip_map(monomial(2, 20))
         assert_series_close(f.h.add(f.g), arctangent(20))
 
     def test_family_target_is_coefficient_product(self):
         alpha, n = 0.5, 2
-        f = family_f_alpha_n(alpha, n, monomial(1, 32), 32)
+        f = family_f_alpha_n(alpha, n, monomial(1, 32))
         prefactor = rational_series(*family_sum_polynomials(n, alpha), 32)
         assert_series_close(f.h.add(f.g), prefactor.hadamard(log_inverse(32)))
 
     def test_family_rejects_alpha_outside_interval(self):
         with pytest.raises(ValueError):
-            family_f_alpha_n(FAMILY_ALPHA_MAX + 0.01, 1, monomial(1, 8), 8)
+            family_f_alpha_n(FAMILY_ALPHA_MAX + 0.01, 1, monomial(1, 8))
 
 
 class TestParams:

@@ -27,6 +27,9 @@ REMOVED_NAMES = (
     "MAX_ORDER",
     # argparse takes --name=value itself; no argv rewriting
     "_glue_negative_values",
+    # every grid ring holds convo.ANGLES_PER_RING angles
+    "MAX_ANGLES_PER_RING",
+    "DEFAULT_ANGLES_PER_RING",
 )
 
 REMOVED_ATTRIBUTES = (
@@ -47,6 +50,8 @@ REMOVED_METHODS = (
     (harness.RunConfig, "grid"),
     # the t2.2 threshold is the edge of that case's claim
     (hmap.SlantParams, "a_threshold"),
+    # convex_in_direction, its one caller, calls series.ring_values
+    (series.PowerSeries, "on_circle"),
 )
 
 # parameters that only tests set to other than their default; each is now
@@ -76,6 +81,15 @@ REMOVED_PARAMETERS = (
     (harness.RunConfig, "angles_per_ring"),
     (convo.certify_bounded, "grid"),
     (geochk.convex_in_direction, "grid"),
+    # a map's order is its dilatation series' order
+    (hmap.shear, "N"),
+    (hmap.slanted_halfplane, "N"),
+    (hmap.strip_map, "N"),
+    (hmap.family_f_alpha_n, "N"),
+    (series.monomial, "coeff"),
+    # a grid is its outer radius: the DEFAULT_RADII rings inside it
+    (convo.DiskGrid, "radii"),
+    (convo.DiskGrid, "angles_per_ring"),
 )
 
 
@@ -113,6 +127,10 @@ def test_removed_parameter_is_gone(fn, name):
     # one has no signature of its own)
     init = fn.__init__ if isinstance(fn, type) else fn
     assert name not in inspect.signature(init).parameters
+
+
+def test_disk_grid_has_one_field():
+    assert [f.name for f in fields(convo.DiskGrid)] == ["radius"]
 
 
 def test_convexity_report_has_no_worst_line():

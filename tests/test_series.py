@@ -15,6 +15,7 @@ from harmconv.series import (
     log_inverse,
     monomial,
     rational_series,
+    ring_values,
 )
 
 finite = st.floats(-2.0, 2.0, allow_nan=False)
@@ -156,22 +157,22 @@ class TestArithmetic:
 
     @pytest.mark.parametrize("order", [15, 16, 17, 40, 200])
     @pytest.mark.parametrize("radius", [0.5, 0.9, 0.99])
-    def test_on_circle_matches_horner(self, order, radius):
+    def test_ring_values_matches_horner(self, order, radius):
         # m = 16: orders 16 and up fold one or more coefficients onto others
         m = 16
         rng = np.random.default_rng(order)
         s = PowerSeries(rng.normal(size=order + 1) + 1j * rng.normal(size=order + 1))
         zs = radius * np.exp(2j * np.pi * np.arange(m) / m)
         expect = s(zs)
-        got = s.on_circle(radius, m)
+        got = ring_values(s.coeffs, (radius,), m)[0]
         assert got.shape == (m,)
         assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
 
 
 class TestFactories:
     def test_monomial_places_single_coefficient(self):
-        m = monomial(2, 4, coeff=3.0)
-        np.testing.assert_array_equal(m.coeffs, [0j, 0j, 3.0 + 0j, 0j, 0j])
+        m = monomial(2, 4)
+        np.testing.assert_array_equal(m.coeffs, [0j, 0j, 1.0 + 0j, 0j, 0j])
         with pytest.raises(ValueError):
             monomial(5, 4)
 
@@ -357,10 +358,22 @@ class TestArrayStorage:
     @pytest.mark.parametrize("excess", [-5, -1, 0, 1, 9, 40])
     @settings(max_examples=20)
     @given(data=st.data())
-    def test_on_circle_keeps_the_padded_fold(self, m, excess, data):
+    def test_ring_values_keeps_the_padded_fold(self, m, excess, data):
         # orders below, equal to and above the number of angles m
         order = m + excess
         cs = data.draw(st.lists(signed_coefficient, min_size=order + 1, max_size=order + 1))
         radius = data.draw(st.sampled_from([0.1, 0.5, 0.95, 0.99]))
-        got = PowerSeries(cs).on_circle(radius, m)
+        got = ring_values(PowerSeries(cs).coeffs, (radius,), m)[0]
         assert np.array_equal(bits(got), bits(tuple_on_circle(cs, radius, m)))
+
+    @pytest.mark.parametrize("radii", [(0.5,), (0.2, 0.5, 0.9)])
+    @pytest.mark.parametrize("order", [5, 7, 8, 30])
+    def test_ring_values_rows_are_each_ring_bit_for_bit(self, radii, order):
+        # 8 angles per ring: orders below, at and past one fold
+        rng = np.random.default_rng(order)
+        cs = rng.normal(size=order + 1) + 1j * rng.normal(size=order + 1)
+        cs[::3] = complex(-0.0, -0.0)
+        got = ring_values(PowerSeries(cs).coeffs, radii, 8)
+        assert got.shape == (len(radii), 8)
+        for row, r in zip(got, radii):
+            assert np.array_equal(bits(row), bits(tuple_on_circle(cs, r, 8)))
