@@ -6,11 +6,12 @@ rational form of h'+g' (no truncation), and the table reports its
 minimum over concentric rings up to --r-max.  The margin shrinks like
 1 - r^(2^(n+1)) near the boundary, so the outermost ring dominates.
 
-Passing --alpha-max beyond the family's allowed interval is permitted
-here on purpose: the functional keeps its sign some way past the
-endpoint 2(sqrt(2)-1), so this inequality alone does not pin down the
-interval.  The directly constructed maps stay parameter-checked; only
-the rational form is evaluated outside.
+Passing --alpha-max beyond the family's bound is permitted here on
+purpose: the functional keeps its sign some way past the endpoint
+2(sqrt(2)-1), so this inequality alone does not pin down the interval.
+The bound is an edge of the t3.8-t3.11 claims, not a check on the maps:
+hmap.family_f_alpha_n builds any alpha in (-2, 2), and harmconv runs the
+rows past the bound as exploratory.
 """
 
 import argparse

@@ -24,7 +24,6 @@ from .cpoly import (
 from .series import PowerSeries
 from .hmap import (
     FAMILY_ALPHA_MAX,
-    FamilyParams,
     HarmonicMap,
     SlantParams,
     dilatation_series,
@@ -66,7 +65,6 @@ __all__ = [
     "ConvexityReport",
     "DiskGrid",
     "FAMILY_ALPHA_MAX",
-    "FamilyParams",
     "HarmonicMap",
     "NumericFailure",
     "PowerSeries",

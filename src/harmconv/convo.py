@@ -29,7 +29,7 @@ from .cpoly import (
     count_zeros_in_disk,
     reciprocal_adjoint,
 )
-from .hmap import EDGE_ATOL, FamilyParams, HarmonicMap, SlantParams
+from .hmap import EDGE_ATOL, HarmonicMap, SlantParams, family_alpha
 from .series import PowerSeries, rational_series, ring_values
 
 # Relative tolerance for structural coefficient matches (Blaschke shape,
@@ -98,10 +98,15 @@ def convolve(f1: HarmonicMap, f2: HarmonicMap) -> HarmonicMap:
     return HarmonicMap(h=f1.h.hadamard(f2.h), g=f1.g.hadamard(f2.g))
 
 
-def combination(f1: HarmonicMap, f2: HarmonicMap, t: float) -> HarmonicMap:
-    """The affine combination t*f1 + (1-t)*f2, componentwise."""
+def _weight(t: float):
+    """Refuse a combination weight t outside [0, 1]."""
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"combination weight t must lie in [0, 1], got {t}")
+
+
+def combination(f1: HarmonicMap, f2: HarmonicMap, t: float) -> HarmonicMap:
+    """The affine combination t*f1 + (1-t)*f2, componentwise."""
+    _weight(t)
     return HarmonicMap(
         h=f1.h.scale(t).add(f2.h.scale(1.0 - t)),
         g=f1.g.scale(t).add(f2.g.scale(1.0 - t)),
@@ -215,8 +220,6 @@ def monomial_convolution_dilatation(params: SlantParams) -> RationalFunction:
 def even_mobius_quartic(a: float) -> ComplexPolynomial:
     """The quartic p with p/p* the dilatation of f_{a,0} convolved with the
     half-plane map sheared by omega = (a - z**2)/(1 - a z**2)."""
-    if not 0.0 <= a < 1.0:
-        raise ValueError(f"need 0 <= a < 1, got a={a}")
     return ComplexPolynomial([a * a, a * (a - 1.0), 1.0 + a * a - 4.0 * a, 1.0 - a, 1.0])
 
 
@@ -252,8 +255,6 @@ def even_mobius_cohn_chain(a: float) -> tuple[tuple[complex, ComplexPolynomial],
 def negated_square_quartic(a: float) -> ComplexPolynomial:
     """The quartic p with p/p* the dilatation of f_{a,0} convolved with the
     half-plane map sheared by omega = -(a - z)**2/(1 - a z)**2."""
-    if not 0.0 < a < 1.0:
-        raise ValueError(f"need 0 < a < 1, got a={a}")
     return ComplexPolynomial(
         [
             -(a**3),
@@ -352,13 +353,14 @@ def _family_factor(n: int, alpha: float) -> ComplexPolynomial:
 
 
 def combination_dilatation(
-    params1: FamilyParams,
-    params2: FamilyParams,
+    member1: tuple[float, int],
+    member2: tuple[float, int],
     omega1: RationalFunction,
     omega2: RationalFunction,
     t: float,
 ) -> RationalFunction:
-    """Dilatation of t*f_{alpha1,n} + (1-t)*f_{alpha2,m} for n >= m.
+    """Dilatation of t*f_{alpha1,n} + (1-t)*f_{alpha2,m} for n >= m >= 1,
+    with member1 = (alpha1, n) and member2 = (alpha2, m).
 
     With omega_i = u_i/v_i, the cleared form is
         P = t u1 A (v2+u2) B + (1-t) u2 C D (v1+u1)
@@ -369,18 +371,17 @@ def combination_dilatation(
     polynomial and are dropped from both P and Q, which is exactly the
     shared-target reduction this specializes to.
     """
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"combination weight t must lie in [0, 1], got {t}")
-    n, m = params1.n, params2.n
-    if n < m:
-        raise ValueError(f"need n >= m (got n={n}, m={m}); swap the arguments")
+    _weight(t)
+    (alpha1, n), (alpha2, m) = member1, member2
+    if not n >= m >= 1:
+        raise ValueError(f"need n >= m >= 1 (got n={n}, m={m}); swap the arguments if n < m")
     u1, v1 = omega1.num, omega1.den
     u2, v2 = omega2.num, omega2.den
     A = _ONE
     for j in range(m, n):
         A = A * _one_plus_z_pow(2**j)
-    A = A * _family_factor(n, params1.alpha)
-    D = _family_factor(m, params2.alpha)
+    A = A * _family_factor(n, alpha1)
+    D = _family_factor(m, alpha2)
     first = t * (u1 * A * (v2 + u2))
     first_den = t * (v1 * A * (v2 + u2))
     second = (1.0 - t) * (u2 * D * (v1 + u1))
@@ -402,8 +403,7 @@ def shared_target_combination_dilatation(
     (same alpha, same n):
         (t w1 + (1-t) w2 + w1 w2) / (1 + t w2 + (1-t) w1).
     """
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"combination weight t must lie in [0, 1], got {t}")
+    _weight(t)
     u1, v1 = omega1.num, omega1.den
     u2, v2 = omega2.num, omega2.den
     return RationalFunction(
@@ -413,8 +413,9 @@ def shared_target_combination_dilatation(
 
 
 def _check_family_combo(alpha1: float, alpha2: float, t: float):
-    FamilyParams(alpha=alpha1, n=1, t=t)
-    FamilyParams(alpha=alpha2, n=1, t=t)
+    family_alpha("alpha1", alpha1)
+    family_alpha("alpha2", alpha2)
+    _weight(t)
 
 
 def opposed_monomial_cubic(alpha1: float, alpha2: float, t: float) -> RationalFunction:
@@ -614,6 +615,11 @@ class BoundednessReport:
     def certified(self) -> bool:
         return self.verdict == "certified"
 
+    @property
+    def count_failed(self) -> bool:
+        """The Blaschke shape held, but the zero count of its core failed."""
+        return self.shape == "blaschke" and self.zero_report is None
+
 
 def _strip_monomial(p: ComplexPolynomial) -> tuple[int, ComplexPolynomial]:
     """Split p = z**k * core with core(0) significantly nonzero."""
@@ -719,7 +725,7 @@ def certify_bounded(r: RationalFunction) -> BoundednessReport:
             note = f"grid maximum {grid_max:.6g} exceeds 1; {detail}"
         elif pole:
             verdict = "indeterminate"
-            note = "denominator vanishes on the sample grid; certificate withheld"
+            note = f"denominator vanishes on the sample grid; certificate withheld; {detail}"
         else:
             verdict = "indeterminate"
             note = f"grid maximum {grid_max:.6g} stays at or below 1 but proves nothing; {detail}"

@@ -42,6 +42,7 @@ from .hmap import (
     HarmonicMap,
     SlantParams,
     f_a_alpha,
+    family_alpha,
     family_f_alpha_n,
     slanted_halfplane,
     strip_map,
@@ -363,13 +364,14 @@ class Point:
     roots_in_w: bool = False
 
 
-# Claim expressions: Python syntax in the parameters, with abs and pi,
+# Claim expressions: Python syntax in the parameters, with abs, sqrt and pi,
 # compiled once and evaluated in floats.
 _compiled = cache(lambda expr: compile(expr, expr, "eval"))
+_NAMESPACE = {"__builtins__": {}, "abs": abs, "sqrt": math.sqrt, "pi": math.pi}
 
 
 def _value(expr: str, p: Mapping):
-    return eval(_compiled(expr), {"__builtins__": {}, "abs": abs, "pi": math.pi}, p)
+    return eval(_compiled(expr), _NAMESPACE, p)
 
 
 @dataclass(frozen=True)
@@ -462,7 +464,8 @@ class Case:
 
     def points(self, params: Mapping) -> list[dict]:
         """Every parameter point of the sweep, the axes crossed in order;
-        ValueError as soon as there are more than MAX_SWEEP_POINTS."""
+        ValueError as soon as there are more than MAX_SWEEP_POINTS, or on a
+        point that comes twice."""
         unknown = sorted(set(params) - set(self.parameters))
         if unknown:
             raise ValueError(
@@ -475,6 +478,12 @@ class Case:
             points = list(islice(crossed, MAX_SWEEP_POINTS + 1))
             if len(points) > MAX_SWEEP_POINTS:
                 raise ValueError(f"the sweep crosses to more than {MAX_SWEEP_POINTS} points")
+        seen = set()
+        for p in points:
+            if tuple(p.items()) in seen:
+                label = row_param_id({"params": p})
+                raise ValueError(f"the sweep holds the point {label} more than once")
+            seen.add(tuple(p.items()))
         return points
 
 
@@ -602,8 +611,8 @@ def _quartic_point(omega, reduced, p) -> Point:
     assembles: at gamma = 0 that assembly keeps a removable (1 - z) in both
     numerator and denominator, and its circle zero defeats the structural
     routes.  The two forms are checked against each other at random points
-    so the reduction itself is part of the verdict.  reduced(a) also
-    enforces the case's range of a.
+    so the reduction itself is part of the verdict.  The case's range of a
+    is its claim's: a row outside it runs as exploratory.
     """
     closed = reduced(p["a"])
     assembled = convo.halfplane_convolution_dilatation(p["a"], 0.0, omega(p))
@@ -687,18 +696,26 @@ def _oq3_point(p) -> Point:
 
 # The monomial-dilatation convolution is locally univalent from here on.
 _T22_THRESHOLD = Constraint("a >= (n - 2)/(n + 2)", "below the monomial threshold, no claim made; ")
-_ORDERED = Claim(
-    "pi/2", (Constraint("alpha1 <= alpha2", "alpha1 > alpha2, outside the claimed range; "),)
-)
+
+
+def _family_bound(k: str) -> Constraint:
+    """|k| <= 2(sqrt(2) - 1), the dyadic family's bound (hmap.FAMILY_ALPHA_MAX)."""
+    return Constraint(f"abs({k}) <= 2*(sqrt(2) - 1)", f"|{k}| past the family bound; ")
+
+
+_ORDERING = Constraint("alpha1 <= alpha2", "alpha1 > alpha2, outside the claimed range; ")
+_ORDERED = Claim("pi/2", (_ORDERING, _family_bound("alpha1"), _family_bound("alpha2")))
 _T310_V2_UNMET = "needs |alpha1| > |alpha2| and alpha1*alpha2 > 0; "
 
 
 def _t22_a(p) -> list[float]:
-    """The threshold (n-2)/(n+2), two values above it, and one below it."""
+    """The threshold (n-2)/(n+2), 0.95, their midpoint and, while it stays
+    above -0.95, the value 0.15 below the threshold; each value once (at
+    n = 78 the threshold is 0.95, and from n = 79 it lies above it)."""
     threshold = _value(_T22_THRESHOLD.sides[2], p)
     below = round(threshold - 0.15, 10)
     mid = round((threshold + 0.95) / 2.0, 10)
-    return [threshold, mid, 0.95] + ([below] if below > -0.95 else [])
+    return list(dict.fromkeys([threshold, mid, 0.95] + ([below] if below > -0.95 else [])))
 
 
 def _n(most: int, *default: int) -> Axis:
@@ -725,7 +742,9 @@ _T = Axis("t", (0.0, 0.25, 0.5, 0.75, 1.0))
 _A_EXPLORED = Axis("a", (0.25, 0.5, 0.75))
 _B_EXPLORED = Axis("b", lambda p: (p["a"],), _unit)
 _PAIRS = Axis(
-    "alpha1 alpha2", ((-0.5, 0.5), (-0.8, -0.2), (0.0, 0.8), (0.3, 0.3), (0.5, -0.5))
+    "alpha1 alpha2",
+    ((-0.5, 0.5), (-0.8, -0.2), (0.0, 0.8), (0.3, 0.3), (0.5, -0.5)),
+    family_alpha,
 )
 _T310_PAIRS = Axis(
     "alpha1 alpha2",
@@ -734,6 +753,7 @@ _T310_PAIRS = Axis(
         if p["variant"] == 1
         else ((0.8, 0.3), (-0.8, -0.3), (0.3, 0.8), (0.5, 0.0), (-0.5, 0.5))
     ),
+    family_alpha,
 )
 
 CASES: dict[str, Case] = {
@@ -749,14 +769,14 @@ CASES: dict[str, Case] = {
         (Axis("a", _frange(0.05, 0.95, 0.05)),),
         partial(_halfplane, _even_mobius),
         partial(_quartic_point, _even_mobius, convo.even_mobius_convolution_dilatation),
-        Claim("0"),
+        Claim("0", (Constraint("a >= 0", "a < 0, below the claimed range; "),)),
     ),
     "t2.4": Case(
         "half-plane target, negated squared-Blaschke dilatation",
         (Axis("a", _frange(0.05, 0.95, 0.05)),),
         partial(_halfplane, _negated_square),
         partial(_quartic_point, _negated_square, convo.negated_square_convolution_dilatation),
-        Claim("0"),
+        Claim("0", (Constraint("a > 0", "a <= 0, below the claimed range; "),)),
     ),
     "t2.5": Case(
         "strip target, even Moebius dilatation collapsing to z^2",
@@ -769,7 +789,7 @@ CASES: dict[str, Case] = {
         "equal-weight family combinations, assorted bounded dilatations",
         (
             _n(_FAMILY_N_MAX, 1, 2, 3),
-            Axis("alpha", (-FAMILY_ALPHA_MAX, 0.0, FAMILY_ALPHA_MAX)),
+            Axis("alpha", (-FAMILY_ALPHA_MAX, 0.0, FAMILY_ALPHA_MAX), family_alpha),
             Axis(
                 "omega1 omega2",
                 lambda p: [(m1[0], m2[0]) for m1, m2 in _t38_menu(p["n"])],
@@ -779,7 +799,7 @@ CASES: dict[str, Case] = {
         ),
         partial(_combined, _t38_members),
         _t38_point,
-        Claim("pi/2"),
+        Claim("pi/2", (_family_bound("alpha"),)),
     ),
     "t3.9": Case(
         "family combinations with opposed monomial dilatations",
@@ -799,6 +819,8 @@ CASES: dict[str, Case] = {
                 Constraint("alpha1 < alpha2", "needs alpha1 < alpha2 strictly; ", "variant == 1"),
                 Constraint("abs(alpha1) > abs(alpha2)", _T310_V2_UNMET, "variant == 2"),
                 Constraint("alpha1*alpha2 > 0", _T310_V2_UNMET, "variant == 2"),
+                _family_bound("alpha1"),
+                _family_bound("alpha2"),
             ),
         ),
     ),
@@ -846,14 +868,21 @@ def _case(case: str) -> tuple[str, Case]:
 # sweep driver
 
 
-def _root_pairs(poly: ComplexPolynomial | None) -> list[list[float]] | None:
-    """Sorted [re, im] zeros of poly; None when the root oracle cannot say."""
-    if poly is None or poly.degree < 1 or poly.degree > 24:
-        return None
+# The root oracle reports the zeros of polynomials up to this degree.
+ROOTS_MAX_DEGREE = 24
+
+
+def _root_pairs(poly: ComplexPolynomial | None) -> tuple[list[list[float]] | None, str]:
+    """Sorted [re, im] zeros of poly, or None and why the row reports none
+    ("" when the point reports no polynomial)."""
+    if poly is None or poly.degree < 1:
+        return None, ""
+    if poly.degree > ROOTS_MAX_DEGREE:
+        return None, f"; roots withheld: degree {poly.degree} > {ROOTS_MAX_DEGREE}"
     try:
-        return sorted([float(v.real), float(v.imag)] for v in roots(poly))
-    except NumericFailure:
-        return None
+        return sorted([float(v.real), float(v.imag)] for v in roots(poly)), ""
+    except NumericFailure as exc:
+        return None, f"; roots withheld: {exc}"
 
 
 def _verdict(asserted: bool, pt: Point, cert: BoundednessReport, conv: ConvexityReport) -> str:
@@ -897,9 +926,13 @@ def sweep_report(case: str, params: Mapping | None = None) -> list[dict]:
         if conv.passed is None:
             convexity = f"withheld ({conv.note})"
         note = f"{unmet or ''}{pt.note}dilatation {cert.verdict} ({cert.method}); "
+        if cert.count_failed and not cert.certified:
+            note += f"{cert.note}; "
         note += f"convexity {phi_label}: {convexity}"
         if pt.roots_in_w:
             note += "; roots reported in the substituted variable w"
+        root_pairs, withheld = _root_pairs(pt.roots_of)
+        note += withheld
         rows.append(
             {
                 "case": key,
@@ -908,7 +941,7 @@ def sweep_report(case: str, params: Mapping | None = None) -> list[dict]:
                 "metrics": {
                     "max_omega": cert.grid_max,
                     "min_hs": conv.min_hs_value,
-                    "roots": _root_pairs(pt.roots_of),
+                    "roots": root_pairs,
                 },
                 "note": note,
             }

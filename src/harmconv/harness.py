@@ -8,7 +8,8 @@ Verbs:
 Each parameter a case accepts is one option, --<name>, which takes a
 comma-separated list of values or a range LO:HI:STEP (LO, LO + STEP, ...
 through HI); a value that starts with "-" goes after "=", as in
---a=-0.9:0.9:0.1.  A sweep holds at most geochk.MAX_SWEEP_POINTS points.
+--a=-0.9:0.9:0.1.  An option is given at most once, and a sweep holds each
+point once and at most geochk.MAX_SWEEP_POINTS points.
 
 Every run writes into --outdir: report.json (verdict rows, deterministic
 and byte-identical across reruns of the same case and parameters),
@@ -54,6 +55,16 @@ class _ArgumentParser(argparse.ArgumentParser):
 
     def error(self, message):
         raise ConfigError(message)
+
+
+class _Once(argparse.Action):
+    """Stores an option's value; a second occurrence is a ConfigError, not
+    a silent override (a list of values goes in one occurrence)."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            raise ConfigError(f"option {option_string} given more than once")
+        setattr(namespace, self.dest, values)
 
 
 @dataclass(frozen=True)
@@ -306,10 +317,13 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("case", nargs="?", help="case id (see list below)")
     for p in _PARAM_NAMES:
         parser.add_argument(
-            f"--{p}", metavar="V[,V...]|LO:HI:STEP", help=f"{p} values, listed or swept"
+            f"--{p}", action=_Once, metavar="V[,V...]|LO:HI:STEP",
+            help=f"{p} values, listed or swept",
         )
-    parser.add_argument("--outdir", help="artifact directory (default: .)")
-    parser.add_argument("--formats", metavar="F[,F...]", help="subset of json,csv,svg")
+    parser.add_argument("--outdir", action=_Once, help="artifact directory (default: .)")
+    parser.add_argument(
+        "--formats", action=_Once, metavar="F[,F...]", help="subset of json,csv,svg"
+    )
     return parser
 
 

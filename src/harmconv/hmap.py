@@ -18,6 +18,7 @@ construction path.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +33,8 @@ from .series import (
     rational_series,
 )
 
-# The dyadic family's parameter must stay within this symmetric interval
-# for the positivity argument behind it to apply.
+# The dyadic family's bound on |alpha|, the edge of the t3.8-t3.11 claims
+# (geochk.CASES), which state it as 2*(sqrt(2) - 1).
 FAMILY_ALPHA_MAX = 2.0 * (math.sqrt(2.0) - 1.0)
 
 # A shear denominator 1 + e^{-2i gamma} omega(0) below this modulus means
@@ -70,26 +71,12 @@ class SlantParams:
             raise ValueError(f"need -1 < a < 1, got a={self.a}")
 
 
-@dataclass(frozen=True)
-class FamilyParams:
-    """Parameters of the dyadic-product family, plus an optional
-    combination weight for two-member combinations."""
-
-    alpha: float
-    n: int
-    t: float | None = None
-
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"generation index n must be a positive integer, got {self.n!r}")
-        limit = FAMILY_ALPHA_MAX + EDGE_ATOL
-        if not -limit <= self.alpha <= limit:
-            raise ValueError(
-                f"alpha={self.alpha} outside [-2(sqrt(2)-1), 2(sqrt(2)-1)] "
-                f"= [{-FAMILY_ALPHA_MAX:.6f}, {FAMILY_ALPHA_MAX:.6f}]"
-            )
-        if self.t is not None and not 0.0 <= self.t <= 1.0:
-            raise ValueError(f"combination weight t must lie in [0, 1], got {self.t}")
+def family_alpha(name: str, alpha) -> float:
+    """alpha as a float strictly inside (-2, 2), where the family factor
+    1 + alpha w + w^2 keeps its zeros on the unit circle."""
+    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) or not -2.0 < alpha < 2.0:
+        raise ValueError(f"need -2 < {name} < 2, got {name}={alpha}")
+    return float(alpha)
 
 
 def shear(F: PowerSeries, omega: PowerSeries, gamma: float) -> HarmonicMap:
@@ -144,7 +131,7 @@ def family_f_alpha_n(alpha: float, n: int, omega: PowerSeries) -> HarmonicMap:
     The target is the coefficientwise product of the family-sum rational
     prefactor with log(1/(1-z)), per the family's defining display.
     """
-    FamilyParams(alpha=alpha, n=n)  # range validation
+    family_alpha("alpha", alpha)
     prefactor = rational_series(*family_sum_polynomials(n, alpha), omega.order)
     F = prefactor.hadamard(log_inverse(omega.order))
     return shear(F, omega, 0.0)

@@ -3,6 +3,7 @@ independent series route (build the maps, convolve coefficientwise, divide
 the derivatives), the displayed reduction chains are replayed step by step,
 and the boundedness certifier is exercised on each of its paths."""
 
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -46,7 +47,6 @@ from harmconv.cpoly import (
     roots,
 )
 from harmconv.hmap import (
-    FamilyParams,
     HarmonicMap,
     SlantParams,
     dilatation_series,
@@ -231,11 +231,16 @@ class TestHalfplaneConcordance:
         )
         assert rationals_equal(negated_square_convolution_dilatation(a), assembled)
 
-    def test_quartic_parameter_ranges(self):
-        with pytest.raises(ValueError):
-            even_mobius_quartic(-0.1)
-        with pytest.raises(ValueError):
-            negated_square_quartic(0.0)
+    @pytest.mark.parametrize("a", [-0.5, -0.1, 0.0])
+    def test_quartics_hold_below_the_claimed_range(self, a):
+        # 0 <= a (t2.3) and 0 < a (t2.4) are the claims' to decide; the
+        # reduced forms still equal the assembled dilatations there
+        assembled = halfplane_convolution_dilatation(a, 0.0, mobius_power_dilatation(a, 0.0, 2))
+        assert rationals_equal(even_mobius_convolution_dilatation(a), assembled)
+        assembled = halfplane_convolution_dilatation(
+            a, 0.0, blaschke_power_dilatation(a, np.pi, 2)
+        )
+        assert rationals_equal(negated_square_convolution_dilatation(a), assembled)
 
     def test_cancel_unit_root_strips_shared_factor(self):
         a = 0.5
@@ -316,7 +321,7 @@ class TestCombinations:
         half = 2 ** (n - 1)
         w1, w2 = monomial_rf(half, -1.0), monomial_rf(half, 1.0)
         closed = combination_dilatation(
-            FamilyParams(alpha1, n), FamilyParams(alpha2, n), w1, w2, t
+            (alpha1, n), (alpha2, n), w1, w2, t
         )
         f = combination(
             family_f_alpha_n(alpha1, n, w1.series(N)),
@@ -330,7 +335,7 @@ class TestCombinations:
         alpha1, alpha2, t = 0.4, -0.2, 0.6
         w1, w2 = monomial_rf(2, -1.0), monomial_rf(1, 1.0)
         closed = combination_dilatation(
-            FamilyParams(alpha1, 2), FamilyParams(alpha2, 1), w1, w2, t
+            (alpha1, 2), (alpha2, 1), w1, w2, t
         )
         f = combination(
             family_f_alpha_n(alpha1, 2, w1.series(N)),
@@ -344,17 +349,46 @@ class TestCombinations:
         w = monomial_rf(1)
         with pytest.raises(ValueError, match="swap"):
             combination_dilatation(
-                FamilyParams(0.0, 1), FamilyParams(0.0, 2), w, w, 0.5
+                (0.0, 1), (0.0, 2), w, w, 0.5
             )
 
     def test_weight_validated(self):
         w = monomial_rf(1)
         with pytest.raises(ValueError):
             combination_dilatation(
-                FamilyParams(0.0, 1), FamilyParams(0.0, 1), w, w, -0.1
+                (0.0, 1), (0.0, 1), w, w, -0.1
             )
         with pytest.raises(ValueError):
             shared_target_combination_dilatation(w, w, 2.0)
+        with pytest.raises(ValueError, match=r"t must lie in \[0, 1\]"):
+            combination(f_a_alpha(0.5, 0.0, 8), f_a_alpha(0.5, 0.0, 8), 1.5)
+
+    def test_generation_validated(self):
+        w = monomial_rf(1)
+        with pytest.raises(ValueError, match="n >= m >= 1"):
+            combination_dilatation((0.0, 1), (0.0, 0), w, w, 0.5)
+
+    DISPLAYED = [opposed_monomial_cubic, adjacent_negative_cubic, adjacent_positive_quartic,
+                 quarter_power_sextic]
+
+    @pytest.mark.parametrize("form", DISPLAYED)
+    def test_displayed_forms_take_alpha_past_the_family_bound(self, form):
+        # the bound 2(sqrt(2) - 1) is the claims' to decide
+        assert np.isfinite(form(-1.5, 1.99, 0.5)(PTS)).all()
+
+    @pytest.mark.parametrize("form", DISPLAYED)
+    @pytest.mark.parametrize(
+        "alpha1, alpha2, t, says",
+        [
+            (-2.0, 0.5, 0.5, "need -2 < alpha1 < 2, got alpha1=-2.0"),
+            (0.5, 2.0, 0.5, "need -2 < alpha2 < 2, got alpha2=2.0"),
+            (float("nan"), 0.5, 0.5, "need -2 < alpha1 < 2, got alpha1=nan"),
+            (0.0, 0.5, 1.5, "combination weight t must lie in [0, 1], got 1.5"),
+        ],
+    )
+    def test_displayed_forms_check_their_domains(self, form, alpha1, alpha2, t, says):
+        with pytest.raises(ValueError, match=re.escape(says)):
+            form(alpha1, alpha2, t)
 
     def test_shared_target_formula(self):
         w1 = mobius_power_dilatation(0.3, 0.0, 1)
@@ -369,7 +403,7 @@ class TestCombinations:
         alpha, n, t = 0.4, 1, 0.3
         w1, w2 = monomial_rf(1, -1.0), monomial_rf(1, 1.0)
         general = combination_dilatation(
-            FamilyParams(alpha, n), FamilyParams(alpha, n), w1, w2, t
+            (alpha, n), (alpha, n), w1, w2, t
         )
         assert rationals_equal(
             shared_target_combination_dilatation(w1, w2, t), general
@@ -380,8 +414,8 @@ class TestCombinations:
         alpha1, alpha2, t = 0.3, -0.2, 0.4
         half = 2 ** (n - 1)
         combo = combination_dilatation(
-            FamilyParams(alpha1, n),
-            FamilyParams(alpha2, n),
+            (alpha1, n),
+            (alpha2, n),
             monomial_rf(half, -1.0),
             monomial_rf(half, 1.0),
             t,
@@ -393,7 +427,7 @@ class TestCombinations:
     def test_adjacent_cubic_and_quartic_concord(self, n):
         alpha1, alpha2, t = 0.3, -0.2, 0.4
         half = 2 ** (n - 1)
-        p1, p2 = FamilyParams(alpha1, n), FamilyParams(alpha2, n)
+        p1, p2 = (alpha1, n), (alpha2, n)
         w1 = monomial_rf(half, -1.0)
         combo = combination_dilatation(p1, p2, w1, monomial_rf(2 * half, -1.0), t)
         disp = adjacent_negative_cubic(alpha1, alpha2, t).compose_power(half)
@@ -407,8 +441,8 @@ class TestCombinations:
         alpha1, alpha2, t = 0.3, -0.2, 0.4
         quarter = 2 ** (n - 2)
         combo = combination_dilatation(
-            FamilyParams(alpha1, n),
-            FamilyParams(alpha2, n),
+            (alpha1, n),
+            (alpha2, n),
             monomial_rf(quarter, -1.0),
             monomial_rf(2 * quarter, 1.0),
             t,
@@ -436,6 +470,8 @@ class TestCertifyBounded:
         assert convo._grid_scan(r, convo.DEFAULT_GRID) == (0.5, True)
         rep = certify_bounded(r)
         assert rep.verdict == "indeterminate" and "denominator vanishes" in rep.note
+        # the withheld certificate keeps the reason the structural routes gave
+        assert rep.note.endswith("certificate withheld; numeric-only: no Blaschke shape detected")
 
     def test_grid_of_poles_only_is_no_excursion(self, monkeypatch):
         r = rational([1.0], [1.0, -5.0])

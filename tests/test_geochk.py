@@ -23,7 +23,13 @@ from harmconv.geochk import (
     row_param_id,
     sweep_report,
 )
-from harmconv.hmap import EDGE_ATOL, HarmonicMap, f_a_alpha, slanted_halfplane
+from harmconv.hmap import (
+    EDGE_ATOL,
+    FAMILY_ALPHA_MAX,
+    HarmonicMap,
+    f_a_alpha,
+    slanted_halfplane,
+)
 from harmconv.series import PowerSeries, geometric, monomial, ring_values
 
 # smaller than the default grid; plenty for unit-level assertions
@@ -437,6 +443,15 @@ class TestSweepReport:
         assert rows and all(r["verdict"] == "exploratory" for r in rows)
         assert all("no assertion" in r["note"] for r in rows)
 
+    def test_paired_point_repeats_only_when_both_halves_do(self):
+        # the command line's repeated values are in tests/test_harness.py
+        points = CASES["t3.9"].points(
+            {"n": [1], "alpha1": [0.1, 0.1], "alpha2": [0.2, 0.3], "t": [0.5]}
+        )
+        assert [(p["alpha1"], p["alpha2"]) for p in points] == [(0.1, 0.2), (0.1, 0.3)]
+        with pytest.raises(ValueError, match="point alpha1=0.1,alpha2=0.2,n=1,t=0.5 more"):
+            CASES["t3.9"].points({"n": [1], "alpha1": [0.1, 0.1], "alpha2": [0.2, 0.2], "t": [0.5]})
+
     def test_paired_axes_need_matching_lengths(self):
         with pytest.raises(ValueError, match="paired, not crossed"):
             sweep_report("t3.9", {"alpha1": [0.1, 0.2], "alpha2": [0.3, 0.4, 0.5]})
@@ -521,6 +536,37 @@ EDGE_PROBES = [
     # alpha1 * alpha2 moves by 0.5 * 4 EDGE_ATOL
     ("t3.10", "alpha1*alpha2 > 0", True,
      {"n": 1, "variant": 2, "alpha1": 0.5, "alpha2": 0.0, "t": 0.5}, "alpha2", 4 * EDGE_ATOL),
+    # the family bound, at -FAMILY_ALPHA_MAX (inside is up) and at
+    # +FAMILY_ALPHA_MAX (inside is down)
+    ("t3.8", "abs(alpha) <= 2*(sqrt(2) - 1)", False,
+     {"n": 1, "alpha": -FAMILY_ALPHA_MAX, "t": 0.5}, "alpha", 2 * EDGE_ATOL),
+    ("t3.8", "abs(alpha) <= 2*(sqrt(2) - 1)", False,
+     {"n": 2, "alpha": FAMILY_ALPHA_MAX, "t": 0.5}, "alpha", -2 * EDGE_ATOL),
+    *(
+        probe
+        for case, n in (("t3.9", 1), ("t3.11", 2))
+        for probe in (
+            (case, "abs(alpha1) <= 2*(sqrt(2) - 1)", False,
+             {"n": n, "alpha1": -FAMILY_ALPHA_MAX, "alpha2": 0.5, "t": 0.5}, "alpha1",
+             2 * EDGE_ATOL),
+            (case, "abs(alpha2) <= 2*(sqrt(2) - 1)", False,
+             {"n": n, "alpha1": -0.5, "alpha2": FAMILY_ALPHA_MAX, "t": 0.5}, "alpha2",
+             -2 * EDGE_ATOL),
+        )
+    ),
+    # variant 1 orders alpha1 < alpha2, variant 2 wants |alpha1| > |alpha2|
+    # of one sign
+    ("t3.10", "abs(alpha1) <= 2*(sqrt(2) - 1)", False,
+     {"n": 1, "variant": 1, "alpha1": -FAMILY_ALPHA_MAX, "alpha2": 0.5, "t": 0.5}, "alpha1",
+     2 * EDGE_ATOL),
+    ("t3.10", "abs(alpha1) <= 2*(sqrt(2) - 1)", False,
+     {"n": 2, "variant": 2, "alpha1": FAMILY_ALPHA_MAX, "alpha2": 0.5, "t": 0.5}, "alpha1",
+     -2 * EDGE_ATOL),
+    ("t3.10", "abs(alpha2) <= 2*(sqrt(2) - 1)", False,
+     {"n": 1, "variant": 1, "alpha1": -0.5, "alpha2": FAMILY_ALPHA_MAX, "t": 0.5}, "alpha2",
+     -2 * EDGE_ATOL),
+    ("t2.3", "a >= 0", False, {"a": 0.0}, "a", 2 * EDGE_ATOL),
+    ("t2.4", "a > 0", True, {"a": 0.0}, "a", 2 * EDGE_ATOL),
 ]
 
 
@@ -551,7 +597,10 @@ class TestClaims:
     @pytest.mark.parametrize("side", SIDES)
     @pytest.mark.parametrize(
         "case, text, strict, edge, name, step", EDGE_PROBES,
-        ids=[f"{case}-{text}-{edge['n']}" for case, text, _, edge, *_ in EDGE_PROBES],
+        ids=[
+            f"{case}-{text}" + (f"-{edge['n']}" if "n" in edge else "")
+            for case, text, _, edge, *_ in EDGE_PROBES
+        ],
     )
     def test_edges_assert_as_the_constraint_says(
         self, case, text, strict, edge, name, step, side
@@ -604,11 +653,63 @@ class TestClaims:
     def test_direction_and_label(self, case, p, phi, label):
         assert CASES[case].claim.phi(p) == (phi, label)
 
+    @pytest.mark.parametrize(
+        "case, name", [("t3.8", "alpha"), ("t3.9", "alpha1"), ("t3.10", "alpha2"),
+                       ("t3.11", "alpha2")],
+    )
+    def test_family_bound_is_hmap_s_constant(self, case, name):
+        # perfbench, scripts/family_margin.py and t3.8's default alphas use
+        # the constant; the claims state the same float
+        edge = _constraint(case, f"abs({name}) <= 2*(sqrt(2) - 1)").sides[2]
+        assert geochk._value(edge, {}).hex() == FAMILY_ALPHA_MAX.hex()
+
+    def test_default_points_meet_the_family_and_quartic_bounds(self):
+        bounds = {"a >= 0", "a > 0", *(f"abs({k}) <= 2*(sqrt(2) - 1)"
+                                       for k in ("alpha", "alpha1", "alpha2"))}
+        checked = 0
+        for spec in CASES.values():
+            for c in spec.claim.hypothesis or ():
+                if c.text in bounds:
+                    assert all(c.holds(p) for p in spec.points({}))
+                    checked += 1
+        assert checked == 9
+
+    @pytest.mark.parametrize(
+        "case, params, opening",
+        [
+            ("t3.9", {"n": [1], "alpha1": [-1.2], "alpha2": [0.5], "t": [0.5]},
+             "|alpha1| past the family bound; "),
+            ("t3.8", {"n": [1], "alpha": [1.5], "t": [0.5]},
+             "|alpha| past the family bound; "),
+            ("t2.4", {"a": [-0.5, 0.0]}, "a <= 0, below the claimed range; "),
+            ("t2.3", {"a": [-0.5]}, "a < 0, below the claimed range; "),
+        ],
+        ids=["t3.9-alpha1", "t3.8-alpha", "t2.4-a", "t2.3-a"],
+    )
+    def test_rows_past_an_edge_are_exploratory(self, case, params, opening):
+        rows = sweep_report(case, params)
+        assert rows and all(r["verdict"] == "exploratory" for r in rows)
+        assert all(r["note"].startswith(opening) for r in rows)
+
+    def test_below_the_quartic_range_the_grid_sees_the_excursion(self):
+        (row,) = sweep_report("t2.4", {"a": [-0.5]})
+        assert "dilatation exceeds (grid)" in row["note"]
+        assert row["metrics"]["max_omega"] > 1.0
+
     def test_slant_threshold_values(self):
         edge = _constraint("t2.2", "a >= (n - 2)/(n + 2)").sides[2]
         assert geochk._value(edge, {"n": 1}) == pytest.approx(-1 / 3)
         assert geochk._value(edge, {"n": 2}) == 0.0
         assert geochk._value(edge, {"n": 4}) == pytest.approx(1 / 3)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 77, 78, 79, 256])
+    def test_default_threshold_axis_is_distinct(self, n):
+        a = [p["a"] for p in CASES["t2.2"].points({"n": [n]})]
+        assert len(set(a)) == len(a)
+        assert 0.95 in a
+
+    def test_default_threshold_axis_where_the_threshold_reaches_top(self):
+        assert [p["a"] for p in CASES["t2.2"].points({"n": [78]})] == [0.95, 0.8]
 
     def test_default_thresholds_keep_their_bits(self):
         for n in range(1, 257):

@@ -189,6 +189,18 @@ class TestMainExitCodes:
             ["explore", "oq2", "--b=-1"],
             ["verify", "t3.11", "--alpha2", "0.1"],
             ["verify", "t3.10", "--variant", "1", "--alpha1=-0.5"],
+            # an option given twice: its last value must not silently win
+            ["verify", "t2.3", "--a", "0.5", "--a", "0.6", "--formats", "json",
+             "--outdir", "DIR"],
+            ["verify", "t2.3", "--a", "0.5", "--formats", "json", "--formats", "csv"],
+            ["verify", "t2.3", "--a", "0.5", "--outdir", "x1", "--outdir", "x2"],
+            # a point given twice, listed or through a range's rounding
+            ["verify", "t2.3", "--a", "0.5,0.5", "--formats", "json"],
+            ["verify", "t2.3", "--a", "0.5:0.50000000004:1e-11", "--formats", "json"],
+            # alpha outside (-2, 2), or not a number
+            ["verify", "t3.9", "--alpha1=-2", "--alpha2", "0.5"],
+            ["verify", "t3.8", "--alpha", "2.5"],
+            ["verify", "t3.9", "--alpha1", "nan", "--alpha2", "0.5"],
         ],
     )
     def test_malformed_command_line_is_one(self, argv, capsys, tmp_path, monkeypatch):
@@ -237,13 +249,48 @@ class TestMainExitCodes:
              "alpha1 is missing: alpha1 and alpha2 are set together"),
             (["verify", "t3.10", "--variant", "1", "--alpha1=-0.5"],
              "alpha2 is missing: alpha1 and alpha2 are set together"),
+            (["verify", "t2.3", "--a", "0.5", "--a", "0.6"], "option --a given more than once"),
+            (["verify", "t2.3", "--a=0.5", "--formats", "json", "--formats", "csv"],
+             "option --formats given more than once"),
+            # the test's own --outdir comes second
+            (["verify", "t2.3", "--a", "0.5", "--outdir", "x1"],
+             "option --outdir given more than once"),
+            (["verify", "t2.3", "--a", "0.5,0.5"],
+             "the sweep holds the point a=0.5 more than once"),
+            (["verify", "t2.3", "--a", "0.5:0.50000000004:1e-11"],
+             "the sweep holds the point a=0.5 more than once"),
+            (["verify", "t3.9", "--alpha1=-2", "--alpha2", "0.5"],
+             "need -2 < alpha1 < 2, got alpha1=-2.0"),
+            (["verify", "t3.8", "--alpha", "2.5"], "need -2 < alpha < 2, got alpha=2.5"),
+            (["verify", "t3.9", "--alpha1", "nan", "--alpha2", "0.5"],
+             "need -2 < alpha1 < 2, got alpha1=nan"),
+            (["verify", "t3.10", "--alpha1", "0.5", "--alpha2", "2"],
+             "need -2 < alpha2 < 2, got alpha2=2.0"),
         ],
-        ids=["b-above-1", "b-at-minus-1", "lone-alpha2", "lone-alpha1"],
+        ids=["b-above-1", "b-at-minus-1", "lone-alpha2", "lone-alpha1", "repeated-a",
+             "repeated-formats", "repeated-outdir", "repeated-point", "range-repeats-a-point",
+             "alpha1-at-minus-2", "alpha-above-2", "alpha1-nan", "alpha2-at-2"],
     )
     def test_error_names_the_parameter_set(self, argv, says, capsys, tmp_path):
         assert main(argv + ["--outdir", str(tmp_path)]) == 1
         assert capsys.readouterr().err == f"error: {says}\n"
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv, opening",
+        [
+            (["t3.9", "--n", "1", "--alpha1=-1.2", "--alpha2", "0.5", "--t", "0.5"],
+             "|alpha1| past the family bound; "),
+            (["t2.4", "--a=-0.5"], "a <= 0, below the claimed range; "),
+        ],
+        ids=["t3.9-past-the-family-bound", "t2.4-below-its-range"],
+    )
+    def test_past_a_hypothesis_edge_is_exploratory(self, argv, opening, tmp_path):
+        code = main(["verify", *argv, "--formats", "json", "--outdir", str(tmp_path)])
+        assert code == 0
+        rows = json.loads((tmp_path / "report.json").read_text())["rows"]
+        assert rows and all(r["verdict"] == "exploratory" for r in rows)
+        assert all(r["note"].startswith(opening) for r in rows)
 
     def test_empty_value_list_is_one(self, tmp_path, capsys):
         code = main(["verify", "t2.3", "--a", ",", "--formats", "json",
@@ -361,21 +408,27 @@ class TestRootOracleFailure:
         assert code == 3
         (row,) = json.loads((tmp_path / "report.json").read_text())["rows"]
         assert row["verdict"] == "indeterminate"
-        assert "dilatation indeterminate (grid)" in row["note"]
+        assert "dilatation indeterminate (grid); " in row["note"]
+        assert "zero count of the core failed: " in row["note"]
         assert capsys.readouterr().err == ""
 
     def test_overflowing_iteration_warns_nothing(self, tmp_path):
         # the zero count of this row's core ends in the root oracle, whose
         # iteration overflows and raises NumericFailure; numpy's warnings
-        # stay inside it, so the row is indeterminate (grid)
+        # stay inside it, so the row is indeterminate (grid), and its note
+        # says why, as it says why roots is null
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             code = main(["verify", "t2.2", "--n", "64", "--a", "0.95", "--formats", "json",
                          "--outdir", str(tmp_path)])
         assert code == 3
         (row,) = json.loads((tmp_path / "report.json").read_text())["rows"]
+        assert row["metrics"]["roots"] is None
         assert row["note"] == (
-            "dilatation indeterminate (grid); convexity phi=-gamma=0: passed, max 2 crossings"
+            "dilatation indeterminate (grid); grid maximum 0.491522 stays at or below 1 "
+            "but proves nothing; zero count of the core failed: Durand-Kerner step is nan: "
+            "the iteration overflowed; convexity phi=-gamma=0: passed, max 2 crossings; "
+            "roots withheld: degree 65 > 24"
         )
 
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from harmconv.hmap import (
     FAMILY_ALPHA_MAX,
-    FamilyParams,
     HarmonicMap,
     SlantParams,
     dilatation_series,
@@ -177,9 +176,20 @@ class TestNamedTargets:
         prefactor = rational_series(*family_sum_polynomials(n, alpha), 32)
         assert_series_close(f.h.add(f.g), prefactor.hadamard(log_inverse(32)))
 
-    def test_family_rejects_alpha_outside_interval(self):
-        with pytest.raises(ValueError):
-            family_f_alpha_n(FAMILY_ALPHA_MAX + 0.01, 1, monomial(1, 8))
+    def test_family_builds_past_the_bound(self):
+        # the bound 2(sqrt(2) - 1) is the t3.8-t3.11 claims' to decide
+        for alpha in (-1.99, -FAMILY_ALPHA_MAX - 0.01, FAMILY_ALPHA_MAX + 0.01, 1.99):
+            f = family_f_alpha_n(alpha, 1, monomial(1, 8))
+            assert np.isfinite(f.h.coeffs).all() and np.isfinite(f.g.coeffs).all()
+
+    @pytest.mark.parametrize("alpha", [-2.0, 2.0, 2.5, float("nan"), float("inf"), True, "0.5"])
+    def test_family_rejects_alpha_outside_its_domain(self, alpha):
+        with pytest.raises(ValueError, match="need -2 < alpha < 2"):
+            family_f_alpha_n(alpha, 1, monomial(1, 8))
+
+    def test_family_rejects_generation_below_one(self):
+        with pytest.raises(ValueError, match="n >= 1"):
+            family_f_alpha_n(0.0, 0, monomial(1, 8))
 
 
 class TestParams:
@@ -188,12 +198,3 @@ class TestParams:
             SlantParams(0.0, 0.0, 0, 0.5)
         with pytest.raises(ValueError):
             SlantParams(0.0, 0.0, 2, 1.0)
-
-    def test_family_validation(self):
-        FamilyParams(alpha=0.0, n=1, t=0.5)
-        with pytest.raises(ValueError):
-            FamilyParams(alpha=0.0, n=0)
-        with pytest.raises(ValueError):
-            FamilyParams(alpha=1.0, n=1)
-        with pytest.raises(ValueError):
-            FamilyParams(alpha=0.0, n=1, t=1.5)

@@ -30,6 +30,8 @@ REMOVED_NAMES = (
     # every grid ring holds convo.ANGLES_PER_RING angles
     "MAX_ANGLES_PER_RING",
     "DEFAULT_ANGLES_PER_RING",
+    # each hypothesis is its case's claim; hmap.family_alpha keeps the domain
+    "FamilyParams",
 )
 
 REMOVED_ATTRIBUTES = (
