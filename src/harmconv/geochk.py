@@ -56,7 +56,8 @@ from .series import ring_values
 DEFAULT_CURVE_RADIUS = 0.9
 DEFAULT_BOUNDARY_POINTS = 4096
 IMAGE_CURVE_POINTS = 512
-# Truncation order of the image curves; the curve ladder has its own.
+# Truncation order of the image curves: the curve ladder's first-rung map
+# truncated, when the sweep hands its maps over (image_curves).
 IMAGE_CURVE_ORDER = 128
 # (radius, truncation order) rungs for the sweeps' curve checks.  Each
 # radius is paired with an order that keeps the series tail a few orders
@@ -212,7 +213,9 @@ def convex_in_direction(
     )
 
 
-def _curve_evidence(build: Callable[[int], HarmonicMap], phi: float) -> ConvexityReport:
+def _curve_evidence(
+    build: Callable[[int], HarmonicMap], phi: float
+) -> tuple[ConvexityReport, HarmonicMap]:
     """Directional convexity evidence across the CURVE_LADDER radii.
 
     A map whose full-disk image is convex in a direction can still have
@@ -226,24 +229,36 @@ def _curve_evidence(build: Callable[[int], HarmonicMap], phi: float) -> Convexit
     trusted, and an all-rung failure withholds the verdict rather than
     failing it; decisive failures must come from the algebraic side.
 
-    build(N) returns the map truncated at order N, once per rung.
+    build(N) returns the map truncated at order N.  It runs only for a rung
+    whose order no map built so far reaches; a rung below a built order
+    takes that map truncated, which is bit for bit what build would give
+    (each coefficient of a built series depends only on those before it).
+    Returns the report and the first rung's map.
     """
+    built: list[HarmonicMap] = []
     attempts: list[tuple[float, ConvexityReport]] = []
     for r, order in CURVE_LADDER:
-        rep = convex_in_direction(build(order), phi, r_max=r, gate_radius=min(r, 0.95))
+        f = next((f for f in built if f.h.order >= order), None)
+        if f is None:
+            f = build(order)
+            built.append(f)
+        if f.h.order > order:
+            f = f.truncated(order)
+        rep = convex_in_direction(f, phi, r_max=r, gate_radius=min(r, 0.95))
         if rep.passed:
-            return rep
+            return rep, built[0]
         attempts.append((r, rep))
     bits = ", ".join(
         f"|z|={r:g}: " + ("withheld" if rep.passed is None else f"{rep.crossing_max} crossings")
         for r, rep in attempts
     )
-    return replace(
+    withheld = replace(
         attempts[-1][1],
         passed=None,
         note=f"no sampled radius gave a two-crossing curve ({bits}); interior samples "
         "cannot decide the full-image claim, verdict withheld",
     )
+    return withheld, built[0]
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +306,16 @@ def _unit(name: str, v) -> float:
     v = _real(name, v)
     if not -1.0 < v < 1.0:
         raise ValueError(f"need -1 < {name} < 1, got {name}={v}")
+    return v
+
+
+def _angle(name: str, v) -> float:
+    """v as a float whose phase e^{2i v} is finite, that is 2 v does not
+    overflow; t2.2 forms it for gamma and for theta.  (oq1-oq3 form only
+    e^{i theta}, finite for every float theta.)"""
+    v = _real(name, v)
+    if not math.isfinite(2.0 * v):
+        raise ValueError(f"{name}={v:g} is too large an angle: e^{{2i {name}}} is not finite")
     return v
 
 
@@ -429,16 +454,21 @@ class Claim:
 
 
 class _MapCache:
-    """Maps reused across t values and rows of one sweep: the family
-    members, and f_{a,0}, the half-plane and strip cases' convolution
-    partner.  One cache lives as long as one sweep_report or image_curves
-    call, never longer, so repeated runs in a process rebuild their maps."""
+    """Maps reused within one sweep: the family members, and f_{a,0}, the
+    half-plane and strip cases' convolution partner, across t values and
+    rows; the sweep clears both when it ends.  curves hands each row's
+    first-rung map, truncated at IMAGE_CURVE_ORDER, from sweep_report to
+    image_curves, which takes it out; it is keyed by the row's parameters
+    (_row_key).  A cache lives as long as one sweep_report or image_curves
+    call, or one harness.run that hands it from the one to the other, never
+    longer, so repeated runs in a process rebuild their maps."""
 
     def __init__(self):
         self.family = cache(
             lambda alpha, n, omega, order: family_f_alpha_n(alpha, n, omega.series(order))
         )
         self.extremal = cache(lambda a, order: f_a_alpha(a, 0.0, order))
+        self.curves: dict[tuple, HarmonicMap] = {}
 
 
 @dataclass(frozen=True)
@@ -759,7 +789,12 @@ _T310_PAIRS = Axis(
 CASES: dict[str, Case] = {
     "t2.2": Case(
         "slanted half-plane target, monomial dilatation e^{i theta} z^n",
-        (_n(_POWER_N_MAX, 1, 2, 3), Axis("gamma", (0.0,)), _THETA, Axis("a", _t22_a)),
+        (
+            _n(_POWER_N_MAX, 1, 2, 3),
+            Axis("gamma", (0.0,), _angle),
+            Axis("theta", (0.0,), _angle),
+            Axis("a", _t22_a),
+        ),
         partial(_halfplane, lambda p: _monomial(p["n"], np.exp(1j * p["theta"]))),
         _t22_point,
         Claim("-gamma", (_T22_THRESHOLD,)),
@@ -903,17 +938,23 @@ def _row_key(row: dict):
     return tuple((k, isinstance(v, str), v) for k, v in sorted(row["params"].items()))
 
 
-def sweep_report(case: str, params: Mapping | None = None) -> list[dict]:
+def sweep_report(
+    case: str, params: Mapping | None = None, *, maps: _MapCache | None = None
+) -> list[dict]:
     """Run one case's construction and certificates across a parameter grid.
 
     Returns verdict rows sorted by parameter tuple.  The case's claim,
     evaluated once per point, decides what a row asserts: rows outside its
     hypothesis, and all rows of the open-ended cases, carry verdict
-    "exploratory", assert nothing and open their note with why.  Each
-    CURVE_LADDER rung builds the maps at its own truncation order.
+    "exploratory", assert nothing and open their note with why.  A row's
+    map is built once per CURVE_LADDER order that a rung needs and no
+    earlier rung reached (_curve_evidence).  Given maps, the sweep leaves
+    in maps.curves a copy of each row's first-rung map truncated at
+    IMAGE_CURVE_ORDER, for image_curves.
     """
     key, spec = _case(case)
-    maps = _MapCache()
+    hand_over = maps is not None
+    maps = _MapCache() if maps is None else maps
     # Every point is set up (and its parameters validated) before any runs.
     points = [(p, spec.point(p)) for p in spec.points(dict(params or {}))]
     rows = []
@@ -921,7 +962,7 @@ def sweep_report(case: str, params: Mapping | None = None) -> list[dict]:
         unmet = spec.claim.unmet(p)
         phi, phi_label = spec.claim.phi(p)
         cert = convo.certify_bounded(pt.closed)
-        conv = _curve_evidence(lambda N: spec.build(p, N, maps), phi)
+        conv, f = _curve_evidence(lambda N: spec.build(p, N, maps), phi)
         convexity = f"passed, max {conv.crossing_max} crossings"
         if conv.passed is None:
             convexity = f"withheld ({conv.note})"
@@ -933,19 +974,22 @@ def sweep_report(case: str, params: Mapping | None = None) -> list[dict]:
             note += "; roots reported in the substituted variable w"
         root_pairs, withheld = _root_pairs(pt.roots_of)
         note += withheld
-        rows.append(
-            {
-                "case": key,
-                "params": p,
-                "verdict": _verdict(unmet is None, pt, cert, conv),
-                "metrics": {
-                    "max_omega": cert.grid_max,
-                    "min_hs": conv.min_hs_value,
-                    "roots": root_pairs,
-                },
-                "note": note,
-            }
-        )
+        row = {
+            "case": key,
+            "params": p,
+            "verdict": _verdict(unmet is None, pt, cert, conv),
+            "metrics": {
+                "max_omega": cert.grid_max,
+                "min_hs": conv.min_hs_value,
+                "roots": root_pairs,
+            },
+            "note": note,
+        }
+        rows.append(row)
+        if hand_over:
+            maps.curves[_row_key(row)] = f.truncated(IMAGE_CURVE_ORDER)
+    maps.family.cache_clear()
+    maps.extremal.cache_clear()
     rows.sort(key=_row_key)
     return rows
 
@@ -962,18 +1006,29 @@ def row_param_id(row: Mapping) -> str:
     )
 
 
-def image_curves(case: str, rows: Sequence[Mapping]) -> list[tuple[str, np.ndarray]]:
+def image_curves(
+    case: str, rows: Sequence[Mapping], *, maps: _MapCache | None = None
+) -> list[tuple[str, np.ndarray]]:
     """Sampled image curves f(r e^{i theta}) for verdict rows, at
     IMAGE_CURVE_POINTS equally spaced angles on r = DEFAULT_CURVE_RADIUS,
-    with each map truncated at IMAGE_CURVE_ORDER.
+    with each map truncated at IMAGE_CURVE_ORDER and evaluated by Horner.
+
+    A row's map is the one maps.curves holds for it, which sweep_report
+    left there when given the same maps: the first rung's map truncated.
+    It is taken out, so the hand-over empties as the curves are drawn.  A
+    row it does not hold, and every row when maps is not given, is built
+    at IMAGE_CURVE_ORDER, which gives the same bits.
 
     Returns (param-id, curve) pairs in row order, for CSV and SVG export.
     """
     _, spec = _case(case)
     m = IMAGE_CURVE_POINTS
     zs = DEFAULT_CURVE_RADIUS * np.exp(1j * (2.0 * math.pi) * np.arange(m) / m)
-    maps = _MapCache()
-    return [
-        (row_param_id(row), spec.build(row["params"], IMAGE_CURVE_ORDER, maps)(zs))
-        for row in rows
-    ]
+    maps = _MapCache() if maps is None else maps
+    curves = []
+    for row in rows:
+        f = maps.curves.pop(_row_key(row), None)
+        if f is None:
+            f = spec.build(row["params"], IMAGE_CURVE_ORDER, maps)
+        curves.append((row_param_id(row), f(zs)))
+    return curves

@@ -37,7 +37,15 @@ from pathlib import Path
 import numpy as np
 
 from .convo import ANGLES_PER_RING, DEFAULT_GRID
-from .geochk import CASE_IDS, CASES, IMAGE_CURVE_ORDER, _frange, image_curves, sweep_report
+from .geochk import (
+    CASE_IDS,
+    CASES,
+    IMAGE_CURVE_ORDER,
+    _frange,
+    _MapCache,
+    image_curves,
+    sweep_report,
+)
 
 # every parameter any case accepts, in table order
 _PARAM_NAMES = tuple(dict.fromkeys(k for c in CASES.values() for k in c.parameters))
@@ -162,19 +170,24 @@ def _csv_field(value: str) -> str:
     return buf.getvalue()[: -len(",\r\n")]
 
 
+def _interleaved(*columns) -> tuple:
+    """The equally long columns' values row by row, as one flat tuple."""
+    flat = [None] * sum(map(len, columns))
+    for i, c in enumerate(columns):
+        flat[i :: len(columns)] = c
+    return tuple(flat)
+
+
 def _write_samples(curves, path: Path):
-    """One CSV row per sample; each curve's rows are joined into one write,
-    with the param-id quoted once, byte for byte what csv.writer gives."""
+    """One CSV row per sample, byte for byte what csv.writer gives; each
+    curve is one % format over its flat (t-index, re, im) tuple, with the
+    param-id quoted once and its % signs escaped."""
     with path.open("w", newline="") as fh:
         csv.writer(fh).writerow(["param-id", "t-index", "re", "im"])
         for param_id, curve in curves:
-            q = _csv_field(param_id)
-            fh.write(
-                "".join(
-                    f"{q},{k},{z.real:.15g},{z.imag:.15g}\r\n"
-                    for k, z in enumerate(curve.tolist())
-                )
-            )
+            line = _csv_field(param_id).replace("%", "%%") + ",%d,%.15g,%.15g\r\n"
+            n = len(curve)
+            fh.write(line * n % _interleaved(range(n), curve.real.tolist(), curve.imag.tolist()))
 
 
 _SVG_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -202,7 +215,7 @@ def _write_svg(case: str, curves, path: Path):
     for i, (param_id, curve) in enumerate(curves):
         xs = (curve.real - x0) * scale
         ys = 1000.0 - (curve.imag - y0) * scale
-        coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
+        coords = " ".join(["%.2f,%.2f"] * len(xs)) % _interleaved(xs.tolist(), ys.tolist())
         color = _SVG_PALETTE[i % len(_SVG_PALETTE)]
         lines.append(
             f'<polygon points="{coords}" fill="none" stroke="{color}" '
@@ -220,10 +233,14 @@ def run(config: RunConfig) -> int:
     """Execute one sweep and write the requested artifacts.
 
     Returns the process exit code; raises ConfigError for bad input and
-    lets OSError from the writes escape to the caller.
+    lets OSError from the writes escape to the caller.  When curves are
+    asked for, the sweep hands its maps to image_curves through a map
+    cache that lives for this call alone.
     """
+    want_curves = "csv" in config.formats or "svg" in config.formats
+    maps = _MapCache() if want_curves else None
     try:
-        rows = sweep_report(config.case, config.params)
+        rows = sweep_report(config.case, config.params, maps=maps)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -231,8 +248,8 @@ def run(config: RunConfig) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     if "json" in config.formats:
         _write_report(config, rows, outdir / "report.json")
-    if "csv" in config.formats or "svg" in config.formats:
-        curves = image_curves(config.case, rows)
+    if want_curves:
+        curves = image_curves(config.case, rows, maps=maps)
         if "csv" in config.formats:
             _write_samples(curves, outdir / "samples.csv")
         if "svg" in config.formats:

@@ -54,6 +54,10 @@ class HarmonicMap:
     def __call__(self, z):
         return self.h(z) + np.conjugate(self.g(z))
 
+    def truncated(self, order: int) -> "HarmonicMap":
+        """Both parts truncated at order, as copies."""
+        return HarmonicMap(h=self.h.truncated(order), g=self.g.truncated(order))
+
 
 @dataclass(frozen=True)
 class SlantParams:

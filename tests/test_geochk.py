@@ -5,7 +5,7 @@ for representative parameter slices of each case."""
 import numpy as np
 import pytest
 
-from harmconv import convo, geochk
+from harmconv import convo, geochk, harness
 from harmconv.convo import convolve, mobius_power_dilatation
 from harmconv.geochk import (
     CASE_IDS,
@@ -486,7 +486,7 @@ class TestSweepReport:
         assert row["verdict"] == "fail"
         assert says in row["note"]
 
-    def test_extremal_map_is_built_once_per_sweep(self, monkeypatch):
+    def test_extremal_map_is_built_once_per_sweep(self, tmp_path, monkeypatch):
         built = []
 
         def counted(a, alpha, N):
@@ -501,6 +501,25 @@ class TestSweepReport:
         # the cache lives for one sweep: a second sweep builds it again
         sweep_report("t2.5", {"a": [0.5]})
         assert len(built) == 2
+        # a run's image curves take the sweep's map truncated and build
+        # nothing, and the hand-over lives for one run: a second run builds
+        # its maps again
+        config = harness.RunConfig(case="t2.5", params={"a": [0.5]}, outdir=str(tmp_path))
+        for runs in (1, 2):
+            assert harness.run(config) == 0
+            assert len(built) == 2 + runs
+
+    def test_sweep_clears_its_member_caches(self):
+        maps = _MapCache()
+        rows = sweep_report("t3.9", {"n": [1], "alpha1": [-0.5], "alpha2": [0.5]}, maps=maps)
+        assert maps.family.cache_info().currsize == 0
+        assert maps.extremal.cache_info().currsize == 0
+        # what stays is one map per row, at IMAGE_CURVE_ORDER, in arrays of its own
+        assert len(maps.curves) == len(rows) == 5
+        for f in maps.curves.values():
+            for part in (f.h, f.g):
+                assert part.order == IMAGE_CURVE_ORDER
+                assert part.coeffs.base is None
 
     def test_cached_extremal_map_is_the_built_one(self):
         cache = _MapCache()
@@ -724,6 +743,22 @@ class TestClaims:
         assert all(r["note"].startswith("dilatation certified") for r in rows[1:])
 
 
+@pytest.mark.parametrize("case", CASE_IDS)
+def test_a_truncated_map_is_the_map_built_at_that_order(case):
+    # the sweep's lower rung and the image curves truncate the first rung's
+    # map instead of building their own; that must keep every bit
+    spec = CASES[case]
+    top, orders = geochk.CURVE_LADDER[0][1], (geochk.CURVE_LADDER[1][1], IMAGE_CURVE_ORDER)
+    maps = _MapCache()
+    for p in spec.points({}):
+        f = spec.build(p, top, maps)
+        for order in orders:
+            g = spec.build(p, order, maps)
+            cut = f.truncated(order)
+            assert cut.h.coeffs.tobytes() == g.h.coeffs.tobytes(), (p, order)
+            assert cut.g.coeffs.tobytes() == g.g.coeffs.tobytes(), (p, order)
+
+
 class TestImageCurves:
     def test_param_id_is_deterministic(self):
         row = {"params": {"a": 0.5, "n": 2, "gamma": 0.0}}
@@ -736,6 +771,35 @@ class TestImageCurves:
         for _, curve in curves:
             assert curve.shape == (IMAGE_CURVE_POINTS,)
             assert np.all(np.isfinite(curve.view(float)))
+
+    @pytest.mark.parametrize(
+        "case, params",
+        [
+            ("t2.3", {"a": [0.25, 0.75]}),
+            ("t2.5", {"a": [-0.5, 0.5]}),
+            ("t3.9", {"n": [2], "alpha1": [-0.5], "alpha2": [0.5]}),
+        ],
+        ids=["halfplane", "strip", "combined"],
+    )
+    def test_curves_without_a_hand_over_are_the_run_curves(
+        self, case, params, tmp_path, monkeypatch
+    ):
+        handed = []
+
+        def recording(case, rows, **kw):
+            assert len(kw["maps"].curves) == len(rows)
+            handed.append((rows, image_curves(case, rows, **kw)))
+            assert not kw["maps"].curves  # the curves took every map out
+            return handed[-1][1]
+
+        monkeypatch.setattr(harness, "image_curves", recording)
+        cfg = harness.RunConfig(case=case, params=params, outdir=str(tmp_path), formats=("csv",))
+        harness.run(cfg)
+        ((rows, curves),) = handed
+        built = image_curves(case, rows)
+        assert [pid for pid, _ in built] == [pid for pid, _ in curves]
+        for (_, c1), (_, c2) in zip(built, curves):
+            assert c1.tobytes() == c2.tobytes()
 
     def test_curves_match_direct_reconstruction(self):
         rows = sweep_report("t2.3", {"a": [0.5]})

@@ -97,9 +97,10 @@ class TestRunConfig:
             RunConfig(case="t9.1")
 
     def test_order_sets_only_the_image_curves(self, tmp_path, monkeypatch):
-        # every rung withholds, so each is tried, and each builds at its own
-        # order; only the image curves are built at IMAGE_CURVE_ORDER, which
-        # the report records with the default grid
+        # every rung withholds, so each is tried; the second rung and the
+        # image curves truncate the first rung's map, so only the first and
+        # the last build, and the report records IMAGE_CURVE_ORDER with the
+        # default grid
         built = []
         f_a_alpha = geochk.f_a_alpha
 
@@ -113,7 +114,7 @@ class TestRunConfig:
         )
         cfg = RunConfig(case="t2.5", params={"a": [0.5]}, outdir=str(tmp_path))
         assert harness.run(cfg) == 3
-        assert built == [384, 256, 1024, geochk.IMAGE_CURVE_ORDER]
+        assert built == [384, 1024]
         config = json.loads((tmp_path / "report.json").read_text())["config"]
         assert config == {
             "order": 128,
@@ -134,7 +135,7 @@ class TestMainExitCodes:
         assert (tmp_path / "t2.5.svg").exists()
 
     def test_failing_row_is_two(self, tmp_path, monkeypatch):
-        def fake(case, params):
+        def fake(case, params, maps=None):
             return [{"case": case, "params": {}, "verdict": "fail",
                      "metrics": {}, "note": ""}]
 
@@ -145,7 +146,7 @@ class TestMainExitCodes:
         assert code == 2
 
     def test_indeterminate_row_is_three(self, tmp_path, monkeypatch):
-        def fake(case, params):
+        def fake(case, params, maps=None):
             return [{"case": case, "params": {}, "verdict": "indeterminate",
                      "metrics": {}, "note": ""}]
 
@@ -201,6 +202,9 @@ class TestMainExitCodes:
             ["verify", "t3.9", "--alpha1=-2", "--alpha2", "0.5"],
             ["verify", "t3.8", "--alpha", "2.5"],
             ["verify", "t3.9", "--alpha1", "nan", "--alpha2", "0.5"],
+            # an angle whose phase e^{2i gamma} or e^{2i theta} overflows
+            ["verify", "t2.2", "--gamma=-1e308", "--n", "1", "--a", "0.5"],
+            ["verify", "t2.2", "--theta", "1e308"],
         ],
     )
     def test_malformed_command_line_is_one(self, argv, capsys, tmp_path, monkeypatch):
@@ -266,10 +270,15 @@ class TestMainExitCodes:
              "need -2 < alpha1 < 2, got alpha1=nan"),
             (["verify", "t3.10", "--alpha1", "0.5", "--alpha2", "2"],
              "need -2 < alpha2 < 2, got alpha2=2.0"),
+            (["verify", "t2.2", "--gamma=-1e308", "--n", "1", "--a", "0.5"],
+             "gamma=-1e+308 is too large an angle: e^{2i gamma} is not finite"),
+            (["verify", "t2.2", "--theta", "1e308"],
+             "theta=1e+308 is too large an angle: e^{2i theta} is not finite"),
         ],
         ids=["b-above-1", "b-at-minus-1", "lone-alpha2", "lone-alpha1", "repeated-a",
              "repeated-formats", "repeated-outdir", "repeated-point", "range-repeats-a-point",
-             "alpha1-at-minus-2", "alpha-above-2", "alpha1-nan", "alpha2-at-2"],
+             "alpha1-at-minus-2", "alpha-above-2", "alpha1-nan", "alpha2-at-2",
+             "gamma-overflows", "theta-overflows"],
     )
     def test_error_names_the_parameter_set(self, argv, says, capsys, tmp_path):
         assert main(argv + ["--outdir", str(tmp_path)]) == 1
@@ -291,6 +300,18 @@ class TestMainExitCodes:
         rows = json.loads((tmp_path / "report.json").read_text())["rows"]
         assert rows and all(r["verdict"] == "exploratory" for r in rows)
         assert all(r["note"].startswith(opening) for r in rows)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "t2.2", "--gamma", "8e307", "--n", "1", "--a", "0.5"],
+            # oq1 forms only e^{i theta}, finite for every float theta
+            ["explore", "oq1", "--theta", "1e308"],
+        ],
+        ids=["t2.2-gamma-below-the-overflow", "oq1-theta-1e308"],
+    )
+    def test_large_angle_with_finite_phases_runs(self, argv, tmp_path):
+        assert main(argv + ["--formats", "json", "--outdir", str(tmp_path)]) == 0
 
     def test_empty_value_list_is_one(self, tmp_path, capsys):
         code = main(["verify", "t2.3", "--a", ",", "--formats", "json",
@@ -483,12 +504,29 @@ class TestArtifacts:
         assert {r[0] for r in body} == {"a=0.3", "a=0.6"}
         float(body[0][2]), float(body[0][3])  # numeric columns parse
 
-    def test_samples_bytes_match_row_by_row_csv_writer(self, tmp_path):
-        curves = [
-            ("a=0.5,n=2", np.array([0.25 - 1e-7j, -0.0 + 3j, 1e-20 + 12345.678j])),
-            ('quote"d', np.array([np.pi + 0j])),
-            ("", np.array([-1.5 - 0j])),
-        ]
+    @pytest.mark.parametrize(
+        "curves",
+        [
+            [
+                ("a=0.5,n=2", np.array([0.25 - 1e-7j, -0.0 + 3j, 1e-20 + 12345.678j])),
+                ('quote"d', np.array([np.pi + 0j])),
+                ("", np.array([-1.5 - 0j])),
+            ],
+            # a param-id's % signs are not format directives
+            [
+                ("a=5%,b=%d", np.array([1.0 + 2j, 3.0 - 4j])),
+                ('%s"%%,%', np.array([0.5 + 0j])),
+                ("%(k)s", np.array([-0.25 + 0j])),
+            ],
+            [
+                ("x", np.array([complex(np.nan, np.inf), complex(-np.inf, -0.0)])),
+                ("y,%", np.array([complex(5e-324, 1e300), complex(-0.0, np.nan)])),
+                ("z", np.array([complex(-5e-324, -1e300), complex(0.1, 1 / 3)])),
+            ],
+        ],
+        ids=["plain", "percent", "non-finite-and-extreme"],
+    )
+    def test_samples_bytes_match_row_by_row_csv_writer(self, curves, tmp_path):
         path = tmp_path / "samples.csv"
         harness._write_samples(curves, path)
         expect = io.StringIO(newline="")
@@ -498,6 +536,36 @@ class TestArtifacts:
             for k, z in enumerate(curve):
                 writer.writerow([param_id, k, f"{z.real:.15g}", f"{z.imag:.15g}"])
         assert path.read_bytes() == expect.getvalue().encode()
+
+    @pytest.mark.parametrize(
+        "curves",
+        [
+            [
+                ("a=0.3", np.exp(2j * np.pi * np.arange(7) / 7) * (1.0 + 0.3j)),
+                ("a=0.6", np.array([-0.004 + 0.0049j, 0.0051 - 0.005j, 1e-300 + 0j])),
+            ],
+            [("far", np.array([1e300 + 0j, -1e300 - 1e300j, -0.0 + 5e-324j]))],
+            [("flat", np.array([0.5 + 0.5j] * 3))],
+        ],
+        ids=["two-curves", "extreme", "one-point"],
+    )
+    def test_svg_polygons_are_the_per_point_format(self, curves, tmp_path):
+        path = tmp_path / "c.svg"
+        harness._write_svg("c", curves, path)
+        pts = np.concatenate([c for _, c in curves])
+        lo_x, hi_x = float(pts.real.min()), float(pts.real.max())
+        lo_y, hi_y = float(pts.imag.min()), float(pts.imag.max())
+        span = max(hi_x - lo_x, hi_y - lo_y, 1e-12)
+        span = span + 2.0 * (0.05 * span)
+        x0 = 0.5 * (lo_x + hi_x) - 0.5 * span
+        y0 = 0.5 * (lo_y + hi_y) - 0.5 * span
+        polygons = [line for line in path.read_text().splitlines() if "<polygon" in line]
+        assert len(polygons) == len(curves)
+        for line, (_, curve) in zip(polygons, curves):
+            xs = (curve.real - x0) * (1000.0 / span)
+            ys = 1000.0 - (curve.imag - y0) * (1000.0 / span)
+            coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
+            assert line.split('"')[1] == coords
 
     def test_svg_shape(self, artifact_dir):
         svg = (artifact_dir / "t2.5.svg").read_text()
