@@ -29,7 +29,7 @@ from .cpoly import (
     count_zeros_in_disk,
     reciprocal_adjoint,
 )
-from .hmap import EDGE_ATOL, HarmonicMap, SlantParams, family_alpha
+from .hmap import EDGE_ATOL, HarmonicMap, SlantParams, disk_parameter, family_alpha
 from .series import PowerSeries, rational_series, ring_values
 
 # Relative tolerance for structural coefficient matches (Blaschke shape,
@@ -119,8 +119,7 @@ def combination(f1: HarmonicMap, f2: HarmonicMap, t: float) -> HarmonicMap:
 
 def mobius_power_dilatation(a: float, theta: float, n: int) -> RationalFunction:
     """omega(z) = e^{i theta} (a - z**n)/(1 - a z**n), a disk automorphism of z**n."""
-    if not -1.0 < a < 1.0:
-        raise ValueError(f"need -1 < a < 1, got a={a}")
+    disk_parameter("a", a)
     zn = _Z ** n
     phase = complex(np.exp(1j * theta))
     return RationalFunction(phase * (a * _ONE - zn), _ONE - a * zn)
@@ -128,8 +127,7 @@ def mobius_power_dilatation(a: float, theta: float, n: int) -> RationalFunction:
 
 def blaschke_power_dilatation(a: float, theta: float, n: int) -> RationalFunction:
     """omega(z) = e^{i theta} (a - z)**n / (1 - a z)**n, an automorphism power."""
-    if not -1.0 < a < 1.0:
-        raise ValueError(f"need -1 < a < 1, got a={a}")
+    disk_parameter("a", a)
     phase = complex(np.exp(1j * theta))
     return RationalFunction(
         phase * ComplexPolynomial([a, -1.0]) ** n,
@@ -153,8 +151,7 @@ def halfplane_convolution_dilatation(
         Q = 2v(v + Eu)(1 - acz) + E (a-1) z W (1 - cz)
     where E = e^{-2i gamma}, c = e^{i gamma}.
     """
-    if not -1.0 < a < 1.0:
-        raise ValueError(f"need -1 < a < 1, got a={a}")
+    disk_parameter("a", a)
     u, v = omega.num, omega.den
     E = complex(np.exp(-2j * gamma))
     c = complex(np.exp(1j * gamma))

@@ -41,6 +41,7 @@ from .hmap import (
     FAMILY_ALPHA_MAX,
     HarmonicMap,
     SlantParams,
+    disk_parameter,
     f_a_alpha,
     family_alpha,
     family_f_alpha_n,
@@ -56,8 +57,8 @@ from .series import ring_values
 DEFAULT_CURVE_RADIUS = 0.9
 DEFAULT_BOUNDARY_POINTS = 4096
 IMAGE_CURVE_POINTS = 512
-# Truncation order of the image curves: the curve ladder's first-rung map
-# truncated, when the sweep hands its maps over (image_curves).
+# Truncation order of the image curves: the sweep hands image_curves each
+# row's first-rung map truncated at it.
 IMAGE_CURVE_ORDER = 128
 # (radius, truncation order) rungs for the sweeps' curve checks.  Each
 # radius is paired with an order that keeps the series tail a few orders
@@ -300,15 +301,6 @@ def _real(name: str, v) -> float:
     raise ValueError(f"{name} must be a finite number, got {v!r}")
 
 
-def _unit(name: str, v) -> float:
-    """v as a float strictly inside (-1, 1), the range of a disk automorphism's
-    parameter."""
-    v = _real(name, v)
-    if not -1.0 < v < 1.0:
-        raise ValueError(f"need -1 < {name} < 1, got {name}={v}")
-    return v
-
-
 def _angle(name: str, v) -> float:
     """v as a float whose phase e^{2i v} is finite, that is 2 v does not
     overflow; t2.2 forms it for gamma and for theta.  (oq1-oq3 form only
@@ -456,19 +448,14 @@ class Claim:
 class _MapCache:
     """Maps reused within one sweep: the family members, and f_{a,0}, the
     half-plane and strip cases' convolution partner, across t values and
-    rows; the sweep clears both when it ends.  curves hands each row's
-    first-rung map, truncated at IMAGE_CURVE_ORDER, from sweep_report to
-    image_curves, which takes it out; it is keyed by the row's parameters
-    (_row_key).  A cache lives as long as one sweep_report or image_curves
-    call, or one harness.run that hands it from the one to the other, never
-    longer, so repeated runs in a process rebuild their maps."""
+    rows.  Each sweep_report call makes its own, so repeated runs in a
+    process rebuild their maps."""
 
     def __init__(self):
         self.family = cache(
             lambda alpha, n, omega, order: family_f_alpha_n(alpha, n, omega.series(order))
         )
         self.extremal = cache(lambda a, order: f_a_alpha(a, 0.0, order))
-        self.curves: dict[tuple, HarmonicMap] = {}
 
 
 @dataclass(frozen=True)
@@ -476,9 +463,9 @@ class Case:
     """One construction, swept across its parameter axes.
 
     build(params, N, maps) is the only definition of the case's harmonic
-    map, truncated at order N; it serves the curve ladder and the image
-    curves alike.  point(params) says what the row certifies, and claim
-    what it asserts.
+    map, truncated at order N; the curve ladder builds it, and the image
+    curves truncate the ladder's first-rung map.  point(params) says what
+    the row certifies, and claim what it asserts.
     """
 
     blurb: str
@@ -770,7 +757,7 @@ _POWER_N_MAX = 256
 _THETA = Axis("theta", (0.0,))
 _T = Axis("t", (0.0, 0.25, 0.5, 0.75, 1.0))
 _A_EXPLORED = Axis("a", (0.25, 0.5, 0.75))
-_B_EXPLORED = Axis("b", lambda p: (p["a"],), _unit)
+_B_EXPLORED = Axis("b", lambda p: (p["a"],), disk_parameter)
 _PAIRS = Axis(
     "alpha1 alpha2",
     ((-0.5, 0.5), (-0.8, -0.2), (0.0, 0.8), (0.3, 0.3), (0.5, -0.5)),
@@ -939,7 +926,7 @@ def _row_key(row: dict):
 
 
 def sweep_report(
-    case: str, params: Mapping | None = None, *, maps: _MapCache | None = None
+    case: str, params: Mapping | None = None, *, curve_maps: dict | None = None
 ) -> list[dict]:
     """Run one case's construction and certificates across a parameter grid.
 
@@ -948,13 +935,12 @@ def sweep_report(
     hypothesis, and all rows of the open-ended cases, carry verdict
     "exploratory", assert nothing and open their note with why.  A row's
     map is built once per CURVE_LADDER order that a rung needs and no
-    earlier rung reached (_curve_evidence).  Given maps, the sweep leaves
-    in maps.curves a copy of each row's first-rung map truncated at
-    IMAGE_CURVE_ORDER, for image_curves.
+    earlier rung reached (_curve_evidence).  Given a dict curve_maps, the
+    sweep stores in it a copy of each row's first-rung map truncated at
+    IMAGE_CURVE_ORDER, keyed by _row_key, for image_curves.
     """
     key, spec = _case(case)
-    hand_over = maps is not None
-    maps = _MapCache() if maps is None else maps
+    maps = _MapCache()
     # Every point is set up (and its parameters validated) before any runs.
     points = [(p, spec.point(p)) for p in spec.points(dict(params or {}))]
     rows = []
@@ -986,10 +972,8 @@ def sweep_report(
             "note": note,
         }
         rows.append(row)
-        if hand_over:
-            maps.curves[_row_key(row)] = f.truncated(IMAGE_CURVE_ORDER)
-    maps.family.cache_clear()
-    maps.extremal.cache_clear()
+        if curve_maps is not None:
+            curve_maps[_row_key(row)] = f.truncated(IMAGE_CURVE_ORDER)
     rows.sort(key=_row_key)
     return rows
 
@@ -1006,29 +990,18 @@ def row_param_id(row: Mapping) -> str:
     )
 
 
-def image_curves(
-    case: str, rows: Sequence[Mapping], *, maps: _MapCache | None = None
-) -> list[tuple[str, np.ndarray]]:
+def image_curves(rows: Sequence[Mapping], curve_maps: dict) -> list[tuple[str, np.ndarray]]:
     """Sampled image curves f(r e^{i theta}) for verdict rows, at
     IMAGE_CURVE_POINTS equally spaced angles on r = DEFAULT_CURVE_RADIUS,
-    with each map truncated at IMAGE_CURVE_ORDER and evaluated by Horner.
+    each map evaluated by Horner.
 
-    A row's map is the one maps.curves holds for it, which sweep_report
-    left there when given the same maps: the first rung's map truncated.
-    It is taken out, so the hand-over empties as the curves are drawn.  A
-    row it does not hold, and every row when maps is not given, is built
-    at IMAGE_CURVE_ORDER, which gives the same bits.
+    A row's map is the one sweep_report stored for it in curve_maps: the
+    first rung's map truncated at IMAGE_CURVE_ORDER.  It is popped, so the
+    dict empties as the curves are drawn; a row it does not hold is a
+    KeyError.
 
     Returns (param-id, curve) pairs in row order, for CSV and SVG export.
     """
-    _, spec = _case(case)
     m = IMAGE_CURVE_POINTS
     zs = DEFAULT_CURVE_RADIUS * np.exp(1j * (2.0 * math.pi) * np.arange(m) / m)
-    maps = _MapCache() if maps is None else maps
-    curves = []
-    for row in rows:
-        f = maps.curves.pop(_row_key(row), None)
-        if f is None:
-            f = spec.build(row["params"], IMAGE_CURVE_ORDER, maps)
-        curves.append((row_param_id(row), f(zs)))
-    return curves
+    return [(row_param_id(row), curve_maps.pop(_row_key(row))(zs)) for row in rows]

@@ -42,7 +42,6 @@ from .geochk import (
     CASES,
     IMAGE_CURVE_ORDER,
     _frange,
-    _MapCache,
     image_curves,
     sweep_report,
 )
@@ -234,13 +233,13 @@ def run(config: RunConfig) -> int:
 
     Returns the process exit code; raises ConfigError for bad input and
     lets OSError from the writes escape to the caller.  When curves are
-    asked for, the sweep hands its maps to image_curves through a map
-    cache that lives for this call alone.
+    asked for, the sweep stores each row's map in a dict that image_curves
+    empties; the curves are drawn from those maps alone.
     """
     want_curves = "csv" in config.formats or "svg" in config.formats
-    maps = _MapCache() if want_curves else None
+    curve_maps = {} if want_curves else None
     try:
-        rows = sweep_report(config.case, config.params, maps=maps)
+        rows = sweep_report(config.case, config.params, curve_maps=curve_maps)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -249,7 +248,7 @@ def run(config: RunConfig) -> int:
     if "json" in config.formats:
         _write_report(config, rows, outdir / "report.json")
     if want_curves:
-        curves = image_curves(config.case, rows, maps=maps)
+        curves = image_curves(rows, curve_maps)
         if "csv" in config.formats:
             _write_samples(curves, outdir / "samples.csv")
         if "svg" in config.formats:

@@ -71,8 +71,7 @@ class SlantParams:
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"dilatation power n must be a positive integer, got {self.n!r}")
-        if not -1.0 < self.a < 1.0:
-            raise ValueError(f"need -1 < a < 1, got a={self.a}")
+        disk_parameter("a", self.a)
 
 
 def family_alpha(name: str, alpha) -> float:
@@ -81,6 +80,14 @@ def family_alpha(name: str, alpha) -> float:
     if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) or not -2.0 < alpha < 2.0:
         raise ValueError(f"need -2 < {name} < 2, got {name}={alpha}")
     return float(alpha)
+
+
+def disk_parameter(name: str, v) -> float:
+    """v as a float strictly inside (-1, 1), the range of a disk
+    automorphism's parameter."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not -1.0 < v < 1.0:
+        raise ValueError(f"need -1 < {name} < 1, got {name}={v}")
+    return float(v)
 
 
 def shear(F: PowerSeries, omega: PowerSeries, gamma: float) -> HarmonicMap:
@@ -110,8 +117,7 @@ def f_a_alpha(a: float, alpha: float, N: int) -> HarmonicMap:
     Both parts are quadratics over (1 - e^{i alpha} z)^2, expanded by
     series division.  Satisfies h + e^{-2i alpha} g = z/(1 - e^{i alpha} z).
     """
-    if not -1.0 < a < 1.0:
-        raise ValueError(f"need -1 < a < 1, got a={a}")
+    disk_parameter("a", a)
     e1 = complex(np.exp(1j * alpha))
     den = [1.0 + 0j, -2.0 * e1, e1 * e1]
     h = rational_series([0j, 1.0 / (1.0 + a), -e1 / 2.0], den, N)

@@ -2,6 +2,9 @@
 crossing-count curve test on shapes with known answers, and verdict rows
 for representative parameter slices of each case."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -509,14 +512,25 @@ class TestSweepReport:
             assert harness.run(config) == 0
             assert len(built) == 2 + runs
 
-    def test_sweep_clears_its_member_caches(self):
-        maps = _MapCache()
-        rows = sweep_report("t3.9", {"n": [1], "alpha1": [-0.5], "alpha2": [0.5]}, maps=maps)
-        assert maps.family.cache_info().currsize == 0
-        assert maps.extremal.cache_info().currsize == 0
+    def test_sweep_clears_its_member_caches(self, monkeypatch):
+        made = []
+
+        class Recorded(_MapCache):
+            def __init__(self):
+                super().__init__()
+                made.append(weakref.ref(self))
+
+        monkeypatch.setattr(geochk, "_MapCache", Recorded)
+        curve_maps = {}
+        rows = sweep_report(
+            "t3.9", {"n": [1], "alpha1": [-0.5], "alpha2": [0.5]}, curve_maps=curve_maps
+        )
+        # the member maps die with the sweep's own memo
+        gc.collect()
+        assert len(made) == 1 and made[0]() is None
         # what stays is one map per row, at IMAGE_CURVE_ORDER, in arrays of its own
-        assert len(maps.curves) == len(rows) == 5
-        for f in maps.curves.values():
+        assert len(curve_maps) == len(rows) == 5
+        for f in curve_maps.values():
             for part in (f.h, f.g):
                 assert part.order == IMAGE_CURVE_ORDER
                 assert part.coeffs.base is None
@@ -765,12 +779,21 @@ class TestImageCurves:
         assert row_param_id(row) == "a=0.5,gamma=0,n=2"
 
     def test_curves_align_with_rows(self):
-        rows = sweep_report("t2.5", {"a": [0.0, 0.5]})
-        curves = image_curves("t2.5", rows)
+        curve_maps = {}
+        rows = sweep_report("t2.5", {"a": [0.0, 0.5]}, curve_maps=curve_maps)
+        curves = image_curves(rows, curve_maps)
         assert [pid for pid, _ in curves] == [row_param_id(r) for r in rows]
+        assert not curve_maps  # the curves took every map out
         for _, curve in curves:
             assert curve.shape == (IMAGE_CURVE_POINTS,)
             assert np.all(np.isfinite(curve.view(float)))
+
+    def test_a_row_not_handed_over_is_a_key_error(self):
+        curve_maps = {}
+        rows = sweep_report("t2.5", {"a": [0.0, 0.5]}, curve_maps=curve_maps)
+        curve_maps.popitem()
+        with pytest.raises(KeyError):
+            image_curves(rows, curve_maps)
 
     @pytest.mark.parametrize(
         "case, params",
@@ -781,29 +804,32 @@ class TestImageCurves:
         ],
         ids=["halfplane", "strip", "combined"],
     )
-    def test_curves_without_a_hand_over_are_the_run_curves(
+    def test_run_curves_are_the_maps_built_at_their_order(
         self, case, params, tmp_path, monkeypatch
     ):
         handed = []
 
-        def recording(case, rows, **kw):
-            assert len(kw["maps"].curves) == len(rows)
-            handed.append((rows, image_curves(case, rows, **kw)))
-            assert not kw["maps"].curves  # the curves took every map out
+        def recording(rows, curve_maps):
+            assert len(curve_maps) == len(rows)
+            handed.append((rows, image_curves(rows, curve_maps)))
+            assert not curve_maps  # the curves took every map out
             return handed[-1][1]
 
         monkeypatch.setattr(harness, "image_curves", recording)
         cfg = harness.RunConfig(case=case, params=params, outdir=str(tmp_path), formats=("csv",))
         harness.run(cfg)
         ((rows, curves),) = handed
-        built = image_curves(case, rows)
-        assert [pid for pid, _ in built] == [pid for pid, _ in curves]
-        for (_, c1), (_, c2) in zip(built, curves):
-            assert c1.tobytes() == c2.tobytes()
+        m = IMAGE_CURVE_POINTS
+        zs = DEFAULT_CURVE_RADIUS * np.exp(1j * (2.0 * np.pi) * np.arange(m) / m)
+        assert [pid for pid, _ in curves] == [row_param_id(r) for r in rows]
+        for row, (_, curve) in zip(rows, curves):
+            f = CASES[case].build(row["params"], IMAGE_CURVE_ORDER, _MapCache())
+            assert f(zs).tobytes() == curve.tobytes(), row_param_id(row)
 
     def test_curves_match_direct_reconstruction(self):
-        rows = sweep_report("t2.3", {"a": [0.5]})
-        (_, curve), = image_curves("t2.3", rows)
+        curve_maps = {}
+        rows = sweep_report("t2.3", {"a": [0.5]}, curve_maps=curve_maps)
+        (_, curve), = image_curves(rows, curve_maps)
         N = IMAGE_CURVE_ORDER
         f = convolve(
             f_a_alpha(0.5, 0.0, N),

@@ -135,7 +135,7 @@ class TestMainExitCodes:
         assert (tmp_path / "t2.5.svg").exists()
 
     def test_failing_row_is_two(self, tmp_path, monkeypatch):
-        def fake(case, params, maps=None):
+        def fake(case, params, curve_maps=None):
             return [{"case": case, "params": {}, "verdict": "fail",
                      "metrics": {}, "note": ""}]
 
@@ -146,7 +146,7 @@ class TestMainExitCodes:
         assert code == 2
 
     def test_indeterminate_row_is_three(self, tmp_path, monkeypatch):
-        def fake(case, params, maps=None):
+        def fake(case, params, curve_maps=None):
             return [{"case": case, "params": {}, "verdict": "indeterminate",
                      "metrics": {}, "note": ""}]
 

@@ -1,11 +1,14 @@
 """Harmonic-map layer: the shear construction and its inverse identity, the
 named target families, and parameter validation."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from harmconv import convo, geochk
 from harmconv.hmap import (
     FAMILY_ALPHA_MAX,
     HarmonicMap,
@@ -198,3 +201,29 @@ class TestParams:
             SlantParams(0.0, 0.0, 0, 0.5)
         with pytest.raises(ValueError):
             SlantParams(0.0, 0.0, 2, 1.0)
+
+
+# every function that takes a disk automorphism's parameter, by the name
+# it gives that parameter; hmap.disk_parameter checks each of them
+_DISK_PARAMETER_USERS = {
+    "mobius_power_dilatation": ("a", lambda v: convo.mobius_power_dilatation(v, 0.0, 2)),
+    "blaschke_power_dilatation": ("a", lambda v: convo.blaschke_power_dilatation(v, 0.0, 2)),
+    "halfplane_convolution_dilatation": (
+        "a",
+        lambda v: convo.halfplane_convolution_dilatation(
+            v, 0.0, convo.mobius_power_dilatation(0.5, 0.0, 2)
+        ),
+    ),
+    "SlantParams": ("a", lambda v: SlantParams(0.0, 0.0, 2, v)),
+    "f_a_alpha": ("a", lambda v: f_a_alpha(v, 0.0, 8)),
+    "oq1-b": ("b", lambda v: geochk.sweep_report("oq1", {"a": [0.5], "b": [v]})),
+}
+
+
+@pytest.mark.parametrize("value", [1.0, -1.0, float("nan"), True, False, "0.5"], ids=repr)
+@pytest.mark.parametrize("user", list(_DISK_PARAMETER_USERS))
+def test_disk_parameter_outside_the_open_disk_is_refused(user, value):
+    name, call = _DISK_PARAMETER_USERS[user]
+    with pytest.raises(ValueError, match=re.escape(f"need -1 < {name} < 1, got {name}=")):
+        call(value)
+

@@ -32,6 +32,8 @@ REMOVED_NAMES = (
     "DEFAULT_ANGLES_PER_RING",
     # each hypothesis is its case's claim; hmap.family_alpha keeps the domain
     "FamilyParams",
+    # hmap.disk_parameter is the one check of a disk automorphism's parameter
+    "_unit",
 )
 
 REMOVED_ATTRIBUTES = (
@@ -92,6 +94,10 @@ REMOVED_PARAMETERS = (
     # a grid is its outer radius: the DEFAULT_RADII rings inside it
     (convo.DiskGrid, "radii"),
     (convo.DiskGrid, "angles_per_ring"),
+    # the image curves read only the maps the sweep stores in curve_maps
+    (geochk.image_curves, "case"),
+    (geochk.image_curves, "maps"),
+    (geochk.sweep_report, "maps"),
 )
 
 
