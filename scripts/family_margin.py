@@ -7,11 +7,14 @@ minimum over concentric rings up to --r-max.  The margin shrinks like
 1 - r^(2^(n+1)) near the boundary, so the outermost ring dominates.
 
 Passing --alpha-max beyond the family's bound is permitted here on
-purpose: the functional keeps its sign some way past the endpoint
-2(sqrt(2)-1), so this inequality alone does not pin down the interval.
-The bound is an edge of the t3.8-t3.11 claims, not a check on the maps:
-hmap.family_f_alpha_n builds any alpha in (-2, 2), and harmconv runs the
-rows past the bound as exploratory.
+purpose: the functional keeps its sign past the endpoint 2(sqrt(2)-1),
+up to the proved edge |alpha| <= sqrt(2).  (1-z^2)(h'+g') is
+q_alpha(z^{2^(n-1)}), a sum of Herglotz kernels whose weights
+(2 +- sqrt(2) alpha)/8 are nonnegative exactly there, for every n; this
+is the family-residues route of the t3.8-t3.11 claims, whose premise is
+the strict |alpha| < sqrt(2).  The family bound is an edge of those claims,
+not a check on the maps: hmap.family_f_alpha_n builds any alpha in
+(-2, 2), and harmconv runs the rows past the bound as exploratory.
 """
 
 import argparse

@@ -6,18 +6,19 @@ bounds on grids, the Hengartner-Schober positivity functional, directional
 convexity of image curves, and the CASES table.  Each entry defines one
 named construction: its parameter axes, its harmonic map (build), what
 each parameter point certifies (point) and what the case claims (claim:
-the direction of convexity and the hypothesis under which a row asserts
-it).  sweep_report runs an entry across its parameter grid, decides from
-the claim which rows assert, and returns verdict rows.
+the direction of convexity, the hypothesis under which a row asserts it,
+and the route that proves the convexity half).  sweep_report runs an
+entry across its parameter grid, decides from the claim which rows assert,
+and returns verdict rows.
 
 Adding a case takes one CASES entry, plus its build and point helpers when
 the existing ones (_halfplane, _strip, _combined; _quartic_point,
 _combination_point, ...) do not fit.
 
-Geometric verdicts here are numeric evidence at a declared sampling
-resolution, never proofs; the rows say which kind of evidence backs them.
-The polynomial certificates that do amount to proofs are folded in through
-convo.certify_bounded.
+Geometric checks here are numeric evidence at a declared sampling
+resolution, never proofs, and they decide no verdict.  A row's convexity
+half is its claim's route, whose premises are checked per point; its
+dilatation half is the polynomial certificate of convo.certify_bounded.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import math
 import numbers
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache, partial
 from itertools import islice
 from typing import Callable, Mapping, Sequence
@@ -58,13 +59,15 @@ DEFAULT_CURVE_RADIUS = 0.9
 DEFAULT_BOUNDARY_POINTS = 4096
 IMAGE_CURVE_POINTS = 512
 # Truncation order of the image curves: the sweep hands image_curves each
-# row's first-rung map truncated at it.
+# row's map truncated at it.
 IMAGE_CURVE_ORDER = 128
-# (radius, truncation order) rungs for the sweeps' curve checks.  Each
-# radius is paired with an order that keeps the series tail a few orders
-# of magnitude below the curve scale even for maps whose coefficients grow
-# like k^2 (the half-plane convolutions).
-CURVE_LADDER = ((0.95, 384), (0.9, 256), (0.98, 1024))
+# The sweep's one sampled convexity check per row, which corroborates the
+# claim's certificate and decides nothing: the image of |z| < SAMPLED_RADIUS
+# under the map built at SAMPLED_ORDER, an order that keeps the series tail
+# a few orders of magnitude below the curve scale even for maps whose
+# coefficients grow like k^2 (the half-plane convolutions).
+SAMPLED_RADIUS = 0.95
+SAMPLED_ORDER = 384
 SWEEP_LEVELS = 256
 LEVEL_TIE_ATOL = 1e-9
 HP_VANISH_ATOL = 1e-12
@@ -145,10 +148,7 @@ class ConvexityReport:
 
 
 def convex_in_direction(
-    f: HarmonicMap,
-    phi: float,
-    r_max: float = DEFAULT_CURVE_RADIUS,
-    gate_radius: float | None = None,
+    f: HarmonicMap, phi: float, r_max: float = DEFAULT_CURVE_RADIUS
 ) -> ConvexityReport:
     """Check convexity of the image of |z| < r_max in the direction phi.
 
@@ -162,16 +162,15 @@ def convex_in_direction(
     direction meets each line at most twice.
 
     Local univalence is sampled first on the rings of DEFAULT_GRID at or
-    inside gate_radius (r_max when not given), which must reach the
-    innermost ring; failure withholds the verdict, and so does any
-    non-finite gate value, boundary sample or Hengartner-Schober value.
-    The gate uses the derivative series, which loses accuracy faster than
-    the curve itself, so callers pushing r_max outward can keep the gate on
-    a safer ring.  The gate rings, the Hengartner-Schober minimum on the
-    same rings and the boundary circle are all evaluated by FFT
-    (series.ring_values, behind DiskGrid.sample).
+    inside r_max, which must reach the innermost ring; failure withholds
+    the verdict, and so does any non-finite gate value, boundary sample or
+    Hengartner-Schober value.  The gate rings, the Hengartner-Schober
+    minimum on the same rings and the boundary circle are all evaluated by
+    FFT (series.ring_values, behind DiskGrid.sample).
+    A subdisk image can fail the count where the full-disk image is convex,
+    so a count above 2 is no counter-evidence to a claim about the disk.
     """
-    gate = DEFAULT_GRID.capped(r_max if gate_radius is None else gate_radius)
+    gate = DEFAULT_GRID.capped(r_max)
     pts = gate.points
     hv = gate.sample(f.h.differentiate())
     gv = gate.sample(f.g.differentiate())
@@ -212,54 +211,6 @@ def convex_in_direction(
         note=f"sampled at {DEFAULT_BOUNDARY_POINTS} boundary points on |z| = "
         f"{r_max:g}; evidence, not proof",
     )
-
-
-def _curve_evidence(
-    build: Callable[[int], HarmonicMap], phi: float
-) -> tuple[ConvexityReport, HarmonicMap]:
-    """Directional convexity evidence across the CURVE_LADDER radii.
-
-    A map whose full-disk image is convex in a direction can still have
-    subdisk images that are not: the half-plane convolution at a = 0.95
-    has real bumps in its image curve at every radius r <= 0.99, whose
-    depth shrinks like 1 - r (checked against closed-form curves), and
-    even f_{0.5,0}, which maps onto a half-plane, has a bump 0.006 deep on
-    |z| = 0.9 in direction 0.7.  So a wiggle at one interior radius is not
-    counter-evidence.
-    The ladder accepts a pass at any radius whose truncation tail is
-    trusted, and an all-rung failure withholds the verdict rather than
-    failing it; decisive failures must come from the algebraic side.
-
-    build(N) returns the map truncated at order N.  It runs only for a rung
-    whose order no map built so far reaches; a rung below a built order
-    takes that map truncated, which is bit for bit what build would give
-    (each coefficient of a built series depends only on those before it).
-    Returns the report and the first rung's map.
-    """
-    built: list[HarmonicMap] = []
-    attempts: list[tuple[float, ConvexityReport]] = []
-    for r, order in CURVE_LADDER:
-        f = next((f for f in built if f.h.order >= order), None)
-        if f is None:
-            f = build(order)
-            built.append(f)
-        if f.h.order > order:
-            f = f.truncated(order)
-        rep = convex_in_direction(f, phi, r_max=r, gate_radius=min(r, 0.95))
-        if rep.passed:
-            return rep, built[0]
-        attempts.append((r, rep))
-    bits = ", ".join(
-        f"|z|={r:g}: " + ("withheld" if rep.passed is None else f"{rep.crossing_max} crossings")
-        for r, rep in attempts
-    )
-    withheld = replace(
-        attempts[-1][1],
-        passed=None,
-        note=f"no sampled radius gave a two-crossing curve ({bits}); interior samples "
-        "cannot decide the full-image claim, verdict withheld",
-    )
-    return withheld, built[0]
 
 
 # ---------------------------------------------------------------------------
@@ -393,10 +344,11 @@ def _value(expr: str, p: Mapping):
 
 @dataclass(frozen=True)
 class Constraint:
-    """One inequality of a claim's hypothesis, text "lhs op rhs": op is <,
-    <=, > or >=, and rhs the exact edge, such as (n - 2)/(n + 2).  It binds
-    the points where the expression when holds (all, when empty); unmet
-    opens the note of a row that misses it.  The float sides are compared
+    """One inequality of a claim's hypothesis or of its route's premises,
+    text "lhs op rhs": op is <, <=, > or >=, and rhs the exact edge, such as
+    (n - 2)/(n + 2).  It binds the points where the expression when holds
+    (all, when empty); unmet is what the note of a row that misses it
+    says.  The float sides are compared
     once against EDGE_ATOL: on the edge a non-strict constraint holds and a
     strict one does not."""
 
@@ -426,16 +378,31 @@ class Claim:
     """What a case asserts: convexity in the direction phi, an exact
     expression such as -gamma, at each point that meets every constraint
     of its hypothesis.  The open-ended cases have hypothesis None: they
-    name the direction they test and assert nothing."""
+    name the direction they test and assert nothing.
+
+    route names the proof of the convexity half, which holds at p when
+    every premise does: a quadratic weight times A' = h' - e^{2i phi} g' has
+    positive real part on the disk (README, "Numerics worth knowing").
+    "cayley-sum" needs no premise: the product is a sum of Cayley
+    transforms of disk self-maps at every in-domain point.
+    "family-residues" needs |alpha| < sqrt(2) on every member.
+    """
 
     direction: str
+    route: str
     hypothesis: tuple[Constraint, ...] | None = ()
+    premises: tuple[Constraint, ...] = ()
 
     def unmet(self, p: Mapping) -> str | None:
         """The note opening of a row that asserts nothing; None if it asserts."""
         if self.hypothesis is None:
             return "exploratory: no assertion; "
         return next((c.unmet for c in self.hypothesis if not c.holds(p)), None)
+
+    def missed_premise(self, p: Mapping) -> str | None:
+        """The first premise of the route that p misses; None when the
+        route certifies the convexity half at p."""
+        return next((c.unmet for c in self.premises if not c.holds(p)), None)
 
     def phi(self, p: Mapping) -> tuple[float, str]:
         """The direction at p, and its label, which adds the value when the
@@ -463,8 +430,8 @@ class Case:
     """One construction, swept across its parameter axes.
 
     build(params, N, maps) is the only definition of the case's harmonic
-    map, truncated at order N; the curve ladder builds it, and the image
-    curves truncate the ladder's first-rung map.  point(params) says what
+    map, truncated at order N; the sweep builds it at SAMPLED_ORDER, and
+    the image curves truncate that map.  point(params) says what
     the row certifies, and claim what it asserts.
     """
 
@@ -720,8 +687,19 @@ def _family_bound(k: str) -> Constraint:
     return Constraint(f"abs({k}) <= 2*(sqrt(2) - 1)", f"|{k}| past the family bound; ")
 
 
+def _residues(*names: str) -> tuple[Constraint, ...]:
+    """The family-residues premises: |alpha| < sqrt(2) for each named alpha.
+    Strict, so EDGE_ATOL's slack falls on the safe side."""
+    return tuple(Constraint(f"abs({k}) < sqrt(2)", f"|{k}| >= sqrt(2)") for k in names)
+
+
 _ORDERING = Constraint("alpha1 <= alpha2", "alpha1 > alpha2, outside the claimed range; ")
-_ORDERED = Claim("pi/2", (_ORDERING, _family_bound("alpha1"), _family_bound("alpha2")))
+_ORDERED = Claim(
+    "pi/2",
+    "family-residues",
+    (_ORDERING, _family_bound("alpha1"), _family_bound("alpha2")),
+    _residues("alpha1", "alpha2"),
+)
 _T310_V2_UNMET = "needs |alpha1| > |alpha2| and alpha1*alpha2 > 0; "
 
 
@@ -748,9 +726,10 @@ def _n(most: int, *default: int) -> Axis:
     return Axis("n", default, kind)
 
 
-# Largest n: the dyadic family's degree 2^(n+1) stays within twice the top
-# CURVE_LADDER order; the power cases build polynomials of degree about n,
-# and the oq2 and oq3 dilatations overflow the float range from n = 514.
+# Largest n, since a row's cost grows fast with it: the dyadic family's
+# prefactor has degree 2^(n+1), the power cases build polynomials of degree
+# about n, and the oq2 and oq3 dilatations overflow the float range from
+# n = 514.
 _FAMILY_N_MAX = 10
 _POWER_N_MAX = 256
 
@@ -784,28 +763,28 @@ CASES: dict[str, Case] = {
         ),
         partial(_halfplane, lambda p: _monomial(p["n"], np.exp(1j * p["theta"]))),
         _t22_point,
-        Claim("-gamma", (_T22_THRESHOLD,)),
+        Claim("-gamma", "cayley-sum", (_T22_THRESHOLD,)),
     ),
     "t2.3": Case(
         "half-plane target, even Moebius dilatation, quartic certificate",
         (Axis("a", _frange(0.05, 0.95, 0.05)),),
         partial(_halfplane, _even_mobius),
         partial(_quartic_point, _even_mobius, convo.even_mobius_convolution_dilatation),
-        Claim("0", (Constraint("a >= 0", "a < 0, below the claimed range; "),)),
+        Claim("0", "cayley-sum", (Constraint("a >= 0", "a < 0, below the claimed range; "),)),
     ),
     "t2.4": Case(
         "half-plane target, negated squared-Blaschke dilatation",
         (Axis("a", _frange(0.05, 0.95, 0.05)),),
         partial(_halfplane, _negated_square),
         partial(_quartic_point, _negated_square, convo.negated_square_convolution_dilatation),
-        Claim("0", (Constraint("a > 0", "a <= 0, below the claimed range; "),)),
+        Claim("0", "cayley-sum", (Constraint("a > 0", "a <= 0, below the claimed range; "),)),
     ),
     "t2.5": Case(
         "strip target, even Moebius dilatation collapsing to z^2",
         (Axis("a", _frange(-0.9, 0.9, 0.1)),),
         partial(_strip, _even_mobius),
         _t25_point,
-        Claim("0"),
+        Claim("0", "cayley-sum"),
     ),
     "t3.8": Case(
         "equal-weight family combinations, assorted bounded dilatations",
@@ -821,7 +800,7 @@ CASES: dict[str, Case] = {
         ),
         partial(_combined, _t38_members),
         _t38_point,
-        Claim("pi/2", (_family_bound("alpha"),)),
+        Claim("pi/2", "family-residues", (_family_bound("alpha"),), _residues("alpha")),
     ),
     "t3.9": Case(
         "family combinations with opposed monomial dilatations",
@@ -837,6 +816,7 @@ CASES: dict[str, Case] = {
         _t310_point,
         Claim(
             "pi/2",
+            "family-residues",
             (
                 Constraint("alpha1 < alpha2", "needs alpha1 < alpha2 strictly; ", "variant == 1"),
                 Constraint("abs(alpha1) > abs(alpha2)", _T310_V2_UNMET, "variant == 2"),
@@ -844,6 +824,7 @@ CASES: dict[str, Case] = {
                 _family_bound("alpha1"),
                 _family_bound("alpha2"),
             ),
+            _residues("alpha1", "alpha2"),
         ),
     ),
     "t3.11": Case(
@@ -858,21 +839,21 @@ CASES: dict[str, Case] = {
         (_n(_POWER_N_MAX, 3), _THETA, _A_EXPLORED, _B_EXPLORED),
         partial(_halfplane, _mobius_power_b),
         partial(_exploration_point, _mobius_power_b),
-        Claim("0", hypothesis=None),
+        Claim("0", "cayley-sum", hypothesis=None),
     ),
     "oq2": Case(
         "exploration: half-plane target, Blaschke power dilatation",
         (_n(_POWER_N_MAX, 2), _THETA, _A_EXPLORED, _B_EXPLORED),
         partial(_halfplane, _blaschke_power_b),
         partial(_exploration_point, _blaschke_power_b),
-        Claim("0", hypothesis=None),
+        Claim("0", "cayley-sum", hypothesis=None),
     ),
     "oq3": Case(
         "exploration: strip target, Blaschke power dilatation",
         (_n(_POWER_N_MAX, 1, 2, 3), _THETA, _A_EXPLORED),
         partial(_strip, _blaschke_power_a),
         _oq3_point,
-        Claim("0", hypothesis=None),
+        Claim("0", "cayley-sum", hypothesis=None),
     ),
 }
 
@@ -907,15 +888,16 @@ def _root_pairs(poly: ComplexPolynomial | None) -> tuple[list[list[float]] | Non
         return None, f"; roots withheld: {exc}"
 
 
-def _verdict(asserted: bool, pt: Point, cert: BoundednessReport, conv: ConvexityReport) -> str:
-    """A row that asserts passes on a certificate, a sampled convexity pass
-    and a holding identity, fails on a failed identity or a witnessed
-    dilatation excursion, and is indeterminate otherwise."""
+def _verdict(asserted: bool, pt: Point, cert: BoundednessReport, convex: bool) -> str:
+    """A row that asserts passes on a holding identity, a dilatation
+    certificate and the premises of its claim's convexity route, fails on a
+    failed identity or a witnessed dilatation excursion, and is
+    indeterminate otherwise."""
     if not asserted:
         return "exploratory"
     if not pt.identity or cert.verdict == "exceeds":
         return "fail"
-    if not cert.certified or conv.passed is None:
+    if not (cert.certified and convex):
         return "indeterminate"
     return "pass"
 
@@ -933,10 +915,11 @@ def sweep_report(
     Returns verdict rows sorted by parameter tuple.  The case's claim,
     evaluated once per point, decides what a row asserts: rows outside its
     hypothesis, and all rows of the open-ended cases, carry verdict
-    "exploratory", assert nothing and open their note with why.  A row's
-    map is built once per CURVE_LADDER order that a rung needs and no
-    earlier rung reached (_curve_evidence).  Given a dict curve_maps, the
-    sweep stores in it a copy of each row's first-rung map truncated at
+    "exploratory", assert nothing and open their note with why.  The
+    claim's route decides the convexity half; each row's map is built once,
+    at SAMPLED_ORDER, for the one sampled check on |z| = SAMPLED_RADIUS,
+    which the note reports and no verdict reads.  Given a dict curve_maps,
+    the sweep stores in it a copy of each row's map truncated at
     IMAGE_CURVE_ORDER, keyed by _row_key, for image_curves.
     """
     key, spec = _case(case)
@@ -947,15 +930,20 @@ def sweep_report(
     for p, pt in points:
         unmet = spec.claim.unmet(p)
         phi, phi_label = spec.claim.phi(p)
+        missed = spec.claim.missed_premise(p)
         cert = convo.certify_bounded(pt.closed)
-        conv, f = _curve_evidence(lambda N: spec.build(p, N, maps), phi)
-        convexity = f"passed, max {conv.crossing_max} crossings"
+        f = spec.build(p, SAMPLED_ORDER, maps)
+        conv = convex_in_direction(f, phi, r_max=SAMPLED_RADIUS)
+        sampled = f"max {conv.crossing_max} crossings"
         if conv.passed is None:
-            convexity = f"withheld ({conv.note})"
+            sampled = f"withheld ({conv.note})"
         note = f"{unmet or ''}{pt.note}dilatation {cert.verdict} ({cert.method}); "
         if cert.count_failed and not cert.certified:
             note += f"{cert.note}; "
-        note += f"convexity {phi_label}: {convexity}"
+        convexity = f"certified ({spec.claim.route})"
+        if missed is not None:
+            convexity = f"no certificate ({missed})"
+        note += f"convexity {phi_label}: {convexity}; sampled |z|={SAMPLED_RADIUS:g}: {sampled}"
         if pt.roots_in_w:
             note += "; roots reported in the substituted variable w"
         root_pairs, withheld = _root_pairs(pt.roots_of)
@@ -963,7 +951,7 @@ def sweep_report(
         row = {
             "case": key,
             "params": p,
-            "verdict": _verdict(unmet is None, pt, cert, conv),
+            "verdict": _verdict(unmet is None, pt, cert, missed is None),
             "metrics": {
                 "max_omega": cert.grid_max,
                 "min_hs": conv.min_hs_value,
@@ -995,10 +983,9 @@ def image_curves(rows: Sequence[Mapping], curve_maps: dict) -> list[tuple[str, n
     IMAGE_CURVE_POINTS equally spaced angles on r = DEFAULT_CURVE_RADIUS,
     each map evaluated by Horner.
 
-    A row's map is the one sweep_report stored for it in curve_maps: the
-    first rung's map truncated at IMAGE_CURVE_ORDER.  It is popped, so the
-    dict empties as the curves are drawn; a row it does not hold is a
-    KeyError.
+    A row's map is the one sweep_report stored for it in curve_maps,
+    truncated at IMAGE_CURVE_ORDER.  It is popped, so the dict empties as
+    the curves are drawn; a row it does not hold is a KeyError.
 
     Returns (param-id, curve) pairs in row order, for CSV and SVG export.
     """

@@ -78,7 +78,7 @@ def family_alpha(name: str, alpha) -> float:
     """alpha as a float strictly inside (-2, 2), where the family factor
     1 + alpha w + w^2 keeps its zeros on the unit circle."""
     if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) or not -2.0 < alpha < 2.0:
-        raise ValueError(f"need -2 < {name} < 2, got {name}={alpha}")
+        raise ValueError(f"need -2 < {name} < 2, got {name}={alpha!r}")
     return float(alpha)
 
 
@@ -86,7 +86,7 @@ def disk_parameter(name: str, v) -> float:
     """v as a float strictly inside (-1, 1), the range of a disk
     automorphism's parameter."""
     if isinstance(v, bool) or not isinstance(v, numbers.Real) or not -1.0 < v < 1.0:
-        raise ValueError(f"need -1 < {name} < 1, got {name}={v}")
+        raise ValueError(f"need -1 < {name} < 1, got {name}={v!r}")
     return float(v)
 
 

@@ -3,10 +3,14 @@ crossing-count curve test on shapes with known answers, and verdict rows
 for representative parameter slices of each case."""
 
 import gc
+import json
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harmconv import convo, geochk, harness
 from harmconv.convo import convolve, mobius_power_dilatation
@@ -17,6 +21,7 @@ from harmconv.geochk import (
     IMAGE_CURVE_ORDER,
     IMAGE_CURVE_POINTS,
     LEVEL_TIE_ATOL,
+    SAMPLED_ORDER,
     DiskGrid,
     _MapCache,
     convex_in_direction,
@@ -343,14 +348,11 @@ class TestConvexInDirection:
         assert "non-finite" in rep.note
 
     def test_boundary_overflow_withholds(self):
-        # every coefficient of h' is 1.4e308: h' stays finite on the gate
-        # ring 0.2, even inside Horner's scheme, while h on |z| = 0.99
-        # sums to about 2.6e308, past the largest double
-        h = PowerSeries([0.0] * 10 + [1.4e308 / k for k in range(10, 2001)])
-        f = HarmonicMap(h=h, g=PowerSeries([0.0] * 2001))
-        assert np.isfinite(hengartner_schober(h, DiskGrid(0.2)))
+        # h' = 1e308 and g' = -1e308 pass the gate (|g'/h'| = 1), but
+        # A = h - g = 2e308 z is past the largest double
+        f = HarmonicMap(h=PowerSeries([0.0, 1e308]), g=PowerSeries([0.0, -1e308]))
         with np.errstate(over="ignore", invalid="ignore"):
-            rep = convex_in_direction(f, 0.0, r_max=0.99, gate_radius=0.2)
+            rep = convex_in_direction(f, 0.0)
         assert rep.passed is None
         assert "non-finite boundary" in rep.note
 
@@ -497,10 +499,10 @@ class TestSweepReport:
             return f_a_alpha(a, alpha, N)
 
         monkeypatch.setattr(geochk, "f_a_alpha", counted)
-        # three strip rows, each decided on the first rung, share f_{0,0}
+        # three strip rows, each built once at SAMPLED_ORDER, share f_{0,0}
         rows = sweep_report("t2.5", {"a": [-0.5, 0.0, 0.5]})
         assert [r["verdict"] for r in rows] == ["pass"] * 3
-        assert built == [(0.0, 0.0, geochk.CURVE_LADDER[0][1])]
+        assert built == [(0.0, 0.0, SAMPLED_ORDER)]
         # the cache lives for one sweep: a second sweep builds it again
         sweep_report("t2.5", {"a": [0.5]})
         assert len(built) == 2
@@ -757,20 +759,193 @@ class TestClaims:
         assert all(r["note"].startswith("dilatation certified") for r in rows[1:])
 
 
+# The convexity routes' closed forms for weight * A', A = h - e^{2i phi} g,
+# written out here from the identities, independently of the builders.
+def _cayley(u):
+    return (1.0 - u) / (1.0 + u)
+
+
+def _halfplane_form(p, z, omega):
+    """(1 - e^{i gamma} z)^2 and 1/2 C(e^{-2i gamma} omega) + kappa C(-e^{i gamma} z)."""
+    e = np.exp(1j * p.get("gamma", 0.0))
+    kappa = (1.0 - p["a"]) / (2.0 * (1.0 + p["a"]))
+    return (1.0 - e * z) ** 2, 0.5 * _cayley(omega / (e * e)) + kappa * _cayley(-e * z)
+
+
+def _strip_form(p, z, omega):
+    """(1 + z^2) and 1/2 C(omega) + 1/2 C(z^2)."""
+    return 1.0 + z * z, 0.5 * _cayley(omega) + 0.5 * _cayley(z * z)
+
+
+def _residue_sum(alpha, w):
+    """q_alpha(w) as sum_k c_k (zeta_k + w)/(zeta_k - w) over zeta_k^4 = -1."""
+    total = 0.0
+    for zeta in np.exp(1j * np.pi * np.array([0.25, 0.75, 1.25, 1.75])):
+        c = (2.0 + np.sign(zeta.real) * np.sqrt(2.0) * alpha) / 8.0
+        total = total + c * (zeta + w) / (zeta - w)
+    return total
+
+
+def _family_form(p, z):
+    """(1 - z^2) and t q_alpha1(w) + (1 - t) q_alpha2(w), w = z^{2^(n-1)}."""
+    w = z ** (2 ** (p["n"] - 1))
+    a1, a2 = (p["alpha"],) * 2 if "alpha" in p else (p["alpha1"], p["alpha2"])
+    return 1.0 - z * z, p["t"] * _residue_sum(a1, w) + (1.0 - p["t"]) * _residue_sum(a2, w)
+
+
+def _mobius_power(b, theta, n, z):
+    return np.exp(1j * theta) * (b - z**n) / (1.0 - b * z**n)
+
+
+def _blaschke_power(b, theta, n, z):
+    return np.exp(1j * theta) * ((b - z) / (1.0 - b * z)) ** n
+
+
+_ROUTE_FORMS = {
+    "t2.2": lambda p, z: _halfplane_form(p, z, np.exp(1j * p["theta"]) * z ** p["n"]),
+    "t2.3": lambda p, z: _halfplane_form(p, z, _mobius_power(p["a"], 0.0, 2, z)),
+    "t2.4": lambda p, z: _halfplane_form(p, z, _blaschke_power(p["a"], np.pi, 2, z)),
+    "t2.5": lambda p, z: _strip_form(p, z, _mobius_power(p["a"], 0.0, 2, z)),
+    "t3.8": _family_form,
+    "t3.9": _family_form,
+    "t3.10": _family_form,
+    "t3.11": _family_form,
+    "oq1": lambda p, z: _halfplane_form(p, z, _mobius_power(p["b"], p["theta"], p["n"], z)),
+    "oq2": lambda p, z: _halfplane_form(p, z, _blaschke_power(p["b"], p["theta"], p["n"], z)),
+    "oq3": lambda p, z: _strip_form(p, z, _blaschke_power(p["a"], p["theta"], p["n"], z)),
+}
+
+_DISK = st.floats(-0.9, 0.9)
+_ANGLE = st.floats(-3.0, 3.0)
+_ALPHA = st.floats(-1.9, 1.9)
+_WEIGHT = st.floats(0.0, 1.0)
+
+
+def _family_points(ns, **axes):
+    return st.fixed_dictionaries(
+        {"n": st.sampled_from(ns), "alpha1": _ALPHA, "alpha2": _ALPHA, "t": _WEIGHT, **axes}
+    )
+
+
+def _t38_point(n, alpha, pair, t):
+    omega1, omega2 = (label for label, _ in geochk._t38_menu(n)[pair])
+    return {"n": n, "alpha": alpha, "omega1": omega1, "omega2": omega2, "t": t}
+
+
+# random in-domain points of each case
+_ROUTE_POINTS = {
+    "t2.2": st.fixed_dictionaries(
+        {"n": st.integers(1, 5), "gamma": _ANGLE, "theta": _ANGLE, "a": _DISK}
+    ),
+    "t2.3": st.fixed_dictionaries({"a": _DISK}),
+    "t2.4": st.fixed_dictionaries({"a": _DISK}),
+    "t2.5": st.fixed_dictionaries({"a": _DISK}),
+    "t3.8": st.builds(_t38_point, st.integers(1, 3), _ALPHA, st.integers(0, 3), _WEIGHT),
+    "t3.9": _family_points((1, 2)),
+    "t3.10": _family_points((1, 2), variant=st.sampled_from((1, 2))),
+    "t3.11": _family_points((2, 3)),
+    "oq1": st.fixed_dictionaries(
+        {"n": st.integers(1, 4), "theta": _ANGLE, "a": _DISK, "b": _DISK}
+    ),
+    "oq2": st.fixed_dictionaries(
+        {"n": st.integers(1, 4), "theta": _ANGLE, "a": _DISK, "b": _DISK}
+    ),
+    "oq3": st.fixed_dictionaries({"n": st.integers(1, 4), "theta": _ANGLE, "a": _DISK}),
+}
+
+# 200 seeded points with |z| <= 0.6
+_RNG = np.random.default_rng(20170)
+ROUTE_ZS = 0.6 * np.sqrt(_RNG.random(200)) * np.exp(2j * np.pi * _RNG.random(200))
+
+
+class TestConvexityRoutes:
+    @pytest.mark.parametrize("case", CASE_IDS)
+    @settings(derandomize=True, max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_weight_times_a_prime_is_the_routes_closed_form(self, case, data):
+        # the built series map against the identity its claim's route rests on
+        spec = CASES[case]
+        p = data.draw(_ROUTE_POINTS[case])
+        f = spec.build(p, IMAGE_CURVE_ORDER, _MapCache())
+        phi, _ = spec.claim.phi(p)
+        A = f.h.subtract(f.g.scale(np.exp(2j * phi)))
+        weight, closed = _ROUTE_FORMS[case](p, ROUTE_ZS)
+        got = weight * A.differentiate()(ROUTE_ZS)
+        assert np.max(np.abs(got - closed)) <= 1e-12 * np.max(np.abs(closed)), p
+
+    def test_routes_name_their_identity(self):
+        family = {"t3.8", "t3.9", "t3.10", "t3.11"}
+        for case, spec in CASES.items():
+            assert spec.claim.route == ("family-residues" if case in family else "cayley-sum")
+            # the Cayley sum holds for every in-domain point
+            assert (spec.claim.premises == ()) is (case not in family)
+
+    @pytest.mark.parametrize(
+        "alpha, certified",
+        [
+            (0.0, True),
+            (np.sqrt(2.0) - 4 * EDGE_ATOL, True),
+            # strict: within EDGE_ATOL of the edge, and on it, no certificate
+            (np.sqrt(2.0) - EDGE_ATOL / 2, False),
+            (np.sqrt(2.0), False),
+            (-np.sqrt(2.0), False),
+            (1.5, False),
+        ],
+    )
+    def test_family_premise_is_strict_at_sqrt_2(self, alpha, certified):
+        p = {"n": 1, "alpha1": -0.5, "alpha2": alpha, "t": 0.5}
+        missed = CASES["t3.9"].claim.missed_premise(p)
+        assert (missed is None) is certified
+        assert certified or missed == "|alpha2| >= sqrt(2)"
+
+    def test_default_rows_are_certified(self):
+        for spec in CASES.values():
+            assert all(spec.claim.missed_premise(p) is None for p in spec.points({}))
+
+    def test_past_sqrt_2_rows_say_no_certificate(self, tmp_path):
+        code = harness.main(
+            ["explore", "t3.8", "--alpha", "1.5", "--formats", "json", "--outdir", str(tmp_path)]
+        )
+        assert code == 0
+        rows = json.loads((tmp_path / "report.json").read_text())["rows"]
+        assert len(rows) == 60
+        for r in rows:
+            assert r["verdict"] == "exploratory"
+            assert "convexity phi=pi/2: no certificate (|alpha| >= sqrt(2)); sampled" in r["note"]
+
+    def test_a_withheld_sampled_check_decides_nothing(self, monkeypatch):
+        monkeypatch.setattr(
+            geochk, "convex_in_direction", lambda *args, **kw: geochk.ConvexityReport(note="stub")
+        )
+        (row,) = sweep_report("t2.3", {"a": [0.5]})
+        assert row["verdict"] == "pass"
+        assert row["note"].endswith(
+            "convexity phi=0: certified (cayley-sum); sampled |z|=0.95: withheld (stub)"
+        )
+        assert row["metrics"]["min_hs"] is None
+
+    def test_a_missed_premise_leaves_an_asserted_row_indeterminate(self, monkeypatch):
+        claim = replace(
+            CASES["t3.8"].claim, premises=(geochk.Constraint("abs(alpha) < 0.1", "|alpha| >= 0.1"),)
+        )
+        monkeypatch.setitem(CASES, "t3.8", replace(CASES["t3.8"], claim=claim))
+        rows = sweep_report("t3.8", {"n": [1], "alpha": [0.0, 0.5], "t": [0.5]})
+        assert [r["verdict"] for r in rows] == ["pass"] * 4 + ["indeterminate"] * 4
+        assert all("convexity phi=pi/2: no certificate (|alpha| >= 0.1)" in r["note"]
+                   for r in rows[4:])
+
+
 @pytest.mark.parametrize("case", CASE_IDS)
 def test_a_truncated_map_is_the_map_built_at_that_order(case):
-    # the sweep's lower rung and the image curves truncate the first rung's
-    # map instead of building their own; that must keep every bit
+    # the image curves truncate the sweep's map instead of building their
+    # own; that must keep every bit
     spec = CASES[case]
-    top, orders = geochk.CURVE_LADDER[0][1], (geochk.CURVE_LADDER[1][1], IMAGE_CURVE_ORDER)
     maps = _MapCache()
     for p in spec.points({}):
-        f = spec.build(p, top, maps)
-        for order in orders:
-            g = spec.build(p, order, maps)
-            cut = f.truncated(order)
-            assert cut.h.coeffs.tobytes() == g.h.coeffs.tobytes(), (p, order)
-            assert cut.g.coeffs.tobytes() == g.g.coeffs.tobytes(), (p, order)
+        cut = spec.build(p, SAMPLED_ORDER, maps).truncated(IMAGE_CURVE_ORDER)
+        g = spec.build(p, IMAGE_CURVE_ORDER, maps)
+        assert cut.h.coeffs.tobytes() == g.h.coeffs.tobytes(), p
+        assert cut.g.coeffs.tobytes() == g.g.coeffs.tobytes(), p
 
 
 class TestImageCurves:

@@ -97,10 +97,10 @@ class TestRunConfig:
             RunConfig(case="t9.1")
 
     def test_order_sets_only_the_image_curves(self, tmp_path, monkeypatch):
-        # every rung withholds, so each is tried; the second rung and the
-        # image curves truncate the first rung's map, so only the first and
-        # the last build, and the report records IMAGE_CURVE_ORDER with the
-        # default grid
+        # the sampled check withholds and decides nothing, so the row still
+        # passes; the image curves truncate the sweep's map, so only
+        # SAMPLED_ORDER builds, and the report records IMAGE_CURVE_ORDER
+        # with the default grid
         built = []
         f_a_alpha = geochk.f_a_alpha
 
@@ -113,8 +113,8 @@ class TestRunConfig:
             geochk, "convex_in_direction", lambda *args, **kw: geochk.ConvexityReport(note="stub")
         )
         cfg = RunConfig(case="t2.5", params={"a": [0.5]}, outdir=str(tmp_path))
-        assert harness.run(cfg) == 3
-        assert built == [384, 1024]
+        assert harness.run(cfg) == 0
+        assert built == [384]
         config = json.loads((tmp_path / "report.json").read_text())["config"]
         assert config == {
             "order": 128,
@@ -448,8 +448,8 @@ class TestRootOracleFailure:
         assert row["note"] == (
             "dilatation indeterminate (grid); grid maximum 0.491522 stays at or below 1 "
             "but proves nothing; zero count of the core failed: Durand-Kerner step is nan: "
-            "the iteration overflowed; convexity phi=-gamma=0: passed, max 2 crossings; "
-            "roots withheld: degree 65 > 24"
+            "the iteration overflowed; convexity phi=-gamma=0: certified (cayley-sum); "
+            "sampled |z|=0.95: max 2 crossings; roots withheld: degree 65 > 24"
         )
 
 

@@ -34,6 +34,9 @@ REMOVED_NAMES = (
     "FamilyParams",
     # hmap.disk_parameter is the one check of a disk automorphism's parameter
     "_unit",
+    # each claim's convexity route decides; one sampled check corroborates
+    "CURVE_LADDER",
+    "_curve_evidence",
 )
 
 REMOVED_ATTRIBUTES = (
@@ -98,6 +101,9 @@ REMOVED_PARAMETERS = (
     (geochk.image_curves, "case"),
     (geochk.image_curves, "maps"),
     (geochk.sweep_report, "maps"),
+    # the gate samples the rings inside r_max; only the ladder's last rung
+    # kept it inside
+    (geochk.convex_in_direction, "gate_radius"),
 )
 
 
