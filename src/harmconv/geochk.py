@@ -46,6 +46,7 @@ from .hmap import (
     f_a_alpha,
     family_alpha,
     family_f_alpha_n,
+    family_target,
     slanted_halfplane,
     strip_map,
 )
@@ -413,14 +414,23 @@ class Claim:
 
 
 class _MapCache:
-    """Maps reused within one sweep: the family members, and f_{a,0}, the
-    half-plane and strip cases' convolution partner, across t values and
-    rows.  Each sweep_report call makes its own, so repeated runs in a
-    process rebuild their maps."""
+    """What the rows of one sweep share, memoised by the values that define
+    it: omega.series(order), the family targets (alpha, n, order), the
+    half-plane and strip shears (gamma, omega, order), the family members
+    and f_{a,0}, the half-plane and strip cases' convolution partner.  Each
+    sweep_report call makes its own and drops it on return; the memos close
+    over each other, never over the cache, so no reference cycle keeps one
+    alive past its sweep."""
 
     def __init__(self):
+        series = cache(lambda omega, order: omega.series(order))
+        target = cache(family_target)
+        self.halfplane = cache(
+            lambda gamma, omega, order: slanted_halfplane(gamma, series(omega, order))
+        )
+        self.strip = cache(lambda omega, order: strip_map(series(omega, order)))
         self.family = cache(
-            lambda alpha, n, omega, order: family_f_alpha_n(alpha, n, omega.series(order))
+            lambda alpha, n, omega, order: family_f_alpha_n(alpha, n, series(omega, order), target)
         )
         self.extremal = cache(lambda a, order: f_a_alpha(a, 0.0, order))
 
@@ -494,14 +504,13 @@ def _halfplane(omega, p: dict, N: int, maps: _MapCache) -> HarmonicMap:
     """f_{a,0} convolved with the gamma-slanted half-plane map sheared by
     omega(params)."""
     return convo.convolve(
-        maps.extremal(p["a"], N),
-        slanted_halfplane(p.get("gamma", 0.0), omega(p).series(N)),
+        maps.extremal(p["a"], N), maps.halfplane(p.get("gamma", 0.0), omega(p), N)
     )
 
 
 def _strip(omega, p: dict, N: int, maps: _MapCache) -> HarmonicMap:
     """f_{0,0} convolved with the strip map sheared by omega(params)."""
-    return convo.convolve(maps.extremal(0.0, N), strip_map(omega(p).series(N)))
+    return convo.convolve(maps.extremal(0.0, N), maps.strip(omega(p), N))
 
 
 def _combined(members, p: dict, N: int, maps: _MapCache) -> HarmonicMap:
@@ -875,15 +884,15 @@ def _case(case: str) -> tuple[str, Case]:
 ROOTS_MAX_DEGREE = 24
 
 
-def _root_pairs(poly: ComplexPolynomial | None) -> tuple[list[list[float]] | None, str]:
-    """Sorted [re, im] zeros of poly, or None and why the row reports none
+def _root_pairs(poly: ComplexPolynomial | None) -> tuple[tuple | None, str]:
+    """Sorted (re, im) zeros of poly, or None and why the row reports none
     ("" when the point reports no polynomial)."""
     if poly is None or poly.degree < 1:
         return None, ""
     if poly.degree > ROOTS_MAX_DEGREE:
         return None, f"; roots withheld: degree {poly.degree} > {ROOTS_MAX_DEGREE}"
     try:
-        return sorted([float(v.real), float(v.imag)] for v in roots(poly)), ""
+        return tuple(sorted((float(v.real), float(v.imag)) for v in roots(poly))), ""
     except NumericFailure as exc:
         return None, f"; roots withheld: {exc}"
 
@@ -918,12 +927,16 @@ def sweep_report(
     "exploratory", assert nothing and open their note with why.  The
     claim's route decides the convexity half; each row's map is built once,
     at SAMPLED_ORDER, for the one sampled check on |z| = SAMPLED_RADIUS,
-    which the note reports and no verdict reads.  Given a dict curve_maps,
-    the sweep stores in it a copy of each row's map truncated at
-    IMAGE_CURVE_ORDER, keyed by _row_key, for image_curves.
+    which the note reports and no verdict reads.  Within the call, rows
+    share their maps' parts (_MapCache), certificates (by pt.closed) and
+    root sets (by polynomial; each row gets lists of its own).  Given a dict
+    curve_maps, the sweep stores in it a copy of each row's map truncated
+    at IMAGE_CURVE_ORDER, keyed by _row_key, for image_curves.
     """
     key, spec = _case(case)
     maps = _MapCache()
+    certify = cache(convo.certify_bounded)
+    root_pairs = cache(_root_pairs)
     # Every point is set up (and its parameters validated) before any runs.
     points = [(p, spec.point(p)) for p in spec.points(dict(params or {}))]
     rows = []
@@ -931,7 +944,7 @@ def sweep_report(
         unmet = spec.claim.unmet(p)
         phi, phi_label = spec.claim.phi(p)
         missed = spec.claim.missed_premise(p)
-        cert = convo.certify_bounded(pt.closed)
+        cert = certify(pt.closed)
         f = spec.build(p, SAMPLED_ORDER, maps)
         conv = convex_in_direction(f, phi, r_max=SAMPLED_RADIUS)
         sampled = f"max {conv.crossing_max} crossings"
@@ -946,7 +959,7 @@ def sweep_report(
         note += f"convexity {phi_label}: {convexity}; sampled |z|={SAMPLED_RADIUS:g}: {sampled}"
         if pt.roots_in_w:
             note += "; roots reported in the substituted variable w"
-        root_pairs, withheld = _root_pairs(pt.roots_of)
+        zeros, withheld = root_pairs(pt.roots_of)
         note += withheld
         row = {
             "case": key,
@@ -955,7 +968,7 @@ def sweep_report(
             "metrics": {
                 "max_omega": cert.grid_max,
                 "min_hs": conv.min_hs_value,
-                "roots": root_pairs,
+                "roots": None if zeros is None else [list(z) for z in zeros],
             },
             "note": note,
         }

@@ -135,16 +135,20 @@ def strip_map(omega: PowerSeries) -> HarmonicMap:
     return shear(arctangent(omega.order), omega, 0.0)
 
 
-def family_f_alpha_n(alpha: float, n: int, omega: PowerSeries) -> HarmonicMap:
-    """Shear of the dyadic-product family target.
-
-    The target is the coefficientwise product of the family-sum rational
-    prefactor with log(1/(1-z)), per the family's defining display.
-    """
+def family_target(alpha: float, n: int, order: int) -> PowerSeries:
+    """The dyadic-product family's target: the coefficientwise product of
+    the family-sum rational prefactor with log(1/(1-z))."""
     family_alpha("alpha", alpha)
-    prefactor = rational_series(*family_sum_polynomials(n, alpha), omega.order)
-    F = prefactor.hadamard(log_inverse(omega.order))
-    return shear(F, omega, 0.0)
+    prefactor = rational_series(*family_sum_polynomials(n, alpha), order)
+    return prefactor.hadamard(log_inverse(order))
+
+
+def family_f_alpha_n(
+    alpha: float, n: int, omega: PowerSeries, target=family_target
+) -> HarmonicMap:
+    """Shear of the family target, target(alpha, n, order): family_target
+    or a sweep's memo of it (geochk._MapCache)."""
+    return shear(target(alpha, n, omega.order), omega, 0.0)
 
 
 def dilatation_series(f: HarmonicMap) -> PowerSeries:

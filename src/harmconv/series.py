@@ -9,6 +9,8 @@ because they witness the truncation order.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .cpoly import horner
@@ -30,6 +32,37 @@ def _product(a, b):
     return out
 
 
+def _one_term_quotient(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
+    """a / b for b = b[0] + b[m] z**m (a bare b[0] when m > n) in O(n), with
+    the bits of PowerSeries.divide's dot loop.  That dot sums from a +0
+    start, and all its products but b[m] q[k-m] are zeros, which leave +0
+    as it is; only the one-term dot at k = 1 has no +0 start.  Products are
+    _product's, quotients numpy's.  Where the loop's 0 * inf would read
+    nan, the quotient is not finite, and the caller reruns the loop."""
+    n, b0 = len(a) - 1, complex(b[0])
+    with np.errstate(all="ignore"):
+        q = (a / b0).tolist()
+        if n:
+            q[1] = complex((a[1] - _product(b[1], q[0])) / b0)
+        if m <= n:
+            c = complex(b[m])
+            cr, ci = c.real, c.imag
+            for k in range(max(m, 2), n + 1):
+                p = q[k - m]  # 0.0 + _product(c, p), in Python floats
+                dot = complex(0.0 + (cr * p.real - ci * p.imag), 0.0 + (cr * p.imag + ci * p.real))
+                q[k] = complex((a[k] - dot) / b0)
+    return np.array(q, dtype=complex)
+
+
+@lru_cache(maxsize=16)
+def _ring_powers(radii: tuple[float, ...], n: int) -> np.ndarray:
+    """radius**k for k < n, one row per radius; a table of the rings and the
+    order alone, so it outlives any one sweep."""
+    powers = np.asarray(radii, dtype=float)[:, None] ** np.arange(n)
+    powers.flags.writeable = False
+    return powers
+
+
 def ring_values(coeffs: np.ndarray, radii, m: int) -> np.ndarray:
     """Values of sum c_k z**k at radius * e^{2 pi i j/m}, j = 0..m-1, one
     row per radius, by one row-wise inverse FFT.
@@ -38,11 +71,11 @@ def ring_values(coeffs: np.ndarray, radii, m: int) -> np.ndarray:
     root of unity e^{2 pi i j k/m} depends only on k mod m, so the fold
     is exact and orders past m need no larger transform.
     """
-    radii = np.asarray(radii, dtype=float)
     n = len(coeffs)
-    folded = np.zeros((len(radii), -(-n // m) * m), dtype=complex)
-    folded[:, :n] = coeffs * radii[:, None] ** np.arange(n)
-    folded = folded.reshape(len(radii), -1, m).sum(axis=1)
+    powers = _ring_powers(tuple(map(float, radii)), n)
+    folded = np.zeros((len(powers), -(-n // m) * m), dtype=complex)
+    folded[:, :n] = coeffs * powers
+    folded = folded.reshape(len(powers), -1, m).sum(axis=1)
     return np.fft.ifft(folded, axis=-1) * m
 
 
@@ -114,9 +147,13 @@ class PowerSeries:
     def divide(self, other: "PowerSeries") -> "PowerSeries":
         """Long division self/other; needs |other(0)| > DIVIDE_ATOL.
 
-        q is filled back to front in qr (qr[n - k] = q[k]), so the reversed
-        prefix q[k-1], ..., q[0] is the contiguous tail qr[n-k+1:] and each
-        step is one full-length dot product with no reversed copy.
+        A divisor b0 + c z**m, or a bare b0, takes an O(n) recurrence with
+        the same bits (_one_term_quotient).  divide memoises nothing; a
+        sweep memoises its quotients for itself (geochk._MapCache).  Other
+        divisors run the loop: q is filled back to front in qr (qr[n - k] =
+        q[k]), so the reversed prefix q[k-1], ..., q[0] is the contiguous
+        tail qr[n-k+1:] and each step is one full-length dot product with no
+        reversed copy.
         """
         n = min(self.order, other.order)
         b0 = complex(other.coeffs[0])
@@ -125,6 +162,11 @@ class PowerSeries:
                 f"series division needs |b_0| > {DIVIDE_ATOL:g}, got {abs(b0):.3e}"
             )
         a, b = self.coeffs, other.coeffs
+        tail = np.flatnonzero(b[1 : n + 1])
+        if len(tail) <= 1:
+            q = _one_term_quotient(a[: n + 1], b[: n + 1], tail[0] + 1 if len(tail) else n + 1)
+            if np.isfinite(q).all():
+                return PowerSeries(q)
         qr = np.empty(n + 1, dtype=complex)
         qr[n] = a[0] / b0
         for k in range(1, n + 1):

@@ -4,6 +4,7 @@ for representative parameter slices of each case."""
 
 import gc
 import json
+import re
 import weakref
 from dataclasses import replace
 
@@ -543,6 +544,84 @@ class TestSweepReport:
         assert cache.extremal(0.3, 64) is f
         assert f == f_a_alpha(0.3, 0.0, 64)
         assert cache.extremal(0.3, 32) == f_a_alpha(0.3, 0.0, 32)
+
+    def test_sweep_certifies_each_dilatation_and_roots_each_polynomial_once(
+        self, monkeypatch
+    ):
+        certified, rooted = [], []
+        certify, find_roots = convo.certify_bounded, geochk.roots
+        monkeypatch.setattr(convo, "certify_bounded", lambda r: certified.append(r) or certify(r))
+        monkeypatch.setattr(geochk, "roots", lambda p: rooted.append(p) or find_roots(p))
+        rows = sweep_report("t3.8")
+        assert (len(rows), len(certified), len(set(certified))) == (180, 47, 47)
+        # rows that share a certificate read the same max_omega and phrase
+        shared = {}
+        for row in rows:
+            closed = CASES["t3.8"].point(row["params"]).closed
+            phrase = re.search(r"dilatation \w+ \([^)]*\)", row["note"]).group()
+            seen = shared.setdefault(closed, (row["metrics"]["max_omega"], phrase))
+            assert seen == (row["metrics"]["max_omega"], phrase), row_param_id(row)
+        assert len(shared) == 47
+        # t3.10 reports roots: one root run per distinct polynomial, and
+        # each row its own lists
+        rows = sweep_report("t3.10")
+        polys = {CASES["t3.10"].point(r["params"]).roots_of for r in rows}
+        assert len(rooted) == len(set(rooted)) == len(polys - {None}) < len(rows)
+        lists = [r["metrics"]["roots"] for r in rows if r["metrics"]["roots"]]
+        assert len({id(z) for zs in lists for z in [zs, *zs]}) == sum(1 + len(zs) for zs in lists)
+
+    @pytest.mark.parametrize(
+        "case, params, memo",
+        [
+            ("t2.2", {"n": [1, 2]}, "halfplane"),
+            ("t2.5", {"a": [0.0, 0.5]}, "strip"),
+            ("t3.8", {"n": [1], "alpha": [0.0]}, "family"),
+        ],
+    )
+    def test_sweep_memos_die_without_the_collector(self, case, params, memo, monkeypatch):
+        made, built = [], []
+
+        class Recorded(_MapCache):
+            def __init__(self):
+                super().__init__()
+                made.append(weakref.ref(self))
+                build = getattr(self, memo)
+
+                def recorded(*args):
+                    f = build(*args)
+                    built.append(weakref.ref(f))
+                    return f
+
+                setattr(self, memo, recorded)
+
+        monkeypatch.setattr(geochk, "_MapCache", Recorded)
+        gc.collect()
+        gc.disable()
+        try:
+            sweep_report(case, params)
+            # no reference cycle: reference counting alone frees the memos
+            assert len(made) == 1 and made[0]() is None
+            assert built and all(f() is None for f in built)
+        finally:
+            gc.enable()
+
+    def test_sweep_builds_each_shear_and_family_target_once(self, monkeypatch):
+        sheared, targets = [], []
+        shear, target = geochk.slanted_halfplane, geochk.family_target
+        monkeypatch.setattr(
+            geochk, "slanted_halfplane", lambda g, w: sheared.append(w) or shear(g, w)
+        )
+        monkeypatch.setattr(
+            geochk, "family_target", lambda *k: targets.append(k) or target(*k)
+        )
+        # t2.2's shear depends on n, not on a: 3 shears for 12 rows
+        assert len(sweep_report("t2.2")) == 12 and len(sheared) == 3
+        # t3.8's five members per (n, alpha) share one target
+        assert len(sweep_report("t3.8", {"n": [1, 2]})) == 120
+        assert sorted(targets) == sorted(
+            (alpha, n, SAMPLED_ORDER) for n in (1, 2)
+            for alpha in (-FAMILY_ALPHA_MAX, 0.0, FAMILY_ALPHA_MAX)
+        )
 
     def test_rows_sorted_by_parameters(self):
         rows = sweep_report("t2.5", {"a": [0.5, -0.5, 0.0]})

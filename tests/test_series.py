@@ -3,7 +3,7 @@ coefficient product, and the named closed-form expansions."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from harmconv.series import (
@@ -297,6 +297,20 @@ def tuple_divide(a, b):
     return q
 
 
+@st.composite
+def one_term_divisors(draw):
+    """b0 + c z**m over a tail of signed zeros, for b0 of modulus at least
+    1/2 and any phase; m runs past the order, where only b0 is left."""
+    order = draw(st.integers(0, 40))
+    b0 = draw(coefficient.filter(lambda z: abs(z) >= 0.5))
+    zero = st.builds(complex, st.sampled_from([0.0, -0.0]), st.sampled_from([0.0, -0.0]))
+    b = [b0] + draw(st.lists(zero, min_size=order, max_size=order))
+    m = draw(st.integers(1, order + 3))
+    if m <= order:
+        b[m] = draw(coefficient)
+    return b
+
+
 def tuple_on_circle(coeffs, radius, m):
     """One ring by a padded fold and a 1-d inverse FFT."""
     c = np.asarray(coeffs) * float(radius) ** np.arange(len(coeffs))
@@ -346,6 +360,13 @@ class TestArrayStorage:
 
     @given(signed_coeffs, dominant_divisors())
     def test_divide(self, a, b):
+        assert_same_bits(PowerSeries(a).divide(PowerSeries(b)), tuple_divide(a, b))
+
+    # the recurrence for b0 + c z**m must keep the dot loop's signed zeros
+    @example([-1.0, complex(-0.0, -0.0)], [1.0, 0j])
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(signed_coeffs, one_term_divisors())
+    def test_divide_by_one_term_divisor(self, a, b):
         assert_same_bits(PowerSeries(a).divide(PowerSeries(b)), tuple_divide(a, b))
 
     def test_divide_long_series(self):
