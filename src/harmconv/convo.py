@@ -618,7 +618,7 @@ class BoundednessReport:
         return self.shape == "blaschke" and self.zero_report is None
 
 
-def _strip_monomial(p: ComplexPolynomial) -> tuple[int, ComplexPolynomial]:
+def strip_monomial(p: ComplexPolynomial) -> tuple[int, ComplexPolynomial]:
     """Split p = z**k * core with core(0) significantly nonzero."""
     cs = list(p.coeffs)
     cut = SHAPE_RTOL * max(abs(c) for c in cs) * 1e-3
@@ -685,7 +685,7 @@ def certify_bounded(r: RationalFunction) -> BoundednessReport:
         verdict, method, note = "certified", "trivial", "identically zero"
     else:
         grid_max, pole = _grid_scan(r, DEFAULT_GRID)
-        k, core = _strip_monomial(r.num)
+        k, core = strip_monomial(r.num)
         adjoint = reciprocal_adjoint(core)
         c = _proportionality(adjoint, r.den)
         blaschke = c is not None and abs(abs(c) - 1.0) <= UNIMODULAR_ATOL

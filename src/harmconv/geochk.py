@@ -13,7 +13,7 @@ and returns verdict rows.
 
 Adding a case takes one CASES entry, plus its build and point helpers when
 the existing ones (_halfplane, _strip, _combined; _quartic_point,
-_combination_point, ...) do not fit.
+_family_point, ...) do not fit.
 
 Geometric checks here are numeric evidence at a declared sampling
 resolution, never proofs, and they decide no verdict.  A row's convexity
@@ -224,7 +224,7 @@ def convex_in_direction(
 MAX_SWEEP_POINTS = 10_000
 
 
-def _frange(lo: float, hi: float, step: float) -> list[float]:
+def frange(lo: float, hi: float, step: float) -> list[float]:
     """lo, lo + step, ... through hi when step divides the span (to 1e-9),
     else up to the last value below hi; rounded to 10 decimals.  More than
     MAX_SWEEP_POINTS values raise ValueError before any is built."""
@@ -306,13 +306,12 @@ class Axis:
             for k, col in zip(keys, cols):
                 if not col:
                     raise ValueError(f"{k} needs at least one value")
-            size = max(len(c) for c in cols)
-            if any(len(c) not in (1, size) for c in cols):
+            if len({len(c) for c in cols}) > 1:
                 raise ValueError(
                     f"{' and '.join(keys)} must have matching lengths "
                     "(they are paired, not crossed)"
                 )
-            rows = zip(*(c * size if len(c) == 1 else c for c in cols))
+            rows = zip(*cols)
         return [dict(zip(keys, row)) for row in rows]
 
 
@@ -416,11 +415,12 @@ class Claim:
 class _MapCache:
     """What the rows of one sweep share, memoised by the values that define
     it: omega.series(order), the family targets (alpha, n, order), the
-    half-plane and strip shears (gamma, omega, order), the family members
-    and f_{a,0}, the half-plane and strip cases' convolution partner.  Each
-    sweep_report call makes its own and drops it on return; the memos close
-    over each other, never over the cache, so no reference cycle keeps one
-    alive past its sweep."""
+    half-plane shears (gamma, omega, order), the family members and f_{a,0},
+    the half-plane and strip cases' convolution partner.  (A strip case's
+    omega depends on every swept parameter, so its shear is never shared.)
+    Each sweep_report call makes its own and drops it on return; the memos
+    close over each other, never over the cache, so no reference cycle
+    keeps one alive past its sweep."""
 
     def __init__(self):
         series = cache(lambda omega, order: omega.series(order))
@@ -428,7 +428,6 @@ class _MapCache:
         self.halfplane = cache(
             lambda gamma, omega, order: slanted_halfplane(gamma, series(omega, order))
         )
-        self.strip = cache(lambda omega, order: strip_map(series(omega, order)))
         self.family = cache(
             lambda alpha, n, omega, order: family_f_alpha_n(alpha, n, series(omega, order), target)
         )
@@ -489,7 +488,7 @@ def _monomial(power: int, coeff) -> RationalFunction:
 
 def _core(closed: RationalFunction) -> ComplexPolynomial:
     """The numerator with its power of z split off."""
-    return convo._strip_monomial(closed.num)[1]
+    return convo.strip_monomial(closed.num)[1]
 
 
 def _w_poly(closed: RationalFunction) -> ComplexPolynomial:
@@ -510,7 +509,7 @@ def _halfplane(omega, p: dict, N: int, maps: _MapCache) -> HarmonicMap:
 
 def _strip(omega, p: dict, N: int, maps: _MapCache) -> HarmonicMap:
     """f_{0,0} convolved with the strip map sheared by omega(params)."""
-    return convo.convolve(maps.extremal(0.0, N), maps.strip(omega(p), N))
+    return convo.convolve(maps.extremal(0.0, N), strip_map(omega(p).series(N)))
 
 
 def _combined(members, p: dict, N: int, maps: _MapCache) -> HarmonicMap:
@@ -622,21 +621,30 @@ def _t25_point(p) -> Point:
     return Point(closed, None, note, identity)
 
 
-def _combination_point(p, w1, w2, closed, roots_of=None, ordered=False) -> Point:
-    """Combination rows.
+def _family_point(members, reduce, ordered: bool, p) -> Point:
+    """Combination rows t f1 + (1 - t) f2 of the dyadic-family members
+    members(p) = ((alpha1, omega1), (alpha2, omega2)).
 
-    With equal weights the displayed polynomial of an ordered case (t3.9,
-    t3.11) keeps a self-inversive factor that cancels against its
-    reflection; certify the shared-target reduction, which is that
-    cancellation carried out.  At t = 0 or t = 1 the combination is a
-    single member and its dilatation equals that member's omega exactly,
-    while the assembled rational keeps removable factors that can defeat
-    the shape detector; certify the pure factor instead and say so.
+    reduce(p) is the case's displayed reduction -w P(w)/P*(w) in the
+    substituted variable w (boundedness on the disk is invariant under
+    z -> z**k), which the row certifies and whose P it reports the zeros
+    of.  reduce None (t3.8, one target for both members) certifies the
+    shared-target reduction and reports no zeros.  With equal weights the
+    displayed polynomial of an ordered case (t3.9, t3.11) keeps a
+    self-inversive factor that cancels against its reflection; certify the
+    shared-target reduction, which is that cancellation carried out.  At
+    t = 0 or t = 1 the combination is a single member and its dilatation
+    equals that member's omega exactly, while the assembled rational keeps
+    removable factors that can defeat the shape detector; certify the pure
+    factor instead and say so.
     """
+    (alpha1, w1), (alpha2, w2) = members(p)
+    shared = partial(convo.shared_target_combination_dilatation, w1, w2, p["t"])
+    closed = shared() if reduce is None else reduce(p)
+    roots_of = None if reduce is None else _w_poly(closed)
     note = ""
-    if ordered and abs(p["alpha1"] - p["alpha2"]) <= EDGE_ATOL:
-        closed = convo.shared_target_combination_dilatation(w1, w2, p["t"])
-        note = "equal weights: certified via the shared-target reduction; "
+    if ordered and abs(alpha1 - alpha2) <= EDGE_ATOL:
+        closed, note = shared(), "equal weights: certified via the shared-target reduction; "
     if p["t"] <= EDGE_ATOL:
         closed, note = w2, note + "endpoint t=0: dilatation is omega2 itself; "
     elif p["t"] >= 1.0 - EDGE_ATOL:
@@ -644,32 +652,11 @@ def _combination_point(p, w1, w2, closed, roots_of=None, ordered=False) -> Point
     return Point(closed, roots_of, note, roots_in_w=roots_of is not None)
 
 
-def _t38_point(p) -> Point:
-    (_, w1), (_, w2) = _t38_members(p)
-    closed = convo.shared_target_combination_dilatation(w1, w2, p["t"])
-    return _combination_point(p, w1, w2, closed)
-
-
-def _t39_point(p) -> Point:
-    (alpha1, w1), (alpha2, w2) = _t39_members(p)
-    closed = convo.opposed_monomial_cubic(alpha1, alpha2, p["t"])
-    return _combination_point(p, w1, w2, closed, _w_poly(closed), ordered=True)
-
-
-def _t310_point(p) -> Point:
-    (alpha1, w1), (alpha2, w2) = _t310_members(p)
-    reduce = {1: convo.adjacent_negative_cubic, 2: convo.adjacent_positive_quartic}
-    closed = reduce[p["variant"]](alpha1, alpha2, p["t"])
-    return _combination_point(p, w1, w2, closed, _w_poly(closed))
-
-
-def _t311_point(p) -> Point:
-    # Certify in the substituted variable w; boundedness on the disk is
-    # invariant under z -> z**k substitution.
-    (alpha1, w1), (alpha2, w2) = _t311_members(p)
-    closed = convo.quarter_power_sextic(alpha1, alpha2, p["t"])
-    sextic = convo.quarter_power_sextic_poly(alpha1, alpha2, p["t"])
-    return _combination_point(p, w1, w2, closed, sextic, ordered=True)
+def _reduction(*by_variant):
+    """A displayed reduction r(alpha1, alpha2, t) as a function of the
+    point: by_variant[variant - 1], or the only one of a case without
+    variants."""
+    return lambda p: by_variant[p.get("variant", 1) - 1](p["alpha1"], p["alpha2"], p["t"])
 
 
 def _exploration_point(omega, p) -> Point:
@@ -776,21 +763,21 @@ CASES: dict[str, Case] = {
     ),
     "t2.3": Case(
         "half-plane target, even Moebius dilatation, quartic certificate",
-        (Axis("a", _frange(0.05, 0.95, 0.05)),),
+        (Axis("a", frange(0.05, 0.95, 0.05)),),
         partial(_halfplane, _even_mobius),
         partial(_quartic_point, _even_mobius, convo.even_mobius_convolution_dilatation),
         Claim("0", "cayley-sum", (Constraint("a >= 0", "a < 0, below the claimed range; "),)),
     ),
     "t2.4": Case(
         "half-plane target, negated squared-Blaschke dilatation",
-        (Axis("a", _frange(0.05, 0.95, 0.05)),),
+        (Axis("a", frange(0.05, 0.95, 0.05)),),
         partial(_halfplane, _negated_square),
         partial(_quartic_point, _negated_square, convo.negated_square_convolution_dilatation),
         Claim("0", "cayley-sum", (Constraint("a > 0", "a <= 0, below the claimed range; "),)),
     ),
     "t2.5": Case(
         "strip target, even Moebius dilatation collapsing to z^2",
-        (Axis("a", _frange(-0.9, 0.9, 0.1)),),
+        (Axis("a", frange(-0.9, 0.9, 0.1)),),
         partial(_strip, _even_mobius),
         _t25_point,
         Claim("0", "cayley-sum"),
@@ -808,21 +795,26 @@ CASES: dict[str, Case] = {
             _T,
         ),
         partial(_combined, _t38_members),
-        _t38_point,
+        partial(_family_point, _t38_members, None, False),
         Claim("pi/2", "family-residues", (_family_bound("alpha"),), _residues("alpha")),
     ),
     "t3.9": Case(
         "family combinations with opposed monomial dilatations",
         (_n(_FAMILY_N_MAX, 1, 2), _PAIRS, _T),
         partial(_combined, _t39_members),
-        _t39_point,
+        partial(_family_point, _t39_members, _reduction(convo.opposed_monomial_cubic), True),
         _ORDERED,
     ),
     "t3.10": Case(
         "family combinations with adjacent power dilatations (2 variants)",
         (_n(_FAMILY_N_MAX, 1, 2), Axis("variant", (1, 2), _count), _T310_PAIRS, _T),
         partial(_combined, _t310_members),
-        _t310_point,
+        partial(
+            _family_point,
+            _t310_members,
+            _reduction(convo.adjacent_negative_cubic, convo.adjacent_positive_quartic),
+            False,
+        ),
         Claim(
             "pi/2",
             "family-residues",
@@ -840,7 +832,7 @@ CASES: dict[str, Case] = {
         "family combinations with quarter-power members, sextic certificate",
         (_n(_FAMILY_N_MAX, 2, 3), _PAIRS, _T),
         partial(_combined, _t311_members),
-        _t311_point,
+        partial(_family_point, _t311_members, _reduction(convo.quarter_power_sextic), True),
         _ORDERED,
     ),
     "oq1": Case(
@@ -869,7 +861,9 @@ CASES: dict[str, Case] = {
 CASE_IDS = tuple(CASES)
 
 
-def _case(case: str) -> tuple[str, Case]:
+def lookup_case(case: str) -> tuple[str, Case]:
+    """The case id, stripped and lower-cased, and its entry; ValueError
+    names an id CASES does not hold."""
     key = str(case).strip().lower()
     if key not in CASES:
         raise ValueError(f"unknown case id {case!r}; known ids: {', '.join(CASE_IDS)}")
@@ -925,7 +919,10 @@ def sweep_report(
     evaluated once per point, decides what a row asserts: rows outside its
     hypothesis, and all rows of the open-ended cases, carry verdict
     "exploratory", assert nothing and open their note with why.  The
-    claim's route decides the convexity half; each row's map is built once,
+    claim's route decides the convexity half.  It proves the analytic
+    reduction A convex, which carries over to f only where f is locally
+    univalent, so a row whose dilatation is not certified reads it as
+    conditional on the dilatation.  Each row's map is built once,
     at SAMPLED_ORDER, for the one sampled check on |z| = SAMPLED_RADIUS,
     which the note reports and no verdict reads.  Within the call, rows
     share their maps' parts (_MapCache), certificates (by pt.closed) and
@@ -933,7 +930,7 @@ def sweep_report(
     curve_maps, the sweep stores in it a copy of each row's map truncated
     at IMAGE_CURVE_ORDER, keyed by _row_key, for image_curves.
     """
-    key, spec = _case(case)
+    key, spec = lookup_case(case)
     maps = _MapCache()
     certify = cache(convo.certify_bounded)
     root_pairs = cache(_root_pairs)
@@ -956,6 +953,8 @@ def sweep_report(
         convexity = f"certified ({spec.claim.route})"
         if missed is not None:
             convexity = f"no certificate ({missed})"
+        elif not cert.certified:
+            convexity = f"conditional on the dilatation ({spec.claim.route})"
         note += f"convexity {phi_label}: {convexity}; sampled |z|={SAMPLED_RADIUS:g}: {sampled}"
         if pt.roots_in_w:
             note += "; roots reported in the substituted variable w"

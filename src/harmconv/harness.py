@@ -41,8 +41,9 @@ from .geochk import (
     CASE_IDS,
     CASES,
     IMAGE_CURVE_ORDER,
-    _frange,
+    frange,
     image_curves,
+    lookup_case,
     sweep_report,
 )
 
@@ -87,7 +88,6 @@ class RunConfig:
     formats: tuple = _FORMATS
 
     def __post_init__(self):
-        object.__setattr__(self, "case", str(self.case).strip().lower())
         bad = sorted({str(f) for f in self.formats if f not in _FORMATS})
         if bad:
             raise ConfigError(
@@ -97,10 +97,10 @@ class RunConfig:
             raise ConfigError(f"no output format given; choose from {', '.join(_FORMATS)}")
         if self.outdir == "":
             raise ConfigError("empty output directory; use . for the working directory")
-        if self.case not in CASE_IDS:
-            raise ConfigError(
-                f"unknown case id {self.case!r}; known ids: {', '.join(CASE_IDS)}"
-            )
+        try:
+            object.__setattr__(self, "case", lookup_case(self.case)[0])
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -138,10 +138,7 @@ def _dump_json(obj, path: Path):
 def _summary_note(rows) -> str:
     counts = Counter(r["verdict"] for r in rows)
     tally = ", ".join(f"{k}={counts[k]}" for k in sorted(counts))
-    return (
-        f"verdicts: {tally}; certificates are algebraic, curve and grid "
-        "verdicts are sampled evidence at the stated resolution"
-    )
+    return f"verdicts: {tally}"
 
 
 def _write_report(config: RunConfig, rows, path: Path):
@@ -282,7 +279,7 @@ def _parse_range(text: str) -> list[float]:
     if hi < lo:
         raise ConfigError(f"range {text!r} is empty (hi < lo)")
     try:
-        return _frange(lo, hi, step)
+        return frange(lo, hi, step)
     except ValueError as exc:
         raise ConfigError(f"range {text!r}: {exc}") from exc
 

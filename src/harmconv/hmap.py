@@ -147,7 +147,7 @@ def family_f_alpha_n(
     alpha: float, n: int, omega: PowerSeries, target=family_target
 ) -> HarmonicMap:
     """Shear of the family target, target(alpha, n, order): family_target
-    or a sweep's memo of it (geochk._MapCache)."""
+    or a caller's memo of it."""
     return shear(target(alpha, n, omega.order), omega, 0.0)
 
 

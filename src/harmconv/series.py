@@ -149,7 +149,7 @@ class PowerSeries:
 
         A divisor b0 + c z**m, or a bare b0, takes an O(n) recurrence with
         the same bits (_one_term_quotient).  divide memoises nothing; a
-        sweep memoises its quotients for itself (geochk._MapCache).  Other
+        caller that repeats a division memoises the quotient itself.  Other
         divisors run the loop: q is filled back to front in qr (qr[n - k] =
         q[k]), so the reversed prefix q[k-1], ..., q[0] is the contiguous
         tail qr[n-k+1:] and each step is one full-length dot product with no

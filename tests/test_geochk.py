@@ -459,8 +459,13 @@ class TestSweepReport:
             CASES["t3.9"].points({"n": [1], "alpha1": [0.1, 0.1], "alpha2": [0.2, 0.2], "t": [0.5]})
 
     def test_paired_axes_need_matching_lengths(self):
-        with pytest.raises(ValueError, match="paired, not crossed"):
-            sweep_report("t3.9", {"alpha1": [0.1, 0.2], "alpha2": [0.3, 0.4, 0.5]})
+        # a one-value column is not repeated to the other's length either
+        for alpha2 in ([0.3, 0.4, 0.5], [0.3]):
+            with pytest.raises(ValueError) as err:
+                sweep_report("t3.9", {"alpha1": [0.1, 0.2], "alpha2": alpha2})
+            assert str(err.value) == (
+                "alpha1 and alpha2 must have matching lengths (they are paired, not crossed)"
+            )
 
     @pytest.mark.parametrize(
         "case, params, missing",
@@ -570,11 +575,34 @@ class TestSweepReport:
         lists = [r["metrics"]["roots"] for r in rows if r["metrics"]["roots"]]
         assert len({id(z) for zs in lists for z in [zs, *zs]}) == sum(1 + len(zs) for zs in lists)
 
+    def test_t311_reports_the_zeros_of_its_displayed_sextic(self):
+        # t3.11 reports the zeros of its dilatation's w-polynomial, as t3.9
+        # and t3.10 do.  That polynomial is the displayed sextic up to the
+        # signs of zero imaginary parts, which move no zero: on every
+        # default row and on 1,000 seeded points (t = 0 and t = 1 among
+        # them) the reported pairs are the sextic's, repr for repr.
+        rng = np.random.default_rng(311)
+        t = rng.uniform(0.0, 1.0, 1000)
+        t[::10], t[1::10] = 0.0, 1.0
+        alphas = rng.uniform(-1.99, 1.99, (1000, 2))
+        seeded = [(a1, a2, tk) for (a1, a2), tk in zip(alphas.tolist(), t.tolist())]
+        default = [(p["alpha1"], p["alpha2"], p["t"]) for p in CASES["t3.11"].points({})]
+        assert len(default) == 50
+        for point in default + seeded:
+            reported = geochk._root_pairs(geochk._w_poly(convo.quarter_power_sextic(*point)))
+            displayed = geochk._root_pairs(convo.quarter_power_sextic_poly(*point))
+            assert repr(reported) == repr(displayed), point
+        # and a sweep's rows report just those
+        for p in CASES["t3.11"].points({})[:10]:
+            pt = CASES["t3.11"].point(p)
+            sextic = convo.quarter_power_sextic(p["alpha1"], p["alpha2"], p["t"])
+            assert pt.roots_in_w and pt.roots_of == geochk._w_poly(sextic)
+
     @pytest.mark.parametrize(
         "case, params, memo",
         [
             ("t2.2", {"n": [1, 2]}, "halfplane"),
-            ("t2.5", {"a": [0.0, 0.5]}, "strip"),
+            ("t2.5", {"a": [0.0, 0.5]}, "extremal"),
             ("t3.8", {"n": [1], "alpha": [0.0]}, "family"),
         ],
     )

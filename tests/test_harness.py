@@ -205,6 +205,8 @@ class TestMainExitCodes:
             # an angle whose phase e^{2i gamma} or e^{2i theta} overflows
             ["verify", "t2.2", "--gamma=-1e308", "--n", "1", "--a", "0.5"],
             ["verify", "t2.2", "--theta", "1e308"],
+            # paired columns of unequal lengths: a one-value half is not repeated
+            ["verify", "t3.9", "--n", "1", "--alpha1=-0.5,-0.4", "--alpha2", "0.5"],
         ],
     )
     def test_malformed_command_line_is_one(self, argv, capsys, tmp_path, monkeypatch):
@@ -448,7 +450,8 @@ class TestRootOracleFailure:
         assert row["note"] == (
             "dilatation indeterminate (grid); grid maximum 0.491522 stays at or below 1 "
             "but proves nothing; zero count of the core failed: Durand-Kerner step is nan: "
-            "the iteration overflowed; convexity phi=-gamma=0: certified (cayley-sum); "
+            "the iteration overflowed; convexity phi=-gamma=0: conditional on the dilatation "
+            "(cayley-sum); "
             "sampled |z|=0.95: max 2 crossings; roots withheld: degree 65 > 24"
         )
 

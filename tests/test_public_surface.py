@@ -37,6 +37,17 @@ REMOVED_NAMES = (
     # each claim's convexity route decides; one sampled check corroborates
     "CURVE_LADDER",
     "_curve_evidence",
+    # one point function for the family combinations
+    "_combination_point",
+    "_t38_point",
+    "_t39_point",
+    "_t310_point",
+    "_t311_point",
+    # reached by their public names (geochk.frange, geochk.lookup_case,
+    # convo.strip_monomial)
+    "_frange",
+    "_case",
+    "_strip_monomial",
 )
 
 REMOVED_ATTRIBUTES = (
@@ -145,6 +156,12 @@ def test_removed_parameter_is_gone(fn, name):
 
 def test_disk_grid_has_one_field():
     assert [f.name for f in fields(convo.DiskGrid)] == ["radius"]
+
+
+def test_sweep_memo_has_no_strip_shear():
+    # a strip case's omega depends on every swept parameter, so a strip
+    # shear memo could never hit
+    assert not hasattr(geochk._MapCache(), "strip")
 
 
 def test_convexity_report_has_no_worst_line():
