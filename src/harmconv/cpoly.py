@@ -26,6 +26,10 @@ CIRCLE_ATOL = 1e-9
 DK_MAX_ITER = 500
 DK_STEP_TOL = 1e-13
 DK_RESIDUAL_RTOL = 1e-10
+# Horner's rounding floor per unit of degree (c = 4 times the unit roundoff,
+# derived in roots): a residual |p(z)| of a degree-n polynomial at or below
+# n * DK_FLOOR_RTOL * sum|c_k||z|^k is rounding noise.
+DK_FLOOR_RTOL = 4.0 * (np.finfo(float).eps / 2)
 
 
 class ReductionNotApplicable(Exception):
@@ -59,18 +63,23 @@ def horner(coeffs, z):
     return acc
 
 
+def _trimmed(cs: list[complex]) -> list[complex]:
+    """cs without its trailing entries at or below TRIM_RTOL * max|c_k|
+    (trimmed in place)."""
+    if cs:
+        cut = TRIM_RTOL * max(abs(c) for c in cs)
+        while cs and abs(cs[-1]) <= cut:
+            cs.pop()
+    return cs
+
+
 class ComplexPolynomial:
     """Immutable dense polynomial with complex coefficients, ascending."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [complex(c) for c in coeffs]
-        if cs:
-            cut = TRIM_RTOL * max(abs(c) for c in cs)
-            while cs and abs(cs[-1]) <= cut:
-                cs.pop()
-        self.coeffs: tuple[complex, ...] = tuple(cs)
+        self.coeffs: tuple[complex, ...] = tuple(_trimmed([complex(c) for c in coeffs]))
 
     @property
     def degree(self) -> int:
@@ -171,10 +180,17 @@ def cohn_reduce(p: ComplexPolynomial) -> ComplexPolynomial:
         raise ReductionNotApplicable(
             f"|a0|={abs(a0):.3e} vs |an|={abs(an):.3e}", tie=abs(margin) <= tol
         )
-    t = an.conjugate() * p - a0 * reciprocal_adjoint(p)
+    # conj(a_n) * p and a_0 * p*, each trimmed as a ComplexPolynomial would
+    # be (p* before its scaling too), so the step keeps the bits of that
+    # polynomial arithmetic; negating a term moves no modulus, so it trims
+    # nothing.
+    lead = _trimmed([an.conjugate() * c for c in p.coeffs])
+    tail = _trimmed([a0 * c for c in _trimmed([c.conjugate() for c in reversed(p.coeffs)])])
+    n = min(len(lead), len(tail))
+    t = _trimmed([x - y for x, y in zip(lead, tail)] + lead[n:] + [-y for y in tail[n:]])
     # The constant term cancels exactly (same two factors multiplied in the
     # same order), so dropping index 0 is the division by z.
-    return ComplexPolynomial(t.coeffs[1:])
+    return ComplexPolynomial(t[1:])
 
 
 @dataclass(frozen=True)
@@ -207,12 +223,35 @@ def roots(p: ComplexPolynomial) -> np.ndarray:
     """All zeros, by simultaneous Durand-Kerner iteration.
 
     Exact zero coefficients at the low end are factored out first (those
-    are zeros at the origin).  The iteration runs at most DK_MAX_ITER Jacobi
-    updates from guesses spread on a circle of radius 1 + max|c_k/c_n|,
-    offset by 0.4 radians so no guess starts on the real axis.  Acceptance
-    is a backward error test: |p(z)| must not exceed DK_RESIDUAL_RTOL *
-    sum|c_k||z|^k; a violating (or NaN) residual raises NumericFailure, and
-    so does a non-finite step as soon as one appears.
+    are zeros at the origin).  The iteration runs Jacobi updates from
+    guesses spread on a circle of radius 1 + max|c_k/c_n|, offset by 0.4
+    radians so no guess starts on the real axis, and has three exits:
+
+    - converged: the largest step is below DK_STEP_TOL;
+    - stalled at the rounding floor: the step did not shrink, and every
+      residual is within Horner's rounding error (below), so no iterate can
+      be told from a zero at this precision.  Near a multiple or clustered
+      zero the step stops shrinking there, and the iterates would only
+      wander until the cap; they are as good as the zero's conditioning
+      allows (about u**(1/m) for an m-fold zero, u the unit roundoff);
+    - the cap of DK_MAX_ITER updates.
+
+    The floor is Horner's error bound (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., section 5.1), taken to complex
+    arithmetic: each step acc * z + c_k rounds one complex product, with
+    relative error at most sqrt(2) * gamma_2 (Lemma 3.5), and one complex
+    sum, with at most u.  Over the n steps of a degree-n polynomial the
+    computed value is off by at most ((1 + sqrt(2) gamma_2)(1 + u))**n - 1
+    = (1 + 2 sqrt(2)) n u + O((n u)**2) times sum|c_k||z|^k, and c = 4
+    covers 1 + 2 sqrt(2) = 3.83 with its second-order terms while n u < 0.02.
+    That is DK_FLOOR_RTOL = 4 u.  The floor is evaluated only after a step
+    that did not shrink, so an iteration that converges does the same
+    arithmetic whether or not the floor exists.
+
+    Whatever the exit, acceptance is a backward error test: |p(z)| must not
+    exceed DK_RESIDUAL_RTOL * sum|c_k||z|^k; a violating (or NaN) residual
+    raises NumericFailure, and so does a non-finite step as soon as one
+    appears.
     """
     if p.degree < 1:
         return np.zeros(0, dtype=complex)
@@ -229,6 +268,9 @@ def roots(p: ComplexPolynomial) -> np.ndarray:
     radius = 1.0 + float(np.max(np.abs(monic[:-1])))
     guess = radius * np.exp(1j * (2.0 * np.pi * np.arange(n) / n + 0.4))
     desc = monic[::-1]
+    abs_desc = np.abs(desc)
+    floor = n * DK_FLOOR_RTOL
+    last = math.inf
     # An overflowing iteration is caught by the checks below (a non-finite
     # step, a NaN residual), not by numpy's floating-point warnings.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -247,8 +289,13 @@ def roots(p: ComplexPolynomial) -> np.ndarray:
                 break
             if not math.isfinite(size):
                 raise NumericFailure(f"Durand-Kerner step is {size}: the iteration overflowed")
+            if size >= last and np.all(
+                np.abs(np.polyval(desc, guess)) <= floor * np.polyval(abs_desc, np.abs(guess))
+            ):
+                break
+            last = size
         resid = np.abs(np.polyval(desc, guess))
-        bound = np.polyval(np.abs(monic)[::-1], np.abs(guess))
+        bound = np.polyval(abs_desc, np.abs(guess))
         if not np.all(resid <= DK_RESIDUAL_RTOL * bound):
             worst = float(np.max(resid / bound))
             raise NumericFailure(

@@ -535,12 +535,13 @@ class TestCertifyBounded:
         assert not rep.certified
 
     def test_unresolved_zero_count_falls_back_to_grid(self):
-        # three zeros of the t2.4 quartic cluster at z = 1 here, and the
-        # root oracle misses its residual tolerance on them
-        rep = certify_bounded(negated_square_convolution_dilatation(0.9999996764456546))
+        # the Cohn chain of the t2.2 core at n = 64, a = 0.95 ties, and the
+        # root oracle's iteration overflows on it
+        sp = SlantParams(gamma=0.0, theta=0.0, n=64, a=0.95)
+        rep = certify_bounded(monomial_convolution_dilatation(sp))
         assert rep.method == "grid" and rep.verdict == "indeterminate"
         assert rep.shape == "blaschke" and rep.zero_report is None
-        assert "zero count of the core failed" in rep.note
+        assert "zero count of the core failed: Durand-Kerner step is nan" in rep.note
 
     def test_failed_zero_count_never_certifies(self, monkeypatch):
         def fail(p):

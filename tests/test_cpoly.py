@@ -5,10 +5,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from harmconv import cpoly
+from harmconv import convo, cpoly
 from harmconv.convo import DiskGrid
 from harmconv.cpoly import (
     ComplexPolynomial,
@@ -167,7 +167,39 @@ class TestReciprocalAdjoint:
         assert reciprocal_adjoint(reciprocal_adjoint(p)) == p
 
 
+def arithmetic_cohn_reduce(p):
+    """One reduction step as it ran on polynomial arithmetic, six
+    ComplexPolynomials (each trimmed) a step."""
+    a0, an = p.coeffs[0], p.coeffs[-1]
+    t = an.conjugate() * p - a0 * reciprocal_adjoint(p)
+    return ComplexPolynomial(t.coeffs[1:])
+
+
+# coefficients of every scale down to TRIM_RTOL's, so that the intermediate
+# trims of a step (of p*, of the difference) have something to cut
+scaled_coefficient = st.builds(
+    lambda c, e: c * 10.0**e, coefficient, st.sampled_from([0, 0, 0, -5, -11, -15, -16, -17])
+)
+
+
 class TestCohnReduce:
+    # p* loses its trailing conj(a0); the difference loses its trailing
+    # |an|^2 - |a0|^2 and the step collapses the degree by two
+    @example([1e-16, 0.5, 3.0, 1.0])
+    @example([1.0 - 1e-11, 1e5, 0.0, 1.0])
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.lists(scaled_coefficient, min_size=2, max_size=9))
+    def test_keeps_the_bits_of_polynomial_arithmetic(self, cs):
+        p = ComplexPolynomial(cs)
+        assume(p.degree >= 1)
+        try:
+            got = cohn_reduce(p)
+        except ReductionNotApplicable:
+            assume(False)
+        want = arithmetic_cohn_reduce(p)
+        assert len(got.coeffs) == len(want.coeffs)
+        assert bits(got.coeffs) == bits(want.coeffs)
+
     def test_degree_drops_by_exactly_one(self):
         p = from_roots([0.1, 0.4j, -0.3])
         assert cohn_reduce(p).degree == p.degree - 1
@@ -191,6 +223,54 @@ class TestCohnReduce:
         if reduced.degree >= 1:
             inside = np.sum(np.abs(np.roots(reduced.coeffs[::-1])) < 1.0)
             assert inside == len(rts) - 1
+
+
+def capped_roots(p):
+    """roots as it ran without its rounding-floor exit: the iteration ends
+    on a step below DK_STEP_TOL or at DK_MAX_ITER."""
+    cs = np.asarray(p.coeffs, dtype=complex)
+    at_origin = 0
+    while cs[0] == 0:
+        at_origin += 1
+        cs = cs[1:]
+    origin = np.zeros(at_origin, dtype=complex)
+    if len(cs) == 1:
+        return origin
+    monic = cs / cs[-1]
+    n = len(monic) - 1
+    radius = 1.0 + float(np.max(np.abs(monic[:-1])))
+    guess = radius * np.exp(1j * (2.0 * np.pi * np.arange(n) / n + 0.4))
+    desc = monic[::-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cpoly.DK_MAX_ITER):
+            diff = guess[:, None] - guess[None, :]
+            np.fill_diagonal(diff, 1.0)
+            denom = diff.prod(axis=1)
+            collided = denom == 0
+            if collided.any():
+                guess = guess + np.where(collided, 1e-8 * radius, 0.0)
+                continue
+            step = np.polyval(desc, guess) / denom
+            guess = guess - step
+            size = np.max(np.abs(step))
+            if size < cpoly.DK_STEP_TOL:
+                break
+            if not math.isfinite(size):
+                raise NumericFailure(f"Durand-Kerner step is {size}: the iteration overflowed")
+        resid = np.abs(np.polyval(desc, guess))
+        bound = np.polyval(np.abs(monic)[::-1], np.abs(guess))
+        if not np.all(resid <= cpoly.DK_RESIDUAL_RTOL * bound):
+            worst = float(np.max(resid / bound))
+            raise NumericFailure(
+                f"root residual {worst:.3e} exceeds tolerance {cpoly.DK_RESIDUAL_RTOL:.1e}"
+            )
+    return np.concatenate([origin, guess])
+
+
+# the float-built t2.4 quartic at this a has a zero exactly at z = 1 and
+# three more within 4.1e-7 inside; without the rounding-floor exit the
+# iterates wander there until the cap and miss DK_RESIDUAL_RTOL
+CLUSTERED_QUARTIC = convo.negated_square_quartic(0.9999996764456546)
 
 
 class TestRoots:
@@ -218,6 +298,31 @@ class TestRoots:
         p = from_roots([0.5, 0.5, 0.5, 0.5])
         rts = roots(p)
         assert np.allclose(rts, 0.5, atol=5e-3)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(inside_root, outside_root), min_size=1, max_size=7))
+    def test_separated_zeros_keep_the_capped_iterations_bits(self, rts):
+        # a converging iteration never stalls, so the floor exit, evaluated
+        # only after a step that did not shrink, changes no bit of its result
+        assume(separated(rts))
+        p = from_roots(rts)
+        got, want = roots(p), capped_roots(p)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_clustered_zeros_stop_at_the_rounding_floor(self):
+        rts = roots(CLUSTERED_QUARTIC)
+        monic = np.asarray(CLUSTERED_QUARTIC.coeffs) / CLUSTERED_QUARTIC.coeffs[-1]
+        resid = np.abs(np.polyval(monic[::-1], rts))
+        bound = np.polyval(np.abs(monic)[::-1], np.abs(rts))
+        assert np.all(resid <= CLUSTERED_QUARTIC.degree * cpoly.DK_FLOOR_RTOL * bound)
+        with pytest.raises(NumericFailure, match="root residual 4.016e-09"):
+            capped_roots(CLUSTERED_QUARTIC)
+
+    def test_floor_exit_comes_long_before_the_cap(self, monkeypatch):
+        want = roots(CLUSTERED_QUARTIC)
+        monkeypatch.setattr(cpoly, "DK_MAX_ITER", 60)
+        got = roots(CLUSTERED_QUARTIC)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_constant_has_no_roots(self):
         assert roots(ComplexPolynomial([3.0])).size == 0
