@@ -548,8 +548,8 @@ class DiskGrid:
     """The DEFAULT_RADII rings at or inside radius, ANGLES_PER_RING angles
     on each.
 
-    One grid serves a whole run: the certificate's scan of |omega~|, the
-    univalence gate and the Hengartner-Schober minimum all sample it.
+    One grid serves a whole run: the certificate's scan of |omega~| and
+    the Hengartner-Schober minimum both sample it.
     """
 
     radius: float = DEFAULT_RADII[-1]
@@ -583,7 +583,7 @@ class DiskGrid:
         return DiskGrid(min(self.radius, r_max))
 
 
-# The one sampling grid: every run's certificate scan, gate and min_hs.
+# The one sampling grid: every run's certificate scan and min_hs.
 DEFAULT_GRID = DiskGrid()
 
 
@@ -611,11 +611,6 @@ class BoundednessReport:
     @property
     def certified(self) -> bool:
         return self.verdict == "certified"
-
-    @property
-    def count_failed(self) -> bool:
-        """The Blaschke shape held, but the zero count of its core failed."""
-        return self.shape == "blaschke" and self.zero_report is None
 
 
 def strip_monomial(p: ComplexPolynomial) -> tuple[int, ComplexPolynomial]:

@@ -326,7 +326,10 @@ def count_zeros_in_disk(p: ComplexPolynomial) -> ZeroCountReport:
     proves both counts and that no zero lies on the circle (method
     "cohn-chain").  Only a tie, or trimming that collapses the degree
     faster than one per step, falls back to the root oracle on the
-    original polynomial, with CIRCLE_ATOL deciding "on the circle".
+    original polynomial, with CIRCLE_ATOL deciding "on the circle".  An
+    oracle that places no zero on the circle, while the coefficients sum
+    to exactly 0 at z = 1 or z = -1, raises NumericFailure naming that
+    point: its counts would miss a zero on the circle.
     """
     if p.is_zero:
         raise ValueError("zero polynomial has no zero count")
@@ -353,6 +356,15 @@ def count_zeros_in_disk(p: ComplexPolynomial) -> ZeroCountReport:
         # A step tied, or trimming collapsed the degree faster than one per
         # step: the chain proves nothing further, so count the original's roots.
         inside, on = _classify(np.abs(roots(p)))
+        if not on:
+            for z in (1.0, -1.0):
+                # fsum is exact, and so are the signs, so 0 means p(z) = 0.
+                signed = [z**k * c for k, c in enumerate(p.coeffs)]
+                if math.fsum(c.real for c in signed) == 0 == math.fsum(c.imag for c in signed):
+                    raise NumericFailure(
+                        f"the coefficients sum to exactly 0 at z = {z:g}, a zero on "
+                        "the circle that the root oracle does not place there"
+                    )
     return ZeroCountReport(
         total=total,
         inside=inside,

@@ -35,7 +35,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import convo
-from .convo import DEFAULT_GRID, GRID_ATOL, BoundednessReport, DiskGrid, RationalFunction
+from .convo import DEFAULT_GRID, BoundednessReport, DiskGrid, RationalFunction
 from .cpoly import ComplexPolynomial, NumericFailure, roots
 from .hmap import (
     EDGE_ATOL,
@@ -71,7 +71,6 @@ SAMPLED_RADIUS = 0.95
 SAMPLED_ORDER = 384
 SWEEP_LEVELS = 256
 LEVEL_TIE_ATOL = 1e-9
-HP_VANISH_ATOL = 1e-12
 
 
 def hengartner_schober(F, grid: DiskGrid) -> float:
@@ -134,9 +133,8 @@ def line_crossing_counts(
 class ConvexityReport:
     """Outcome of the directional convexity check.
 
-    passed is None when the verdict was withheld (the default): local
-    univalence could not be confirmed on the sampled grid (the note then
-    names the offending point), or a sample was not finite.  Otherwise
+    passed is None when the verdict was withheld (the default), which
+    happens only when a sample was not finite.  Otherwise
     passed == (crossing_max <= 2), counted on the one curve Im(e^{-i phi} A)
     of the analytic reduction, which is also the height of the harmonic
     image.
@@ -146,6 +144,11 @@ class ConvexityReport:
     crossing_max: int | None = None
     min_hs_value: float | None = None
     note: str = ""
+
+
+_NON_FINITE = ConvexityReport(
+    note="non-finite boundary or Hengartner-Schober samples, convexity verdict withheld"
+)
 
 
 def convex_in_direction(
@@ -162,47 +165,28 @@ def convex_in_direction(
     horizontal levels.  A closed curve bounding a region convex in that
     direction meets each line at most twice.
 
-    Local univalence is sampled first on the rings of DEFAULT_GRID at or
-    inside r_max, which must reach the innermost ring; failure withholds
-    the verdict, and so does any non-finite gate value, boundary sample or
-    Hengartner-Schober value.  The gate rings, the Hengartner-Schober
-    minimum on the same rings and the boundary circle are all evaluated by
-    FFT (series.ring_values, behind DiskGrid.sample).
+    The identity carries convexity from A to f only where f is locally
+    univalent, which this check does not sample: the dilatation's
+    certificate (convo.certify_bounded) decides that.  The
+    Hengartner-Schober minimum of A is taken on the rings of DEFAULT_GRID
+    at or inside r_max, which must reach the innermost ring, and is
+    decided before the boundary is sampled; a non-finite value there, or
+    on the boundary, withholds the verdict.  Both are evaluated by FFT
+    (series.ring_values, behind DiskGrid.sample for the rings).
     A subdisk image can fail the count where the full-disk image is convex,
     so a count above 2 is no counter-evidence to a claim about the disk.
     """
-    gate = DEFAULT_GRID.capped(r_max)
-    pts = gate.points
-    hv = gate.sample(f.h.differentiate())
-    gv = gate.sample(f.g.differentiate())
-    if not (np.isfinite(hv).all() and np.isfinite(gv).all()):
-        return ConvexityReport(
-            note="non-finite h' or g' samples on the grid, convexity verdict withheld"
-        )
-    small = np.abs(hv) < HP_VANISH_ATOL
-    if small.any():
-        i = int(np.argmax(small))
-        return ConvexityReport(
-            note=f"|h'| = {abs(hv[i]):.3e} at z = {pts[i]:.6f}; local "
-            "univalence unresolved, convexity verdict withheld"
-        )
-    ratio = np.abs(gv) / np.abs(hv)
-    i = int(np.argmax(ratio))
-    if ratio[i] > 1.0 + GRID_ATOL:
-        return ConvexityReport(
-            note=f"|g'/h'| = {ratio[i]:.6f} > 1 at z = {pts[i]:.6f}; not "
-            "sense-preserving on the grid, convexity verdict withheld"
-        )
-
     A = f.h.subtract(f.g.scale(np.exp(2j * phi)))
-    min_hs = hengartner_schober(A.scale(np.exp(1j * (math.pi / 2.0 - phi))), gate)
+    rings = DEFAULT_GRID.capped(r_max)
+    min_hs = hengartner_schober(A.scale(np.exp(1j * (math.pi / 2.0 - phi))), rings)
+    # Decided first: a non-finite coefficient of A makes min_hs NaN, and
+    # sampling the boundary of such an A raises invalid-value warnings.
+    if not math.isfinite(min_hs):
+        return _NON_FINITE
     boundary = ring_values(A.coeffs, (r_max,), DEFAULT_BOUNDARY_POINTS)[0]
     ys = (boundary * np.exp(-1j * phi)).imag
-    if not (math.isfinite(min_hs) and np.isfinite(ys).all()):
-        return ConvexityReport(
-            note="non-finite boundary or Hengartner-Schober samples, convexity "
-            "verdict withheld"
-        )
+    if not np.isfinite(ys).all():
+        return _NON_FINITE
     _, counts = line_crossing_counts(ys)
     crossing_max = int(counts.max())
     return ConvexityReport(
@@ -922,7 +906,9 @@ def sweep_report(
     claim's route decides the convexity half.  It proves the analytic
     reduction A convex, which carries over to f only where f is locally
     univalent, so a row whose dilatation is not certified reads it as
-    conditional on the dilatation.  Each row's map is built once,
+    conditional on the dilatation, after the certificate's reason.  Local
+    univalence is that certificate's alone to judge: the sampled check
+    reads A, never h' or g'.  Each row's map is built once,
     at SAMPLED_ORDER, for the one sampled check on |z| = SAMPLED_RADIUS,
     which the note reports and no verdict reads.  Within the call, rows
     share their maps' parts (_MapCache), certificates (by pt.closed) and
@@ -948,7 +934,7 @@ def sweep_report(
         if conv.passed is None:
             sampled = f"withheld ({conv.note})"
         note = f"{unmet or ''}{pt.note}dilatation {cert.verdict} ({cert.method}); "
-        if cert.count_failed and not cert.certified:
+        if not cert.certified:
             note += f"{cert.note}; "
         convexity = f"certified ({spec.claim.route})"
         if missed is not None:

@@ -543,6 +543,16 @@ class TestCertifyBounded:
         assert rep.shape == "blaschke" and rep.zero_report is None
         assert "zero count of the core failed: Durand-Kerner step is nan" in rep.note
 
+    def test_exact_circle_zero_is_not_certified(self):
+        # the float t2.4 core at this a has coefficients that sum to exactly
+        # 0, a zero at z = 1, which the root oracle reads inside the circle;
+        # counted as it reads, the core would certify a Blaschke product of
+        # degree 4 that the polynomial is not
+        rep = certify_bounded(negated_square_convolution_dilatation(0.999998503764344))
+        assert rep.method == "grid" and rep.verdict == "indeterminate"
+        assert rep.shape == "blaschke" and rep.zero_report is None
+        assert "zero count of the core failed: the coefficients sum to exactly 0 at z = 1" in rep.note
+
     def test_failed_zero_count_never_certifies(self, monkeypatch):
         def fail(p):
             raise NumericFailure("root residual exceeds tolerance")

@@ -402,6 +402,15 @@ class TestCountZeros:
         assert report.on_circle == 1
         assert report.inside == 1
 
+    @pytest.mark.parametrize("z", [1.0, -1.0])
+    def test_exact_circle_zero_the_oracle_misses_raises(self, z, monkeypatch):
+        # (w - z)(w - 0.5) has exact coefficients; its chain ties on the
+        # circle zero, and an oracle that read that zero 1e-7 inside would
+        # count both zeros inside
+        monkeypatch.setattr(cpoly, "roots", lambda p: np.array([z * (1.0 - 1e-7), 0.5]))
+        with pytest.raises(NumericFailure, match=f"sum to exactly 0 at z = {z:g},"):
+            count_zeros_in_disk(from_roots([z, 0.5]))
+
     def test_rejects_zero_polynomial(self):
         with pytest.raises(ValueError):
             count_zeros_in_disk(ComplexPolynomial())

@@ -425,8 +425,8 @@ class TestRootOracleFailure:
         # the float-built t2.4 quartic has a zero exactly at z = 1 here and
         # three more within 4.1e-7 inside the circle (mpmath, 50 digits);
         # the root oracle stops at its rounding floor and reads the cluster
-        # as one zero outside, which no float count can refute or confirm,
-        # so the row must stay indeterminate
+        # as one zero outside and none on the circle, which the exact sum of
+        # the coefficients refutes, so the row must stay indeterminate
         code = main(
             ["verify", "t2.4", "--a", "0.9999996764456546", "--formats", "json",
              "--outdir", str(tmp_path)]
@@ -436,11 +436,33 @@ class TestRootOracleFailure:
         assert row["verdict"] == "indeterminate"
         assert row["note"] == (
             "assembled dilatation matches the reduced quartic form; "
-            "dilatation indeterminate (grid); "
+            "dilatation indeterminate (grid); grid maximum 1 stays at or below 1 but "
+            "proves nothing; zero count of the core failed: the coefficients sum to "
+            "exactly 0 at z = 1, a zero on the circle that the root oracle does not "
+            "place there; "
             "convexity phi=0: conditional on the dilatation (cayley-sum); "
             "sampled |z|=0.95: max 2 crossings"
         )
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "a, says",
+        [
+            # the chain ties and the oracle finds two zeros outside
+            ("0.99999845", "0 zero(s) on the circle, 2 outside; no structural cancellation"),
+            # the float core's coefficients sum to exactly 0 at z = 1, where
+            # the oracle puts no zero, so its count of 4 inside is false
+            ("0.999998503764344", "zero count of the core failed: the coefficients sum "
+             "to exactly 0 at z = 1"),
+        ],
+    )
+    def test_an_uncounted_quartic_says_why(self, a, says, tmp_path):
+        code = main(["verify", "t2.4", "--a", a, "--formats", "json", "--outdir", str(tmp_path)])
+        assert code == 3
+        (row,) = json.loads((tmp_path / "report.json").read_text())["rows"]
+        assert row["verdict"] == "indeterminate"
+        assert f"dilatation indeterminate (grid); grid maximum 1 stays at or below 1 but " \
+            f"proves nothing; {says}" in row["note"]
 
     def test_overflowing_iteration_warns_nothing(self, tmp_path):
         # the zero count of this row's core ends in the root oracle, whose
