@@ -18,7 +18,7 @@ end to end and falls back to grid evaluation when the structure is absent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -548,8 +548,9 @@ class DiskGrid:
     """The DEFAULT_RADII rings at or inside radius, ANGLES_PER_RING angles
     on each.
 
-    One grid serves a whole run: the certificate's scan of |omega~| and
-    the Hengartner-Schober minimum both sample it.
+    The certificate's scan of |omega~| samples DEFAULT_GRID; the sampled
+    convexity check takes its Hengartner-Schober minimum on the rings
+    inside the image curves' circle (geochk.CURVE_GRID).
     """
 
     radius: float = DEFAULT_RADII[-1]
@@ -576,14 +577,9 @@ class DiskGrid:
         all rings (series.ring_values)."""
         return ring_values(F.coeffs, self.radii, ANGLES_PER_RING).ravel()
 
-    @lru_cache(maxsize=64)
-    def capped(self, r_max: float) -> "DiskGrid":
-        """The sub-grid of rings with radius <= r_max, memoised so each run
-        builds it, and its points, once."""
-        return DiskGrid(min(self.radius, r_max))
 
-
-# The one sampling grid: every run's certificate scan and min_hs.
+# The one sampling grid: every run's certificate scan, and min_hs on its
+# rings out to the image curves' radius.
 DEFAULT_GRID = DiskGrid()
 
 

@@ -35,7 +35,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import convo
-from .convo import DEFAULT_GRID, BoundednessReport, DiskGrid, RationalFunction
+from .convo import BoundednessReport, DiskGrid, RationalFunction
 from .cpoly import ComplexPolynomial, NumericFailure, roots
 from .hmap import (
     EDGE_ATOL,
@@ -52,23 +52,17 @@ from .hmap import (
 )
 from .series import ring_values
 
-# Boundary curves are sampled on a circle strictly inside the disk.  The
-# radius default stays at 0.9 because the maps arrive as truncated series:
-# at order 128 the tail at 0.9 is harmless, while at 0.995 it would drown
-# the curve.  Callers holding exact representations can push r_max up.
+# Boundary curves are sampled on a circle strictly inside the disk, since
+# the maps arrive as truncated series: at order 128 the tail at 0.9 is
+# harmless, while at 0.995 it would drown the curve.
 DEFAULT_CURVE_RADIUS = 0.9
 DEFAULT_BOUNDARY_POINTS = 4096
 IMAGE_CURVE_POINTS = 512
-# Truncation order of the image curves: the sweep hands image_curves each
-# row's map truncated at it.
+# The order each row's map is built at, once: the sweep's sampled check and
+# the image curves read that one map on |z| = DEFAULT_CURVE_RADIUS.
 IMAGE_CURVE_ORDER = 128
-# The sweep's one sampled convexity check per row, which corroborates the
-# claim's certificate and decides nothing: the image of |z| < SAMPLED_RADIUS
-# under the map built at SAMPLED_ORDER, an order that keeps the series tail
-# a few orders of magnitude below the curve scale even for maps whose
-# coefficients grow like k^2 (the half-plane convolutions).
-SAMPLED_RADIUS = 0.95
-SAMPLED_ORDER = 384
+# The rings inside that circle, where the sampled check takes min_hs.
+CURVE_GRID = DiskGrid(DEFAULT_CURVE_RADIUS)
 SWEEP_LEVELS = 256
 LEVEL_TIE_ATOL = 1e-9
 
@@ -137,7 +131,7 @@ class ConvexityReport:
     happens only when a sample was not finite.  Otherwise
     passed == (crossing_max <= 2), counted on the one curve Im(e^{-i phi} A)
     of the analytic reduction, which is also the height of the harmonic
-    image.
+    image.  note says why a verdict was withheld, and is empty otherwise.
     """
 
     passed: bool | None = None
@@ -151,51 +145,43 @@ _NON_FINITE = ConvexityReport(
 )
 
 
-def convex_in_direction(
-    f: HarmonicMap, phi: float, r_max: float = DEFAULT_CURVE_RADIUS
-) -> ConvexityReport:
-    """Check convexity of the image of |z| < r_max in the direction phi.
+def convex_in_direction(f: HarmonicMap, phi: float) -> ConvexityReport:
+    """Check convexity of the image of |z| < DEFAULT_CURVE_RADIUS in the
+    direction phi.
 
     One curve decides it.  Turned by e^{-i phi}, so that direction-phi
     lines become horizontal, the harmonic image and the analytic reduction
     A = h - e^{2i phi} g have the same height:
     Im(e^{-i phi} f) = Im(e^{-i phi} h) - Im(e^{i phi} g) = Im(e^{-i phi} A),
     the shear identity of Clunie and Sheil-Small.  So only A is sampled, at
-    DEFAULT_BOUNDARY_POINTS points on |z| = r_max, and swept with SWEEP_LEVELS
-    horizontal levels.  A closed curve bounding a region convex in that
-    direction meets each line at most twice.
+    DEFAULT_BOUNDARY_POINTS points on the circle the image curves draw,
+    |z| = DEFAULT_CURVE_RADIUS, and swept with SWEEP_LEVELS horizontal
+    levels.  A closed curve bounding a region convex in that direction
+    meets each line at most twice.
 
     The identity carries convexity from A to f only where f is locally
     univalent, which this check does not sample: the dilatation's
     certificate (convo.certify_bounded) decides that.  The
-    Hengartner-Schober minimum of A is taken on the rings of DEFAULT_GRID
-    at or inside r_max, which must reach the innermost ring, and is
-    decided before the boundary is sampled; a non-finite value there, or
-    on the boundary, withholds the verdict.  Both are evaluated by FFT
-    (series.ring_values, behind DiskGrid.sample for the rings).
+    Hengartner-Schober minimum of A is taken on the rings of CURVE_GRID,
+    and is decided before the boundary is sampled; a non-finite value
+    there, or on the boundary, withholds the verdict.  Both are evaluated
+    by FFT (series.ring_values, behind DiskGrid.sample for the rings).
     A subdisk image can fail the count where the full-disk image is convex,
     so a count above 2 is no counter-evidence to a claim about the disk.
     """
     A = f.h.subtract(f.g.scale(np.exp(2j * phi)))
-    rings = DEFAULT_GRID.capped(r_max)
-    min_hs = hengartner_schober(A.scale(np.exp(1j * (math.pi / 2.0 - phi))), rings)
+    min_hs = hengartner_schober(A.scale(np.exp(1j * (math.pi / 2.0 - phi))), CURVE_GRID)
     # Decided first: a non-finite coefficient of A makes min_hs NaN, and
     # sampling the boundary of such an A raises invalid-value warnings.
     if not math.isfinite(min_hs):
         return _NON_FINITE
-    boundary = ring_values(A.coeffs, (r_max,), DEFAULT_BOUNDARY_POINTS)[0]
+    boundary = ring_values(A.coeffs, (DEFAULT_CURVE_RADIUS,), DEFAULT_BOUNDARY_POINTS)[0]
     ys = (boundary * np.exp(-1j * phi)).imag
     if not np.isfinite(ys).all():
         return _NON_FINITE
     _, counts = line_crossing_counts(ys)
     crossing_max = int(counts.max())
-    return ConvexityReport(
-        passed=crossing_max <= 2,
-        crossing_max=crossing_max,
-        min_hs_value=min_hs,
-        note=f"sampled at {DEFAULT_BOUNDARY_POINTS} boundary points on |z| = "
-        f"{r_max:g}; evidence, not proof",
-    )
+    return ConvexityReport(passed=crossing_max <= 2, crossing_max=crossing_max, min_hs_value=min_hs)
 
 
 # ---------------------------------------------------------------------------
@@ -423,9 +409,9 @@ class Case:
     """One construction, swept across its parameter axes.
 
     build(params, N, maps) is the only definition of the case's harmonic
-    map, truncated at order N; the sweep builds it at SAMPLED_ORDER, and
-    the image curves truncate that map.  point(params) says what
-    the row certifies, and claim what it asserts.
+    map, truncated at order N; the sweep builds it once, at
+    IMAGE_CURVE_ORDER, for its sampled check and the image curves.
+    point(params) says what the row certifies, and claim what it asserts.
     """
 
     blurb: str
@@ -863,10 +849,10 @@ ROOTS_MAX_DEGREE = 24
 
 
 def _root_pairs(poly: ComplexPolynomial | None) -> tuple[tuple | None, str]:
-    """Sorted (re, im) zeros of poly, or None and why the row reports none
-    ("" when the point reports no polynomial)."""
+    """Sorted (re, im) zeros of poly and "", or None and why the row
+    reports none."""
     if poly is None or poly.degree < 1:
-        return None, ""
+        return None, "; roots: none (the point reports no polynomial)"
     if poly.degree > ROOTS_MAX_DEGREE:
         return None, f"; roots withheld: degree {poly.degree} > {ROOTS_MAX_DEGREE}"
     try:
@@ -908,13 +894,13 @@ def sweep_report(
     univalent, so a row whose dilatation is not certified reads it as
     conditional on the dilatation, after the certificate's reason.  Local
     univalence is that certificate's alone to judge: the sampled check
-    reads A, never h' or g'.  Each row's map is built once,
-    at SAMPLED_ORDER, for the one sampled check on |z| = SAMPLED_RADIUS,
-    which the note reports and no verdict reads.  Within the call, rows
-    share their maps' parts (_MapCache), certificates (by pt.closed) and
-    root sets (by polynomial; each row gets lists of its own).  Given a dict
-    curve_maps, the sweep stores in it a copy of each row's map truncated
-    at IMAGE_CURVE_ORDER, keyed by _row_key, for image_curves.
+    reads A, never h' or g'.  Each row's map is built once, at
+    IMAGE_CURVE_ORDER, for the one sampled check on the image curves'
+    circle |z| = DEFAULT_CURVE_RADIUS, which the note reports and no
+    verdict reads.  Within the call, rows share their maps' parts
+    (_MapCache), certificates (by pt.closed) and root sets (by polynomial;
+    each row gets lists of its own).  Given a dict curve_maps, the sweep
+    stores in it that same map, keyed by _row_key, for image_curves.
     """
     key, spec = lookup_case(case)
     maps = _MapCache()
@@ -928,8 +914,8 @@ def sweep_report(
         phi, phi_label = spec.claim.phi(p)
         missed = spec.claim.missed_premise(p)
         cert = certify(pt.closed)
-        f = spec.build(p, SAMPLED_ORDER, maps)
-        conv = convex_in_direction(f, phi, r_max=SAMPLED_RADIUS)
+        f = spec.build(p, IMAGE_CURVE_ORDER, maps)
+        conv = convex_in_direction(f, phi)
         sampled = f"max {conv.crossing_max} crossings"
         if conv.passed is None:
             sampled = f"withheld ({conv.note})"
@@ -941,7 +927,8 @@ def sweep_report(
             convexity = f"no certificate ({missed})"
         elif not cert.certified:
             convexity = f"conditional on the dilatation ({spec.claim.route})"
-        note += f"convexity {phi_label}: {convexity}; sampled |z|={SAMPLED_RADIUS:g}: {sampled}"
+        note += f"convexity {phi_label}: {convexity}; "
+        note += f"sampled |z|={DEFAULT_CURVE_RADIUS:g}: {sampled}"
         if pt.roots_in_w:
             note += "; roots reported in the substituted variable w"
         zeros, withheld = root_pairs(pt.roots_of)
@@ -959,7 +946,7 @@ def sweep_report(
         }
         rows.append(row)
         if curve_maps is not None:
-            curve_maps[_row_key(row)] = f.truncated(IMAGE_CURVE_ORDER)
+            curve_maps[_row_key(row)] = f
     rows.sort(key=_row_key)
     return rows
 
@@ -981,8 +968,8 @@ def image_curves(rows: Sequence[Mapping], curve_maps: dict) -> list[tuple[str, n
     IMAGE_CURVE_POINTS equally spaced angles on r = DEFAULT_CURVE_RADIUS,
     each map evaluated by Horner.
 
-    A row's map is the one sweep_report stored for it in curve_maps,
-    truncated at IMAGE_CURVE_ORDER.  It is popped, so the dict empties as
+    A row's map is the one sweep_report built for it at IMAGE_CURVE_ORDER
+    and stored in curve_maps.  It is popped, so the dict empties as
     the curves are drawn; a row it does not hold is a KeyError.
 
     Returns (param-id, curve) pairs in row order, for CSV and SVG export.

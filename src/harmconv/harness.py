@@ -79,7 +79,7 @@ class _Once(argparse.Action):
 class RunConfig:
     """One run: a case, its parameter values, where the artifacts go and
     which of them to write.  The sampling grid (DEFAULT_GRID) and the
-    image curves' truncation order (IMAGE_CURVE_ORDER) are the same for
+    order each row's map is built at (IMAGE_CURVE_ORDER) are the same for
     every run; case is kept stripped and lower-cased."""
 
     case: str

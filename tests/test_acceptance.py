@@ -224,7 +224,7 @@ def test_6_family_target_positivity(announce):
                 # its truncation tail is far below the minimum itself
                 omega = monomial_rf(2 ** (n - 1), -1.0)
                 f = family_f_alpha_n(alpha, n, omega.series(128))
-                low_series = hengartner_schober(f.h.add(f.g), GRID.capped(0.9))
+                low_series = hengartner_schober(f.h.add(f.g), DiskGrid(0.9))
                 assert low_series > 0.0, (
                     f"series min {low_series:.3e} at alpha={alpha:.4f}, n={n}"
                 )
@@ -252,7 +252,7 @@ def test_7_sextic_roots_chain_and_convexity(announce):
                     family_f_alpha_n(alpha2, 2, w2s),
                     t,
                 )
-                rep = convex_in_direction(f, np.pi / 2.0, r_max=0.9)
+                rep = convex_in_direction(f, np.pi / 2.0)
                 assert rep.passed is True, rep.note
 
 

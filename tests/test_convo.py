@@ -521,7 +521,7 @@ class TestCertifyBounded:
         rep = certify_bounded(r)
         assert rep.grid_max == pytest.approx(float(np.max(np.abs(r(grid.points)))), abs=1e-15)
         # the scan reaches the outer ring, r = 0.99
-        inner = grid.capped(0.5).points
+        inner = convo.DiskGrid(0.5).points
         assert rep.grid_max > float(np.max(np.abs(r(inner)))) + 0.1
 
     def test_excursion_witnessed(self):

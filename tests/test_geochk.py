@@ -22,7 +22,6 @@ from harmconv.geochk import (
     IMAGE_CURVE_ORDER,
     IMAGE_CURVE_POINTS,
     LEVEL_TIE_ATOL,
-    SAMPLED_ORDER,
     DiskGrid,
     _MapCache,
     convex_in_direction,
@@ -64,13 +63,9 @@ class TestDiskGrid:
         with pytest.raises(ValueError, match="holds no ring"):
             DiskGrid(0.05)
 
-    def test_capped_keeps_inner_rings(self):
-        assert convo.DEFAULT_GRID.capped(0.6).radii == (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
-        assert GRID.capped(0.95) == GRID
-
-    def test_capped_grid_is_built_once(self):
-        g = DiskGrid()
-        assert g.capped(0.95) is g.capped(0.95)
+    def test_curve_grid_is_the_rings_inside_the_curve(self):
+        assert geochk.CURVE_GRID == DiskGrid(DEFAULT_CURVE_RADIUS) == GRID
+        assert GRID.radii == (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
     def test_sample_on_the_default_grid(self):
         g = DiskGrid()
@@ -115,11 +110,11 @@ def hs_rounding_bound(F, grid):
     return 64 * len(a) * np.finfo(float).eps * 2.0 * s_r.max()
 
 
-# the sampled check's rings (|z| <= 0.95), the full default grid and the small one
+# the sampled check's rings (|z| <= 0.9), the full default grid and a small one
 HS_GRIDS = {
-    "gate": convo.DEFAULT_GRID.capped(0.95),
+    "curve": geochk.CURVE_GRID,
     "default": convo.DEFAULT_GRID,
-    "small": GRID,
+    "small": DiskGrid(0.5),
 }
 
 
@@ -294,7 +289,7 @@ class TestConvexInDirection:
             f_a_alpha(0.95, 0.0, 384),
             slanted_halfplane(0.0, monomial(2, 384)),
         )
-        rep = convex_in_direction(f, 0.0, r_max=0.9)
+        rep = convex_in_direction(f, 0.0)
         assert rep.passed is False
         assert rep.crossing_max >= 4
 
@@ -468,16 +463,15 @@ class TestSweepReport:
             return f_a_alpha(a, alpha, N)
 
         monkeypatch.setattr(geochk, "f_a_alpha", counted)
-        # three strip rows, each built once at SAMPLED_ORDER, share f_{0,0}
+        # three strip rows, each built once at IMAGE_CURVE_ORDER, share f_{0,0}
         rows = sweep_report("t2.5", {"a": [-0.5, 0.0, 0.5]})
         assert [r["verdict"] for r in rows] == ["pass"] * 3
-        assert built == [(0.0, 0.0, SAMPLED_ORDER)]
+        assert built == [(0.0, 0.0, IMAGE_CURVE_ORDER)]
         # the cache lives for one sweep: a second sweep builds it again
         sweep_report("t2.5", {"a": [0.5]})
         assert len(built) == 2
-        # a run's image curves take the sweep's map truncated and build
-        # nothing, and the hand-over lives for one run: a second run builds
-        # its maps again
+        # a run's image curves take the sweep's map and build nothing, and
+        # the hand-over lives for one run: a second run builds its maps again
         config = harness.RunConfig(case="t2.5", params={"a": [0.5]}, outdir=str(tmp_path))
         for runs in (1, 2):
             assert harness.run(config) == 0
@@ -537,6 +531,15 @@ class TestSweepReport:
         assert len(rooted) == len(set(rooted)) == len(polys - {None}) < len(rows)
         lists = [r["metrics"]["roots"] for r in rows if r["metrics"]["roots"]]
         assert len({id(z) for zs in lists for z in [zs, *zs]}) == sum(1 + len(zs) for zs in lists)
+
+    @pytest.mark.parametrize(
+        "case, params",
+        [("t2.5", {"a": [0.5]}), ("t3.8", {"n": [1], "alpha": [0.0], "t": [0.5]})],
+    )
+    def test_a_row_without_roots_says_why(self, case, params):
+        for row in sweep_report(case, params):
+            assert row["metrics"]["roots"] is None
+            assert row["note"].endswith("; roots: none (the point reports no polynomial)")
 
     def test_t311_reports_the_zeros_of_its_displayed_sextic(self):
         # t3.11 reports the zeros of its dilatation's w-polynomial, as t3.9
@@ -610,7 +613,7 @@ class TestSweepReport:
         # t3.8's five members per (n, alpha) share one target
         assert len(sweep_report("t3.8", {"n": [1, 2]})) == 120
         assert sorted(targets) == sorted(
-            (alpha, n, SAMPLED_ORDER) for n in (1, 2)
+            (alpha, n, IMAGE_CURVE_ORDER) for n in (1, 2)
             for alpha in (-FAMILY_ALPHA_MAX, 0.0, FAMILY_ALPHA_MAX)
         )
 
@@ -990,19 +993,19 @@ class TestConvexityRoutes:
         (row,) = sweep_report("t2.3", {"a": [0.5]})
         assert row["verdict"] == "pass"
         assert row["note"].endswith(
-            "convexity phi=0: certified (cayley-sum); sampled |z|=0.95: withheld (stub)"
+            "convexity phi=0: certified (cayley-sum); sampled |z|=0.9: withheld (stub)"
         )
         assert row["metrics"]["min_hs"] is None
 
     @pytest.mark.parametrize("case, a", [("t2.3", 0.05), ("t2.3", 0.1), ("t2.4", 0.05)])
     def test_a_truncated_series_withholds_no_certified_row(self, case, a):
-        # the order-384 series reads |g'/h'| > 1 near |z| = 0.95 on these
+        # an order-384 series read |g'/h'| > 1 near |z| = 0.95 on these
         # rows, where the closed form gives 0.80305 (t2.3, a = 0.05); local
         # univalence is the certificate's to judge, and it holds
         (row,) = sweep_report(case, {"a": [a]})
         assert row["verdict"] == "pass"
         assert "dilatation certified (cohn-chain)" in row["note"]
-        assert row["note"].endswith("sampled |z|=0.95: max 2 crossings")
+        assert row["note"].endswith("sampled |z|=0.9: max 2 crossings")
         assert np.isfinite(row["metrics"]["min_hs"])
 
     def test_the_sampled_check_reads_no_dilatation(self):
@@ -1038,17 +1041,52 @@ class TestConvexityRoutes:
                    for r in rows[4:])
 
 
-@pytest.mark.parametrize("case", CASE_IDS)
-def test_a_truncated_map_is_the_map_built_at_that_order(case):
-    # the image curves truncate the sweep's map instead of building their
-    # own; that must keep every bit
-    spec = CASES[case]
-    maps = _MapCache()
-    for p in spec.points({}):
-        cut = spec.build(p, SAMPLED_ORDER, maps).truncated(IMAGE_CURVE_ORDER)
-        g = spec.build(p, IMAGE_CURVE_ORDER, maps)
-        assert cut.h.coeffs.tobytes() == g.h.coeffs.tobytes(), p
-        assert cut.g.coeffs.tobytes() == g.g.coeffs.tobytes(), p
+class TestOneMapPerRow:
+    @pytest.mark.parametrize("case", CASE_IDS)
+    def test_each_row_builds_its_map_once_at_the_curve_order(self, case, monkeypatch):
+        # the sampled check reads the very map the image curves draw
+        built, checked = [], []
+        spec = CASES[case]
+
+        def build(p, order, maps):
+            f = spec.build(p, order, maps)
+            built.append((order, f))
+            return f
+
+        check = geochk.convex_in_direction
+        monkeypatch.setitem(CASES, case, replace(spec, build=build))
+        monkeypatch.setattr(
+            geochk, "convex_in_direction", lambda f, phi: checked.append(f) or check(f, phi)
+        )
+        curve_maps = {}
+        rows = sweep_report(case, curve_maps=curve_maps)
+        assert [order for order, _ in built] == [IMAGE_CURVE_ORDER] * len(rows)
+        assert [id(f) for _, f in built] == [id(f) for f in checked]
+        stored = {id(f) for f in curve_maps.values()}
+        assert stored == {id(f) for f in checked} and len(stored) == len(rows)
+
+    # The default rows whose crossing count reads 4 on |z| = 0.9 or on
+    # |z| = 0.95: the order-128 map counts what a build at 1024 counts.
+    @pytest.mark.parametrize(
+        "case, params",
+        [
+            ("t2.2", {"n": 1, "a": 0.95}),
+            ("t2.2", {"n": 2, "a": 0.95}),
+            ("t2.2", {"n": 3, "a": 0.95}),
+            ("t2.4", {"a": 0.85}),
+            ("t2.4", {"a": 0.9}),
+            ("t2.4", {"a": 0.95}),
+        ],
+    )
+    def test_the_curve_order_counts_what_order_1024_counts(self, case, params):
+        spec = CASES[case]
+        (p,) = spec.points({k: [v] for k, v in params.items()})
+        phi, _ = spec.claim.phi(p)
+        maps = _MapCache()
+        got = convex_in_direction(spec.build(p, IMAGE_CURVE_ORDER, maps), phi)
+        want = convex_in_direction(spec.build(p, 1024, maps), phi)
+        assert got.crossing_max == want.crossing_max
+        assert got.min_hs_value == pytest.approx(want.min_hs_value, rel=1e-3)
 
 
 class TestImageCurves:

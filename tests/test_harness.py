@@ -98,9 +98,8 @@ class TestRunConfig:
 
     def test_order_sets_only_the_image_curves(self, tmp_path, monkeypatch):
         # the sampled check withholds and decides nothing, so the row still
-        # passes; the image curves truncate the sweep's map, so only
-        # SAMPLED_ORDER builds, and the report records IMAGE_CURVE_ORDER
-        # with the default grid
+        # passes; the image curves draw the sweep's map, so the one build is
+        # at IMAGE_CURVE_ORDER, which the report records with the default grid
         built = []
         f_a_alpha = geochk.f_a_alpha
 
@@ -114,7 +113,7 @@ class TestRunConfig:
         )
         cfg = RunConfig(case="t2.5", params={"a": [0.5]}, outdir=str(tmp_path))
         assert harness.run(cfg) == 0
-        assert built == [384]
+        assert built == [128]
         config = json.loads((tmp_path / "report.json").read_text())["config"]
         assert config == {
             "order": 128,
@@ -441,7 +440,7 @@ class TestRootOracleFailure:
             "exactly 0 at z = 1, a zero on the circle that the root oracle does not "
             "place there; "
             "convexity phi=0: conditional on the dilatation (cayley-sum); "
-            "sampled |z|=0.95: max 2 crossings"
+            "sampled |z|=0.9: max 2 crossings"
         )
         assert capsys.readouterr().err == ""
 
@@ -481,7 +480,7 @@ class TestRootOracleFailure:
             "but proves nothing; zero count of the core failed: Durand-Kerner step is nan: "
             "the iteration overflowed; convexity phi=-gamma=0: conditional on the dilatation "
             "(cayley-sum); "
-            "sampled |z|=0.95: max 2 crossings; roots withheld: degree 65 > 24"
+            "sampled |z|=0.9: max 2 crossings; roots withheld: degree 65 > 24"
         )
 
 

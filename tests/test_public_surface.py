@@ -51,13 +51,19 @@ REMOVED_NAMES = (
     # local univalence is the dilatation certificate's to judge; the
     # sampled check has no univalence gate
     "HP_VANISH_ATOL",
+    # each row's map is built once, at geochk.IMAGE_CURVE_ORDER, and the
+    # sampled check reads it on the image curves' circle
+    "SAMPLED_ORDER",
+    "SAMPLED_RADIUS",
 )
 
 REMOVED_ATTRIBUTES = (
     (cpoly.ComplexPolynomial, ("to_jsonable", "from_jsonable")),
     (series.PowerSeries, ("to_jsonable", "from_jsonable")),
     (convo.RationalFunction, ("to_jsonable", "from_jsonable")),
-    (hmap.HarmonicMap, ("to_jsonable", "from_jsonable", "normalization", "order")),
+    (hmap.HarmonicMap, ("to_jsonable", "from_jsonable", "normalization", "order", "truncated")),
+    # the sampled check's rings are one grid, geochk.CURVE_GRID
+    (convo.DiskGrid, ("capped",)),
 )
 
 # methods that only tests called
@@ -121,6 +127,8 @@ REMOVED_PARAMETERS = (
     # the gate samples the rings inside r_max; only the ladder's last rung
     # kept it inside
     (geochk.convex_in_direction, "gate_radius"),
+    # the sampled check reads the image curves' circle, DEFAULT_CURVE_RADIUS
+    (geochk.convex_in_direction, "r_max"),
 )
 
 
