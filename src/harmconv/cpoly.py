@@ -5,7 +5,7 @@ Coefficients are kept in ascending order, so ``coeffs[k]`` multiplies
 step strips exactly one zero from one side of the unit circle and keeps
 zeros on it, and a reversed step goes on with the reciprocal adjoint, so
 the chain counts both sides.  Only a tie (or a degree collapse from
-trimming) falls back to an explicit simultaneous root iteration.
+trimming) falls back to the zeros themselves, from the companion matrix.
 """
 
 from __future__ import annotations
@@ -23,13 +23,8 @@ DEGENERACY_RTOL = 1e-12
 # Root moduli within CIRCLE_ATOL of 1 count as "on the circle".
 CIRCLE_ATOL = 1e-9
 
-DK_MAX_ITER = 500
-DK_STEP_TOL = 1e-13
-DK_RESIDUAL_RTOL = 1e-10
-# Horner's rounding floor per unit of degree (c = 4 times the unit roundoff,
-# derived in roots): a residual |p(z)| of a degree-n polynomial at or below
-# n * DK_FLOOR_RTOL * sum|c_k||z|^k is rounding noise.
-DK_FLOOR_RTOL = 4.0 * (np.finfo(float).eps / 2)
+# A zero z is accepted when |p(z)| <= ROOT_RESIDUAL_RTOL * sum|c_k||z|^k.
+ROOT_RESIDUAL_RTOL = 1e-10
 
 
 class ReductionNotApplicable(Exception):
@@ -46,7 +41,7 @@ class ReductionNotApplicable(Exception):
 
 
 class NumericFailure(Exception):
-    """The root iteration could not vouch for its output."""
+    """The root oracle could not vouch for its output."""
 
 
 def horner(coeffs, z):
@@ -220,88 +215,37 @@ class ZeroCountReport:
 
 
 def roots(p: ComplexPolynomial) -> np.ndarray:
-    """All zeros, by simultaneous Durand-Kerner iteration.
+    """All zeros: numpy's companion-matrix eigenvalues (LAPACK's, backward
+    stable: Edelman and Murakami, Math. Comp. 64, 1995), with trailing zero
+    coefficients as exact zeros at the origin, each moved by one Newton step
+    where that lowers |p|.
 
-    Exact zero coefficients at the low end are factored out first (those
-    are zeros at the origin).  The iteration runs Jacobi updates from
-    guesses spread on a circle of radius 1 + max|c_k/c_n|, offset by 0.4
-    radians so no guess starts on the real axis, and has three exits:
-
-    - converged: the largest step is below DK_STEP_TOL;
-    - stalled at the rounding floor: the step did not shrink, and every
-      residual is within Horner's rounding error (below), so no iterate can
-      be told from a zero at this precision.  Near a multiple or clustered
-      zero the step stops shrinking there, and the iterates would only
-      wander until the cap; they are as good as the zero's conditioning
-      allows (about u**(1/m) for an m-fold zero, u the unit roundoff);
-    - the cap of DK_MAX_ITER updates.
-
-    The floor is Horner's error bound (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2nd ed., section 5.1), taken to complex
-    arithmetic: each step acc * z + c_k rounds one complex product, with
-    relative error at most sqrt(2) * gamma_2 (Lemma 3.5), and one complex
-    sum, with at most u.  Over the n steps of a degree-n polynomial the
-    computed value is off by at most ((1 + sqrt(2) gamma_2)(1 + u))**n - 1
-    = (1 + 2 sqrt(2)) n u + O((n u)**2) times sum|c_k||z|^k, and c = 4
-    covers 1 + 2 sqrt(2) = 3.83 with its second-order terms while n u < 0.02.
-    That is DK_FLOOR_RTOL = 4 u.  The floor is evaluated only after a step
-    that did not shrink, so an iteration that converges does the same
-    arithmetic whether or not the floor exists.
-
-    Whatever the exit, acceptance is a backward error test: |p(z)| must not
-    exceed DK_RESIDUAL_RTOL * sum|c_k||z|^k; a violating (or NaN) residual
-    raises NumericFailure, and so does a non-finite step as soon as one
-    appears.
+    A zero is accepted when |p(z)| <= ROOT_RESIDUAL_RTOL * sum|c_k||z|^k; a
+    larger (or NaN) residual, a non-finite zero or a failed eigenvalue
+    solver raises NumericFailure.  A constant has no zeros.
     """
-    if p.degree < 1:
-        return np.zeros(0, dtype=complex)
-    cs = np.asarray(p.coeffs, dtype=complex)
-    at_origin = 0
-    while cs[0] == 0:
-        at_origin += 1
-        cs = cs[1:]
-    origin = np.zeros(at_origin, dtype=complex)
-    if len(cs) == 1:
-        return origin
-    monic = cs / cs[-1]
-    n = len(monic) - 1
-    radius = 1.0 + float(np.max(np.abs(monic[:-1])))
-    guess = radius * np.exp(1j * (2.0 * np.pi * np.arange(n) / n + 0.4))
-    desc = monic[::-1]
-    abs_desc = np.abs(desc)
-    floor = n * DK_FLOOR_RTOL
-    last = math.inf
-    # An overflowing iteration is caught by the checks below (a non-finite
-    # step, a NaN residual), not by numpy's floating-point warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(DK_MAX_ITER):
-            diff = guess[:, None] - guess[None, :]
-            np.fill_diagonal(diff, 1.0)
-            denom = diff.prod(axis=1)
-            collided = denom == 0
-            if collided.any():
-                guess = guess + np.where(collided, 1e-8 * radius, 0.0)
-                continue
-            step = np.polyval(desc, guess) / denom
-            guess = guess - step
-            size = np.max(np.abs(step))
-            if size < DK_STEP_TOL:
-                break
-            if not math.isfinite(size):
-                raise NumericFailure(f"Durand-Kerner step is {size}: the iteration overflowed")
-            if size >= last and np.all(
-                np.abs(np.polyval(desc, guess)) <= floor * np.polyval(abs_desc, np.abs(guess))
-            ):
-                break
-            last = size
-        resid = np.abs(np.polyval(desc, guess))
-        bound = np.polyval(abs_desc, np.abs(guess))
-        if not np.all(resid <= DK_RESIDUAL_RTOL * bound):
+    cs = p.coeffs
+    # An overflow or a NaN is caught by the checks below, not by numpy's
+    # floating-point warnings.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        try:
+            zs = np.roots(cs[::-1])
+        except np.linalg.LinAlgError as exc:
+            raise NumericFailure(f"companion-matrix eigenvalues failed: {exc}") from None
+        if not np.all(np.isfinite(zs)):
+            raise NumericFailure("a companion-matrix eigenvalue is not finite")
+        pz = horner(cs, zs)
+        step = zs - pz / horner(p.derivative().coeffs, zs)
+        p_step = horner(cs, step)
+        better = np.abs(p_step) < np.abs(pz)
+        zs, resid = np.where(better, step, zs), np.abs(np.where(better, p_step, pz))
+        bound = horner(np.abs(cs), np.abs(zs)).real
+        if not np.all(resid <= ROOT_RESIDUAL_RTOL * bound):
             worst = float(np.max(resid / bound))
             raise NumericFailure(
-                f"root residual {worst:.3e} exceeds tolerance {DK_RESIDUAL_RTOL:.1e}"
+                f"root residual {worst:.3e} exceeds tolerance {ROOT_RESIDUAL_RTOL:.1e}"
             )
-    return np.concatenate([origin, guess])
+    return zs
 
 
 def _classify(moduli: np.ndarray) -> tuple[int, int]:

@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 import numbers
 import re
-import sys
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import islice
@@ -210,7 +209,8 @@ def frange(lo: float, hi: float, step: float) -> list[float]:
 
 
 def _listed(val) -> list:
-    if isinstance(val, (list, tuple, np.ndarray)):
+    """val's items, or [val] for one value (a 0-d array among them)."""
+    if isinstance(val, (list, tuple)) or isinstance(val, np.ndarray) and val.ndim:
         return list(val)
     return [val]
 
@@ -218,8 +218,12 @@ def _listed(val) -> list:
 def _real(name: str, v) -> float:
     """v as a float; only a finite number (never a string or a bool, nor an
     integer past the float range) is one."""
-    if isinstance(v, numbers.Real) and not isinstance(v, bool) and abs(v) <= sys.float_info.max:
-        return float(v)
+    if isinstance(v, numbers.Real) and not isinstance(v, bool):
+        try:
+            if math.isfinite(x := float(v)):
+                return x
+        except OverflowError:  # an integer past the float range
+            pass
     raise ValueError(f"{name} must be a finite number, got {v!r}")
 
 
@@ -427,8 +431,8 @@ class Case:
 
     def points(self, params: Mapping) -> list[dict]:
         """Every parameter point of the sweep, the axes crossed in order;
-        ValueError as soon as there are more than MAX_SWEEP_POINTS, or on a
-        point that comes twice."""
+        ValueError past MAX_SWEEP_POINTS, or on a point that comes twice:
+        two points are the same when their row_param_id (curve label) is."""
         unknown = sorted(set(params) - set(self.parameters))
         if unknown:
             raise ValueError(
@@ -443,10 +447,10 @@ class Case:
                 raise ValueError(f"the sweep crosses to more than {MAX_SWEEP_POINTS} points")
         seen = set()
         for p in points:
-            if tuple(p.items()) in seen:
-                label = row_param_id({"params": p})
+            label = row_param_id({"params": p})
+            if label in seen:
                 raise ValueError(f"the sweep holds the point {label} more than once")
-            seen.add(tuple(p.items()))
+            seen.add(label)
         return points
 
 

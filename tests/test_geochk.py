@@ -825,7 +825,10 @@ class TestClaims:
             assert a[0].hex() == ((n - 2.0) / (n + 2.0)).hex()
 
     def test_t22_rows_at_the_threshold_edge(self):
-        rows = sweep_report("t2.2", {"n": [3], "a": [0.2 - 2e-12, 0.2, 0.2 + 2e-12]})
+        # one sweep per point: the three share the curve label a=0.2
+        rows = [
+            sweep_report("t2.2", {"n": [3], "a": [a]})[0] for a in (0.2 - 2e-12, 0.2, 0.2 + 2e-12)
+        ]
         assert [r["verdict"] for r in rows] == ["exploratory", "pass", "pass"]
         below = "below the monomial threshold, no claim made; dilatation "
         assert rows[0]["note"].startswith(below)

@@ -4,13 +4,14 @@ and byte-identical reruns."""
 import csv
 import io
 import json
+import re
 import warnings
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from harmconv import convo, geochk, harness
+from harmconv import convo, cpoly, geochk, harness
 from harmconv.harness import (
     ConfigError,
     RunConfig,
@@ -121,6 +122,31 @@ class TestRunConfig:
             "angles_per_ring": convo.ANGLES_PER_RING,
             "params": {"a": [0.5]},
         }
+
+    def test_array_params_write_the_list_runs_report(self, tmp_path):
+        reports = []
+        for name, values in (("list", [0.5, 0.6]), ("array", np.array([0.5, 0.6]))):
+            cfg = RunConfig("t2.3", {"a": values}, str(tmp_path / name), ("json",))
+            assert harness.run(cfg) == 0
+            reports.append((tmp_path / name / "report.json").read_bytes())
+        assert reports[1] == reports[0]
+
+    def test_numpy_scalar_param_runs_as_its_float(self, tmp_path):
+        # the suite turns numpy's RuntimeWarnings into errors, so a float32
+        # compared against the float range would fail here
+        assert harness.run(RunConfig("t2.3", {"a": np.float32(0.5)}, str(tmp_path), ("json",))) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["config"]["params"] == {"a": 0.5}
+        assert [row["params"] for row in report["rows"]] == [{"a": 0.5}]
+
+    @pytest.mark.parametrize(
+        "value", [10**400, -(10**400), float("inf"), np.float64("nan"), np.array(0.5)],
+        ids=["huge-int", "huge-negative-int", "inf", "nan", "0-d-array"],
+    )
+    def test_no_finite_float_is_a_config_error(self, value, tmp_path):
+        with pytest.raises(ConfigError, match="a must be a finite number"):
+            harness.run(RunConfig("t2.3", {"a": value}, str(tmp_path), ("json",)))
+        assert not (tmp_path / "report.json").exists()
 
 
 class TestMainExitCodes:
@@ -264,6 +290,11 @@ class TestMainExitCodes:
              "the sweep holds the point a=0.5 more than once"),
             (["verify", "t2.3", "--a", "0.5:0.50000000004:1e-11"],
              "the sweep holds the point a=0.5 more than once"),
+            # distinct values, one curve label: the label names the point
+            (["verify", "t2.3", "--a", "0.5,0.50000000001"],
+             "the sweep holds the point a=0.5 more than once"),
+            (["verify", "t3.9", "--alpha1=-0.5,-0.50000000001", "--alpha2", "0.5,0.5", "--t", "0"],
+             "the sweep holds the point alpha1=-0.5,alpha2=0.5,n=1,t=0 more than once"),
             (["verify", "t3.9", "--alpha1=-2", "--alpha2", "0.5"],
              "need -2 < alpha1 < 2, got alpha1=-2.0"),
             (["verify", "t3.8", "--alpha", "2.5"], "need -2 < alpha < 2, got alpha=2.5"),
@@ -278,6 +309,7 @@ class TestMainExitCodes:
         ],
         ids=["b-above-1", "b-at-minus-1", "lone-alpha2", "lone-alpha1", "repeated-a",
              "repeated-formats", "repeated-outdir", "repeated-point", "range-repeats-a-point",
+             "points-share-a-label", "family-points-share-a-label",
              "alpha1-at-minus-2", "alpha-above-2", "alpha1-nan", "alpha2-at-2",
              "gamma-overflows", "theta-overflows"],
     )
@@ -423,9 +455,9 @@ class TestRootOracleFailure:
     def test_clustered_zeros_are_indeterminate(self, tmp_path, capsys):
         # the float-built t2.4 quartic has a zero exactly at z = 1 here and
         # three more within 4.1e-7 inside the circle (mpmath, 50 digits);
-        # the root oracle stops at its rounding floor and reads the cluster
-        # as one zero outside and none on the circle, which the exact sum of
-        # the coefficients refutes, so the row must stay indeterminate
+        # the root oracle reads the cluster as one zero outside and none on
+        # the circle, which the exact sum of the coefficients refutes, so the
+        # row must stay indeterminate
         code = main(
             ["verify", "t2.4", "--a", "0.9999996764456546", "--formats", "json",
              "--outdir", str(tmp_path)]
@@ -447,8 +479,8 @@ class TestRootOracleFailure:
     @pytest.mark.parametrize(
         "a, says",
         [
-            # the chain ties and the oracle finds two zeros outside
-            ("0.99999845", "0 zero(s) on the circle, 2 outside; no structural cancellation"),
+            # the chain ties and the oracle finds a zero outside
+            ("0.99999845", "0 zero(s) on the circle, 1 outside; no structural cancellation"),
             # the float core's coefficients sum to exactly 0 at z = 1, where
             # the oracle puts no zero, so its count of 4 inside is false
             ("0.999998503764344", "zero count of the core failed: the coefficients sum "
@@ -463,11 +495,13 @@ class TestRootOracleFailure:
         assert f"dilatation indeterminate (grid); grid maximum 1 stays at or below 1 but " \
             f"proves nothing; {says}" in row["note"]
 
-    def test_overflowing_iteration_warns_nothing(self, tmp_path):
-        # the zero count of this row's core ends in the root oracle, whose
-        # iteration overflows and raises NumericFailure; numpy's warnings
-        # stay inside it, so the row is indeterminate (grid), and its note
-        # says why, as it says why roots is null
+    def test_failed_zero_count_warns_nothing(self, tmp_path, monkeypatch):
+        # the zero count of this row's core ends in the root oracle, and no
+        # zero it finds meets a tolerance of 1e-30, so it raises
+        # NumericFailure; numpy's warnings stay inside it, the row is
+        # indeterminate (grid), and its note says why, as it says why roots
+        # is null
+        monkeypatch.setattr(cpoly, "ROOT_RESIDUAL_RTOL", 1e-30)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             code = main(["verify", "t2.2", "--n", "64", "--a", "0.95", "--formats", "json",
@@ -475,13 +509,21 @@ class TestRootOracleFailure:
         assert code == 3
         (row,) = json.loads((tmp_path / "report.json").read_text())["rows"]
         assert row["metrics"]["roots"] is None
-        assert row["note"] == (
-            "dilatation indeterminate (grid); grid maximum 0.491522 stays at or below 1 "
-            "but proves nothing; zero count of the core failed: Durand-Kerner step is nan: "
-            "the iteration overflowed; convexity phi=-gamma=0: conditional on the dilatation "
-            "(cayley-sum); "
-            "sampled |z|=0.9: max 2 crossings; roots withheld: degree 65 > 24"
+        assert re.fullmatch(
+            r"dilatation indeterminate \(grid\); grid maximum 0\.491522 stays at or below 1 "
+            r"but proves nothing; zero count of the core failed: root residual \S+ exceeds "
+            r"tolerance 1\.0e-30; convexity phi=-gamma=0: conditional on the dilatation "
+            r"\(cayley-sum\); sampled \|z\|=0\.9: max 2 crossings; roots withheld: degree 65 > 24",
+            row["note"],
         )
+
+    def test_tied_degree_65_core_passes_on_its_zeros(self, tmp_path):
+        code = main(["verify", "t2.2", "--n", "64", "--a", "0.95", "--formats", "json",
+                     "--outdir", str(tmp_path)])
+        assert code == 0
+        (row,) = json.loads((tmp_path / "report.json").read_text())["rows"]
+        assert row["verdict"] == "pass"
+        assert row["note"].startswith("dilatation certified (roots); ")
 
 
 class TestPoleOnTheGrid:

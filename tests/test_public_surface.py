@@ -55,6 +55,12 @@ REMOVED_NAMES = (
     # sampled check reads it on the image curves' circle
     "SAMPLED_ORDER",
     "SAMPLED_RADIUS",
+    # the root oracle is numpy's companion-matrix solver with one Newton
+    # step, accepted by cpoly.ROOT_RESIDUAL_RTOL
+    "DK_MAX_ITER",
+    "DK_STEP_TOL",
+    "DK_FLOOR_RTOL",
+    "DK_RESIDUAL_RTOL",
 )
 
 REMOVED_ATTRIBUTES = (
